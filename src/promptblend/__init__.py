@@ -3,8 +3,8 @@ embeddings, trained against a frozen seq2seq model."""
 
 from .composer import (DEFAULT_BASIS_PROMPTS, ContinuousPrompt, PromptBasis,
                        WeightPredictor, WeightVector, build_basis, combine,
-                       orthogonality_score, predict_weights, project_to_vocab,
-                       question_repr, top_contributors)
+                       orthogonality_score, project_to_vocab, question_repr,
+                       top_contributors)
 from .model import FrozenLM, LMConfig, PretrainConfig, pretrain
 from .optim import AdamW
 from .tensor import Tensor
@@ -16,6 +16,6 @@ __all__ = [
     "PretrainConfig", "PromptBasis", "QAExample", "RunRecord", "Tensor",
     "TrainConfig", "Vocab", "WeightPredictor", "WeightVector", "build_basis",
     "combine", "control_eval", "load_dataset", "make_fixture", "orthogonality_score",
-    "predict_weights", "pretrain", "prompted_eval", "project_to_vocab",
-    "question_repr", "stability_metric", "top_contributors", "train",
+    "pretrain", "prompted_eval", "project_to_vocab", "question_repr",
+    "stability_metric", "top_contributors", "train",
 ]

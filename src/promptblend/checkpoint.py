@@ -1,4 +1,4 @@
-"""Binary checkpoint container.
+"""Binary checkpoint container and the run bundle stored in it.
 
 Layout (all integers little-endian):
 
@@ -12,14 +12,25 @@ Layout (all integers little-endian):
 
 Records are written in sorted name order and metadata is serialized
 canonically, so load followed by save reproduces identical bytes.
+
+A run bundle is the frozen LM (tensors `lm.<param>`, metadata `lm`), an
+optional weight predictor (`predictor.<param>`, metadata `predictor`) and
+the optional basis prompts (metadata `basis_prompts`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
+
+from . import textdata as td
+from .composer import WeightPredictor
+from .model import FrozenLM, LMConfig, param_shapes
+from .tensor import Tensor
 
 MAGIC = b"PBLD"
 VERSION = 1
@@ -28,10 +39,6 @@ DTYPE_F64 = 0
 
 class CheckpointError(ValueError):
     """Corrupt or unsupported checkpoint content."""
-
-
-def _canonical_meta(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 
 
 def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
@@ -49,49 +56,123 @@ def checkpoint_bytes(tensors: dict[str, np.ndarray], meta: dict) -> bytes:
         for dim in arr.shape:
             blob += struct.pack("<I", dim)
         blob += arr.tobytes()
-    mb = _canonical_meta(meta)
+    mb = json.dumps(meta, sort_keys=True, separators=(",", ":"),
+                    ensure_ascii=False).encode("utf-8")
     blob += struct.pack("<Q", len(mb))
     blob += mb
     return bytes(blob)
 
 
-def save_checkpoint(path, tensors: dict[str, np.ndarray], meta: dict) -> None:
-    with open(path, "wb") as f:
-        f.write(checkpoint_bytes(tensors, meta))
-
-
 def parse_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
-    if blob[:4] != MAGIC:
+    """Inverse of checkpoint_bytes. Every read is bounds-checked, so a
+    truncated, overlong or garbled input raises CheckpointError."""
+    off = 0
+
+    def take(n: int) -> bytes:
+        nonlocal off
+        if n > len(blob) - off:
+            raise CheckpointError(f"truncated checkpoint: {n} bytes needed at offset "
+                                  f"{off}, {len(blob) - off} left")
+        off += n
+        return blob[off - n:off]
+
+    def unpack(fmt: str) -> tuple:
+        return struct.unpack(fmt, take(struct.calcsize(fmt)))
+
+    if take(4) != MAGIC:
         raise CheckpointError(f"bad magic bytes {blob[:4]!r}")
-    off = 4
-    version, count = struct.unpack_from("<II", blob, off)
-    off += 8
+    version, count = unpack("<II")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        name = blob[off:off + name_len].decode("utf-8")
-        off += name_len
-        (dtype_code,) = struct.unpack_from("<B", blob, off)
-        off += 1
-        if dtype_code != DTYPE_F64:
-            raise CheckpointError(f"record {name!r}: unknown dtype code {dtype_code}")
-        (rank,) = struct.unpack_from("<I", blob, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", blob, off) if rank else ()
-        off += 4 * rank
-        size = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=off).reshape(dims)
-        off += 8 * size
-        tensors[name] = arr.astype(np.float64)
-    (meta_len,) = struct.unpack_from("<Q", blob, off)
-    off += 8
-    meta = json.loads(blob[off:off + meta_len].decode("utf-8"))
+    try:
+        for _ in range(count):
+            name = take(unpack("<I")[0]).decode("utf-8")
+            (dtype_code,) = unpack("<B")
+            if dtype_code != DTYPE_F64:
+                raise CheckpointError(f"record {name!r}: unknown dtype code {dtype_code}")
+            dims = unpack(f"<{unpack('<I')[0]}I")
+            payload = take(8 * math.prod(dims))
+            tensors[name] = np.frombuffer(payload, dtype="<f8").reshape(dims).astype(np.float64)
+        meta = json.loads(take(unpack("<Q")[0]).decode("utf-8"))
+    except CheckpointError:
+        raise
+    except ValueError as e:  # bad utf-8 or JSON, or a shape numpy cannot hold
+        raise CheckpointError(f"garbled checkpoint before offset {off} ({e})") from e
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint metadata is not an object")
+    if off != len(blob):
+        raise CheckpointError(f"{len(blob) - off} trailing bytes after the metadata")
     return tensors, meta
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         return parse_checkpoint(f.read())
+
+
+def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None = None,
+                 basis_prompts: list[str] | None = None,
+                 predictor_meta: dict | None = None) -> bytes:
+    """The run bundle as checkpoint bytes; `predictor_meta` is stored beside
+    the predictor's dropout rate."""
+    tensors = {f"lm.{name}": t.data for name, t in lm.params.items()}
+    meta: dict = {"kind": "promptblend", "lm": {
+        "config": asdict(lm.config),
+        "vocab": lm.vocab.non_reserved(),
+        "frozen": lm.frozen,
+        "provenance": lm.provenance,
+        "pretrain_record": lm.pretrain_record,
+    }}
+    if predictor is not None:
+        for name, p in zip(WeightPredictor.PARAM_NAMES, predictor.parameters()):
+            tensors[f"predictor.{name}"] = p.data
+        meta["predictor"] = {**(predictor_meta or {}), "dropout_p": predictor.dropout_p}
+    if basis_prompts is not None:
+        meta["basis_prompts"] = list(basis_prompts)
+    return checkpoint_bytes(tensors, meta)
+
+
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise CheckpointError(f"malformed bundle: {what}")
+
+
+def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | None]:
+    """Inverse of bundle_bytes: (lm, predictor or None, basis prompts or None).
+
+    Every tensor's name and shape must be the one the stored config,
+    vocabulary and basis imply; anything else raises CheckpointError.
+    """
+    tensors, meta = load_checkpoint(path)
+    pred_meta, prompts = meta.get("predictor"), meta.get("basis_prompts")
+    names = [f"predictor.{n}" for n in WeightPredictor.PARAM_NAMES] if pred_meta else []
+    try:
+        lm_meta = meta["lm"]
+        vocab, config = td.Vocab(lm_meta["vocab"]), LMConfig(**lm_meta["config"])
+        expected = {f"lm.{n}": shape for n, shape in param_shapes(config, len(vocab)).items()}
+        # the predictor's widths run from embed_dim through its biases to the basis size
+        widths = [config.embed_dim] + [len(tensors[b]) for b in names[1::2]]
+        if names and prompts is not None:
+            widths[-1] = len(prompts)
+        for w, b, n_in, n_out in zip(names[0::2], names[1::2], widths, widths[1:]):
+            expected[w], expected[b] = (n_in, n_out), (n_out,)
+        dropout_p = pred_meta.get("dropout_p", 0.1) if names else 0.0
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CheckpointError(f"malformed bundle metadata ({e!r})") from e
+    for name in sorted(set(tensors) | set(expected)):
+        got = tensors[name].shape if name in tensors else None
+        _check(got == expected.get(name), f"tensor {name!r} has shape {got}, expected "
+                                          f"{expected.get(name)}")
+    _check(type(dropout_p) in (int, float) and 0.0 <= dropout_p < 1.0,
+           f"predictor dropout_p {dropout_p!r}")
+    _check(prompts is None or isinstance(prompts, list)
+           and all(isinstance(p, str) for p in prompts), "basis_prompts")
+    lm = FrozenLM(vocab, config, params={n[3:]: a for n, a in tensors.items()
+                                         if n.startswith("lm.")})
+    lm.provenance = lm_meta.get("provenance", {})
+    lm.pretrain_record = lm_meta.get("pretrain_record", {})
+    lm.set_frozen(bool(lm_meta.get("frozen", False)))
+    predictor = WeightPredictor(*(Tensor(tensors[n], requires_grad=True) for n in names),
+                                dropout_p=dropout_p) if names else None
+    return lm, predictor, prompts

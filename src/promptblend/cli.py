@@ -18,10 +18,9 @@ from pathlib import Path
 
 from . import composer, report
 from . import textdata as td
-from .checkpoint import checkpoint_bytes, load_checkpoint
+from .checkpoint import bundle_bytes, load_bundle
 from .composer import WeightPredictor
 from .model import FrozenLM, LMConfig, PretrainConfig, pretrain
-from .tensor import Tensor
 from .train import RunRecord, TrainConfig
 from .train import control_eval as _control_eval
 from .train import prompted_eval as _prompted_eval
@@ -163,39 +162,6 @@ def _fresh_lm(basis_prompts, seed) -> FrozenLM:
     return lm
 
 
-def _bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None,
-                  basis_prompts: list[str] | None, predictor_meta: dict | None) -> bytes:
-    tensors, meta = lm.checkpoint_payload()
-    if predictor is not None:
-        names = ("w1", "b1", "w2", "b2", "w3", "b3")
-        for name, p in zip(names, predictor.parameters()):
-            tensors[f"predictor.{name}"] = p.data
-        meta["predictor"] = dict(predictor_meta or {})
-        meta["predictor"]["dropout_p"] = predictor.dropout_p
-    if basis_prompts is not None:
-        meta["basis_prompts"] = list(basis_prompts)
-    return checkpoint_bytes(tensors, meta)
-
-
-def _load_bundle(path):
-    tensors, meta = load_checkpoint(path)
-    lm = FrozenLM.from_payload(tensors, meta)
-    predictor = None
-    if "predictor" in meta:
-        p = {name: tensors[f"predictor.{name}"]
-             for name in ("w1", "b1", "w2", "b2", "w3", "b3")}
-        predictor = WeightPredictor(
-            Tensor(p["w1"].copy(), requires_grad=True),
-            Tensor(p["b1"].copy(), requires_grad=True),
-            Tensor(p["w2"].copy(), requires_grad=True),
-            Tensor(p["b2"].copy(), requires_grad=True),
-            Tensor(p["w3"].copy(), requires_grad=True),
-            Tensor(p["b3"].copy(), requires_grad=True),
-            dropout_p=meta["predictor"].get("dropout_p", 0.1),
-        )
-    return lm, predictor, meta.get("basis_prompts")
-
-
 def _cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
     _positive(args.epochs, "--epochs")
@@ -204,7 +170,7 @@ def _cmd_pretrain(args) -> int:
     train_set, _ = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
     basis_prompts = _resolve_basis_prompts(args)
     lm = _pretrain_lm(train_set, basis_prompts, seed, args.epochs, args.batch_size, args.lr)
-    _write_outputs(args.out, {"checkpoint.pbld": _bundle_bytes(lm, None, basis_prompts, None)})
+    _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, basis_prompts=basis_prompts)})
     rec = lm.pretrain_record
     print(f"pretrained on {len(train_set)} examples: initial loss "
           f"{rec['initial_loss']:.4f}, final epoch mean {rec['epoch_means'][-1]:.4f}")
@@ -221,9 +187,8 @@ def _cmd_train(args) -> int:
     train_set, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
     basis_prompts = _resolve_basis_prompts(args)
     if args.checkpoint:
-        lm, _, ck_prompts = _load_bundle(args.checkpoint)
-        if not lm.frozen:
-            lm.set_frozen(True)
+        lm, _, ck_prompts = load_bundle(args.checkpoint)
+        lm.set_frozen(True)
         if ck_prompts and args.basis == "default":
             basis_prompts = ck_prompts
     else:
@@ -247,7 +212,7 @@ def _cmd_train(args) -> int:
         "report.txt": bundle.text,
         "report.json": bundle.json_text,
         "record.json": record.to_json() + "\n",
-        "checkpoint.pbld": _bundle_bytes(lm, predictor, basis_prompts, pred_meta),
+        "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts, pred_meta),
     }
     _write_outputs(args.out, files)
     print(f"control eval loss:  {record.control_eval_loss:.4f}")
@@ -258,27 +223,22 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _resolve_seed(args)
-    lm, predictor, ck_prompts = _load_bundle(args.checkpoint)
+    lm, predictor, ck_prompts = load_bundle(args.checkpoint)
     examples = _resolve_examples(args)
     _, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
-    control = _control_eval(lm, eval_set)
-    lines = [f"eval examples: {len(eval_set)}", f"control eval loss:  {control:.4f}"]
-    payload = {"eval_examples": len(eval_set), "control_eval_loss": control}
-    if predictor is not None:
+    payload = {"eval_examples": len(eval_set)}
+    if predictor is None:
+        payload["control_eval_loss"] = _control_eval(lm, eval_set)
+    else:
         prompts = ck_prompts if args.basis == "default" and ck_prompts \
             else _resolve_basis_prompts(args)
-        basis = composer.build_basis(prompts, lm)
-        result = _prompted_eval(lm, predictor, basis, eval_set)
-        correct = 0
-        for ex, wv in zip(eval_set, result.weights):
-            prompt = composer.combine(basis, wv)
-            if lm.predict_choice(prompt.tensor, ex) == ex.answer_key:
-                correct += 1
-        accuracy = correct / len(eval_set)
-        lines.append(f"prompted eval loss: {result.mean_loss:.4f}")
-        lines.append(f"prompted accuracy:  {accuracy:.4f}")
-        payload["prompted_eval_loss"] = result.mean_loss
-        payload["prompted_accuracy"] = accuracy
+        result = _prompted_eval(lm, predictor, composer.build_basis(prompts, lm), eval_set)
+        payload.update(control_eval_loss=result.control_loss,
+                       prompted_eval_loss=result.mean_loss, prompted_accuracy=result.accuracy)
+    # each value prints as e.g. "control eval loss:  3.4992"
+    lines = [f"eval examples: {len(eval_set)}"] + [
+        f"{key.replace('_', ' ') + ':':<19} {value:.4f}" for key, value in payload.items()
+        if key != "eval_examples"]
     text = "\n".join(lines) + "\n"
     if args.out:
         _write_outputs(args.out, {"eval.txt": text,
@@ -294,7 +254,7 @@ def _cmd_report(args) -> int:
     ck = args.checkpoint or str(record_path.parent / "checkpoint.pbld")
     if not Path(ck).exists():
         raise ValueError(f"checkpoint {ck} not found; pass --checkpoint")
-    lm, _, _ = _load_bundle(ck)
+    lm, _, _ = load_bundle(ck)
     basis = composer.build_basis(record.basis_prompts, lm,
                                  record.config.get("prompt_length") or None)
     bundle = report.render_report(record, basis, n_top=args.top)
@@ -312,7 +272,7 @@ def _basis_for_inspection(args):
     seed = _resolve_seed(args)
     prompts = _resolve_basis_prompts(args)
     if args.checkpoint:
-        lm, _, _ = _load_bundle(args.checkpoint)
+        lm, _, _ = load_bundle(args.checkpoint)
     else:
         lm = _fresh_lm(prompts, seed)
     length = args.prompt_length if args.prompt_length > 0 else None

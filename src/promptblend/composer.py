@@ -138,6 +138,8 @@ class WeightPredictor:
     -> linear3 -> dropout3. Output width equals the basis size.
     """
 
+    PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
+
     def __init__(self, w1, b1, w2, b2, w3, b3, dropout_p: float):
         self.w1, self.b1 = w1, b1
         self.w2, self.b2 = w2, b2
@@ -165,7 +167,7 @@ class WeightPredictor:
         return cls(w1, b1, w2, b2, w3, b3, dropout_p)
 
     def parameters(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+        return [getattr(self, name) for name in self.PARAM_NAMES]
 
     @property
     def out_dim(self) -> int:
@@ -182,19 +184,14 @@ class WeightPredictor:
         return dropout(linear(gelu(h), self.w3, self.b3), self.dropout_p, training, rng)
 
 
-def question_repr(lm: FrozenLM, input_ids) -> np.ndarray:
-    """Mean of the frozen encoder's output states over non-pad positions."""
+def question_repr(lm: FrozenLM, input_ids, encoded=None) -> np.ndarray:
+    """Mean of the frozen encoder's output states over non-pad positions;
+    `encoded` is lm.encode(input_ids) when the caller already has it."""
     idx = np.asarray(input_ids, dtype=np.int64)
     if idx.size == 0 or np.all(idx == td.PAD_ID):
         raise ValueError("question representation needs at least one non-pad token")
-    states, valid = lm.encode(idx, prompt=None)
+    states, valid = encoded or lm.encode(idx, prompt=None)
     return states.data[valid].mean(axis=0)
-
-
-def predict_weights(predictor: WeightPredictor, q: np.ndarray, training: bool = False,
-                    rng: np.random.Generator | None = None) -> WeightVector:
-    out = predictor.forward(Tensor(np.asarray(q).reshape(1, -1)), training, rng)
-    return WeightVector(out.data[0].copy())
 
 
 def combine(basis: PromptBasis, w) -> ContinuousPrompt:

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import rng as rngmod
 from . import textdata as td
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .optim import AdamW
 from .tensor import (ShapeError, Tensor, attention_core, concat_cols, concat_rows,
                      cross_entropy, embedding_lookup, gelu, layer_norm, linear,
@@ -42,6 +41,9 @@ class LMConfig:
     max_positions: int = 256
 
     def __post_init__(self):
+        for name, value in asdict(self).items():
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")
@@ -74,58 +76,54 @@ def sinusoidal_positions(max_positions: int, dim: int) -> np.ndarray:
     return table
 
 
-def _attn_param_names(prefix: str) -> list[str]:
-    return [f"{prefix}.{n}" for n in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")]
+def param_shapes(config: LMConfig, vocab_size: int) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every LM parameter, in initialization order."""
+    d, f, v = config.embed_dim, config.ffn_dim, vocab_size
+    shapes = {"embedding": (v, d)}
+    for block in ("enc", "dec"):
+        for ln in ("ln1", "ln2", "ln3", "lnf") if block == "dec" else ("ln1", "ln2", "lnf"):
+            shapes[f"{block}.{ln}.gain"] = shapes[f"{block}.{ln}.bias"] = (d,)
+        for a in ("self", "cross") if block == "dec" else ("attn",):
+            for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
+                shapes[f"{block}.{a}.{w}"], shapes[f"{block}.{a}.{b}"] = (d, d), (d,)
+        shapes.update({f"{block}.ffn.w1": (d, f), f"{block}.ffn.b1": (f,),
+                       f"{block}.ffn.w2": (f, d), f"{block}.ffn.b2": (d,)})
+    shapes.update({"out.w": (d, v), "out.b": (v,)})
+    return shapes
 
 
 class FrozenLM:
     """Seq2seq stand-in with a pinned zero pad-embedding row."""
 
-    def __init__(self, vocab: td.Vocab, config: LMConfig, seed: int):
+    def __init__(self, vocab: td.Vocab, config: LMConfig, seed: int = 0,
+                 params: dict[str, np.ndarray] | None = None):
+        """A model initialized from `seed`, or holding `params` unchecked."""
         self.vocab = vocab
         self.config = config
         self.frozen = False
         self.provenance: dict = {"init_seed": seed}
         self.pretrain_record: dict = {}
         self.positions = sinusoidal_positions(config.max_positions, config.embed_dim)
-        self.params: dict[str, Tensor] = {}
-        self._init_params(seed)
+        if params is None:
+            params = self._init_params(seed)
+        self.params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
 
     # -- construction ----------------------------------------------------
 
-    def _init_params(self, seed: int) -> None:
+    def _init_params(self, seed: int) -> dict[str, np.ndarray]:
         gen = rngmod.stream(seed, "lm-init")
-        d, f, v = self.config.embed_dim, self.config.ffn_dim, len(self.vocab)
-
-        def mat(rows, cols):
-            return Tensor(gen.normal(0.0, 1.0 / math.sqrt(rows), size=(rows, cols)),
-                          requires_grad=True)
-
-        def vec(n, value=0.0):
-            return Tensor(np.full(n, value), requires_grad=True)
-
-        emb = Tensor(gen.normal(0.0, 1.0 / math.sqrt(d), size=(v, d)), requires_grad=True)
-        emb.data[td.PAD_ID, :] = 0.0
-        self.params["embedding"] = emb
-        for block in ("enc", "dec"):
-            for ln in ("ln1", "ln2", "ln3", "lnf"):
-                if block == "enc" and ln == "ln3":
-                    continue
-                self.params[f"{block}.{ln}.gain"] = vec(d, 1.0)
-                self.params[f"{block}.{ln}.bias"] = vec(d)
-            attns = ["attn"] if block == "enc" else ["self", "cross"]
-            for a in attns:
-                p = f"{block}.{a}"
-                for w, b in (("wq", "bq"), ("wk", "bk"), ("wv", "bv"), ("wo", "bo")):
-                    self.params[f"{p}.{w}"] = mat(d, d)
-                    self.params[f"{p}.{b}"] = vec(d)
-            self.params[f"{block}.ffn.w1"] = mat(d, f)
-            self.params[f"{block}.ffn.b1"] = vec(f)
-            self.params[f"{block}.ffn.w2"] = mat(f, d)
-            self.params[f"{block}.ffn.b2"] = vec(d)
-        # zero output projection: a fresh model scores every token equally
-        self.params["out.w"] = Tensor(np.zeros((d, v)), requires_grad=True)
-        self.params["out.b"] = Tensor(np.zeros(v), requires_grad=True)
+        params = {}
+        for name, shape in param_shapes(self.config, len(self.vocab)).items():
+            if name == "embedding":
+                params[name] = gen.normal(0.0, 1.0 / math.sqrt(shape[1]), size=shape)
+                params[name][td.PAD_ID, :] = 0.0
+            elif len(shape) == 2 and name != "out.w":
+                params[name] = gen.normal(0.0, 1.0 / math.sqrt(shape[0]), size=shape)
+            else:
+                # unit gains; zero biases and a zero output projection, so a
+                # fresh model scores every token equally
+                params[name] = np.full(shape, 1.0 if name.endswith(".gain") else 0.0)
+        return params
 
     def set_frozen(self, frozen: bool) -> None:
         self.frozen = frozen
@@ -179,27 +177,6 @@ class FrozenLM:
         return linear(gelu(linear(x, p[f"{prefix}.w1"], p[f"{prefix}.b1"])),
                       p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
-    def _encoder(self, x: Tensor, valid: np.ndarray) -> Tensor:
-        t = x.data.shape[0]
-        mask = np.zeros((t, t))
-        mask[:, ~valid] = MASK_VALUE
-        a = self._ln("enc.ln1", x)
-        x = x + self._mha("enc.attn", a, a, mask)
-        x = x + self._ffn("enc.ffn", self._ln("enc.ln2", x))
-        return self._ln("enc.lnf", x)
-
-    def _decoder(self, y: Tensor, enc_out: Tensor, enc_valid: np.ndarray) -> Tensor:
-        ty = y.data.shape[0]
-        causal = np.triu(np.full((ty, ty), MASK_VALUE), k=1)
-        a = self._ln("dec.ln1", y)
-        y = y + self._mha("dec.self", a, a, causal)
-        cross_mask = np.zeros((ty, enc_out.data.shape[0]))
-        cross_mask[:, ~enc_valid] = MASK_VALUE
-        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask)
-        y = y + self._ffn("dec.ffn", self._ln("dec.ln3", y))
-        h = self._ln("dec.lnf", y)
-        return linear(h, self.params["out.w"], self.params["out.b"])
-
     # -- public forward ----------------------------------------------------
 
     def encode(self, input_ids, prompt: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
@@ -223,19 +200,35 @@ class FrozenLM:
             prompt_valid = ~np.all(prompt.data == 0.0, axis=1)
             x = concat_rows([prompt, emb])
             valid = np.concatenate([prompt_valid, token_valid])
-        return self._encoder(x, valid), valid
+        mask = np.zeros((valid.size, valid.size))
+        mask[:, ~valid] = MASK_VALUE
+        a = self._ln("enc.ln1", x)
+        x = x + self._mha("enc.attn", a, a, mask)
+        x = x + self._ffn("enc.ffn", self._ln("enc.ln2", x))
+        return self._ln("enc.lnf", x), valid
 
-    def target_logits(self, input_ids, target_ids,
-                      prompt: Tensor | None = None) -> tuple[Tensor, list[int]]:
-        """Teacher-forced decoder logits and the label sequence."""
-        enc_out, valid = self.encode(input_ids, prompt)
+    def decode(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
+        """Teacher-forced decoder logits for the target over encoder states."""
         dec_in = [td.BOS_ID] + list(target_ids)
-        labels = list(target_ids) + [td.EOS_ID]
         if len(dec_in) > self.config.max_positions:
             raise ValueError(f"target length {len(dec_in)} exceeds "
                              f"max_positions {self.config.max_positions}")
         y = self.embed_tokens(dec_in, add_positions=True)
-        return self._decoder(y, enc_out, valid), labels
+        ty = y.data.shape[0]
+        causal = np.triu(np.full((ty, ty), MASK_VALUE), k=1)
+        a = self._ln("dec.ln1", y)
+        y = y + self._mha("dec.self", a, a, causal)
+        cross_mask = np.zeros((ty, enc_out.data.shape[0]))
+        cross_mask[:, ~enc_valid] = MASK_VALUE
+        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask)
+        y = y + self._ffn("dec.ffn", self._ln("dec.ln3", y))
+        h = self._ln("dec.lnf", y)
+        return linear(h, self.params["out.w"], self.params["out.b"])
+
+    def decode_loss(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
+        """Cross-entropy of the target (then EOS) given encoder states."""
+        labels = list(target_ids) + [td.EOS_ID]
+        return cross_entropy(self.decode(enc_out, enc_valid, target_ids), labels, td.PAD_ID)
 
     def loss_with_prompt(self, prompt: Tensor | None, input_ids, target_ids) -> Tensor:
         """Cross-entropy of the target given the (optionally prompted) input.
@@ -243,69 +236,12 @@ class FrozenLM:
         Gradient reaches the prompt tensor but never the model parameters
         once the model is frozen.
         """
-        logits, labels = self.target_logits(input_ids, target_ids, prompt)
-        return cross_entropy(logits, labels, td.PAD_ID)
+        return self.decode_loss(*self.encode(input_ids, prompt), target_ids)
 
-    def score_choices(self, prompt: Tensor | None, example: td.QAExample) -> list[float]:
-        """Per-choice target losses, aligned with the example's choices."""
-        input_ids = td.tokenize(td.format_input(example), self.vocab)
-        losses = []
-        for c in example.choices:
-            target_ids = td.tokenize(f"{c.label}: {c.text}", self.vocab)
-            losses.append(float(self.loss_with_prompt(prompt, input_ids, target_ids).data))
-        return losses
-
-    def predict_choice(self, prompt: Tensor | None, example: td.QAExample) -> str:
-        """Label of the lowest-loss choice; ties break toward earlier labels."""
-        losses = self.score_choices(prompt, example)
-        best = min(range(len(losses)), key=lambda i: (losses[i], i))
-        return example.choices[best].label
-
-    # -- persistence -------------------------------------------------------
-
-    def checkpoint_payload(self) -> tuple[dict[str, np.ndarray], dict]:
-        tensors = {f"lm.{name}": t.data for name, t in self.params.items()}
-        meta = {
-            "kind": "promptblend",
-            "lm": {
-                "config": asdict(self.config),
-                "vocab": self.vocab.non_reserved(),
-                "frozen": self.frozen,
-                "provenance": self.provenance,
-                "pretrain_record": self.pretrain_record,
-            },
-        }
-        return tensors, meta
-
-    def save(self, path) -> None:
-        tensors, meta = self.checkpoint_payload()
-        save_checkpoint(path, tensors, meta)
-
-    @classmethod
-    def from_payload(cls, tensors: dict[str, np.ndarray], meta: dict) -> "FrozenLM":
-        if "lm" not in meta:
-            raise CheckpointError("checkpoint has no lm section")
-        section = meta["lm"]
-        vocab = td.Vocab(section["vocab"])
-        config = LMConfig(**section["config"])
-        lm = cls.__new__(cls)
-        lm.vocab = vocab
-        lm.config = config
-        lm.provenance = section.get("provenance", {})
-        lm.pretrain_record = section.get("pretrain_record", {})
-        lm.positions = sinusoidal_positions(config.max_positions, config.embed_dim)
-        lm.params = {}
-        for name, arr in tensors.items():
-            if name.startswith("lm."):
-                lm.params[name[3:]] = Tensor(arr.copy())
-        lm.frozen = False
-        lm.set_frozen(bool(section.get("frozen", False)))
-        return lm
-
-    @classmethod
-    def load(cls, path) -> "FrozenLM":
-        tensors, meta = load_checkpoint(path)
-        return cls.from_payload(tensors, meta)
+    def score_choices(self, prompt: Tensor | None, input_ids, choice_ids) -> list[float]:
+        """Target loss of each choice, all decoded from one encode of the input."""
+        enc_out, valid = self.encode(input_ids, prompt)
+        return [float(self.decode_loss(enc_out, valid, ids).data) for ids in choice_ids]
 
 
 def corpus_digest(corpus: list[tuple[str, str]]) -> str:

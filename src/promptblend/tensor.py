@@ -1,8 +1,8 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Covers exactly what the pipeline needs: 2-D matmul, row-wise bias add,
-elementwise ops, softmax over the last axis, layer norm, GELU, inverted
-dropout, embedding lookup, and a sequence cross-entropy with pad masking.
+elementwise ops, fused attention, layer norm, GELU, inverted dropout,
+embedding lookup, and a sequence cross-entropy with pad masking.
 Graphs are built eagerly and backpropagated single-threaded.
 """
 
@@ -41,18 +41,8 @@ class Tensor:
         self._backward = None
 
     @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
     def is_leaf(self) -> bool:
         return not self._prev
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -162,14 +152,6 @@ class Tensor:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def __neg__(self):
-        return self * -1.0
-
-    def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
-        return self + (-other)
-
     def matmul(self, other: "Tensor") -> "Tensor":
         a, b = self.data, other.data
         if a.ndim != 2 or b.ndim != 2:
@@ -188,50 +170,6 @@ class Tensor:
         return out
 
     __matmul__ = matmul
-
-    def t(self) -> "Tensor":
-        if self.data.ndim != 2:
-            raise ShapeError(f"transpose needs a 2-D tensor, got {self.data.shape}")
-        out = Tensor(self.data.T.copy(), self.requires_grad, (self,))
-
-        def _bw():
-            if self.requires_grad:
-                self._accum(out.grad.T)
-
-        out._backward = _bw
-        return out
-
-    def reshape(self, *shape: int) -> "Tensor":
-        out = Tensor(self.data.reshape(shape), self.requires_grad, (self,))
-
-        def _bw():
-            if self.requires_grad:
-                self._accum(out.grad.reshape(self.data.shape))
-
-        out._backward = _bw
-        return out
-
-    def sum(self) -> "Tensor":
-        out = Tensor(self.data.sum(), self.requires_grad, (self,))
-
-        def _bw():
-            if self.requires_grad:
-                self._accum(np.full_like(self.data, out.grad))
-
-        out._backward = _bw
-        return out
-
-    def mean(self) -> "Tensor":
-        n = self.data.size
-        out = Tensor(self.data.mean(), self.requires_grad, (self,))
-
-        def _bw():
-            if self.requires_grad:
-                self._accum(np.full_like(self.data, out.grad / n))
-
-        out._backward = _bw
-        return out
-
 
 # -- functional ops ------------------------------------------------------
 
@@ -283,22 +221,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
                 q._accum(ds @ k.data * scale)
             if k.requires_grad:
                 k._accum(ds.T @ q.data * scale)
-
-    out._backward = _bw
-    return out
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, x.requires_grad, (x,))
-
-    def _bw():
-        if x.requires_grad:
-            g = out.grad
-            x._accum((g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     out._backward = _bw
     return out

@@ -130,10 +130,10 @@ class QAExample:
             raise DatasetError(f"example {self.id}: answerKey {self.answer_key!r} "
                                f"not among labels {labels}")
 
-    def answer_text(self) -> str:
-        for c in self.choices:
+    def answer_index(self) -> int:
+        for i, c in enumerate(self.choices):
             if c.label == self.answer_key:
-                return c.text
+                return i
         raise DatasetError(f"example {self.id}: no choice for key {self.answer_key!r}")
 
 
@@ -149,8 +149,10 @@ def _example_from_record(rec: dict, where: str) -> QAExample:
 
 
 def load_dataset(path) -> list[QAExample]:
-    """Parse a line-delimited record file; errors carry the line number."""
+    """Parse a line-delimited record file; errors carry the line number,
+    and a repeated id names both of its lines."""
     examples: list[QAExample] = []
+    id_lines: dict[str, int] = {}
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, start=1):
             if not line.strip():
@@ -160,9 +162,14 @@ def load_dataset(path) -> list[QAExample]:
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
             try:
-                examples.append(_example_from_record(rec, f"line {lineno}"))
+                ex = _example_from_record(rec, f"line {lineno}")
             except DatasetError as e:
                 raise DatasetError(f"line {lineno}: {e}") from e
+            if ex.id in id_lines:
+                raise DatasetError(f"line {lineno}: id {ex.id!r} already used on line "
+                                   f"{id_lines[ex.id]}")
+            id_lines[ex.id] = lineno
+            examples.append(ex)
     return examples
 
 
@@ -178,15 +185,20 @@ def save_dataset(examples: list[QAExample], path) -> None:
             f.write(json.dumps(rec, ensure_ascii=False) + "\n")
 
 
+def format_choice(choice: Choice) -> str:
+    """Choice letter plus choice text, e.g. "B: surface area"."""
+    return f"{choice.label}: {choice.text}"
+
+
 def format_input(example: QAExample) -> str:
     """`{question} Options: A: text - B: text ...`, choices joined by " - "."""
-    opts = " - ".join(f"{c.label}: {c.text}" for c in example.choices)
+    opts = " - ".join(format_choice(c) for c in example.choices)
     return f"{example.question} Options: {opts}"
 
 
 def format_target(example: QAExample) -> str:
-    """Answer letter plus answer text, e.g. "B: surface area"."""
-    return f"{example.answer_key}: {example.answer_text()}"
+    """The gold choice, formatted as format_choice does."""
+    return format_choice(example.choices[example.answer_index()])
 
 
 # -- synthetic fixture -----------------------------------------------------

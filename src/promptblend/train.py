@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -77,6 +78,23 @@ class ExampleEval:
     weights: list[float]
 
 
+def _from_dict(cls, d: dict):
+    """Dataclass `cls` from its asdict() form, rebuilding fields typed as
+    lists of dataclasses; a missing or unknown field raises ValueError."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(d, dict) or set(d) != set(names):
+        raise ValueError(f"malformed {cls.__name__}: expected fields {names}, got "
+                         f"{sorted(d) if isinstance(d, dict) else repr(d)}")
+    kwargs = dict(d)
+    for name, hint in typing.get_type_hints(cls).items():
+        item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
+        if is_dataclass(item):
+            if not isinstance(d[name], list):
+                raise ValueError(f"malformed {cls.__name__}: {name} must be a list")
+            kwargs[name] = [_from_dict(item, x) for x in d[name]]
+    return cls(**kwargs)
+
+
 @dataclass
 class RunRecord:
     """Everything a report needs; losses here are the exact values seen."""
@@ -94,22 +112,9 @@ class RunRecord:
     wall_clock_seconds: float = 0.0
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RunRecord":
-        rec = cls(config=d["config"], basis_prompts=d["basis_prompts"])
-        rec.steps = [StepRecord(**s) for s in d["steps"]]
-        rec.epoch_means = list(d["epoch_means"])
-        rec.eval_losses = [list(e) for e in d["eval_losses"]]
-        rec.control_eval_loss = d["control_eval_loss"]
-        rec.prompted_eval_loss = d["prompted_eval_loss"]
-        rec.examples = [ExampleEval(**e) for e in d["examples"]]
-        rec.projection = d.get("projection")
-        rec.lm_param_hash = d["lm_param_hash"]
-        rec.wall_clock_seconds = d["wall_clock_seconds"]
-        return rec
+    from_dict = classmethod(_from_dict)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -124,55 +129,86 @@ class PromptedEvalResult:
     mean_loss: float
     weights: list[WeightVector]
     losses: list[float]
+    control_loss: float  # control_eval over the same examples
+    accuracy: float  # share of examples whose lowest-loss choice is the gold one
+
+
+@dataclass
+class _Entry:
+    ids: list[int]  # tokenized input
+    target: list[int]  # tokenized gold choice
+    q: np.ndarray  # question representation
+    choices: list[list[int]] | None = None  # every choice's tokens; scored entries only
+    control: float | None = None  # no-prompt target loss; scored entries only
 
 
 class _ExampleCache:
-    """Tokenized inputs/targets and question representations, keyed by id."""
+    """Per-example tokens and question representations, keyed by id.
+
+    A scored (eval) entry also holds every choice's tokens and the control
+    loss. One unprompted encode gives both the representation and the
+    control loss, and the gold choice's tokens are the target.
+    """
 
     def __init__(self, lm: FrozenLM):
         self.lm = lm
-        self.inputs: dict[str, list[int]] = {}
-        self.targets: dict[str, list[int]] = {}
-        self.reprs: dict[str, np.ndarray] = {}
+        self.entries: dict[str, _Entry] = {}
 
-    def get(self, ex: td.QAExample) -> tuple[list[int], list[int], np.ndarray]:
-        if ex.id not in self.inputs:
-            self.inputs[ex.id] = td.tokenize(td.format_input(ex), self.lm.vocab)
-            self.targets[ex.id] = td.tokenize(td.format_target(ex), self.lm.vocab)
-            self.reprs[ex.id] = question_repr(self.lm, self.inputs[ex.id])
-        return self.inputs[ex.id], self.targets[ex.id], self.reprs[ex.id]
+    def get(self, ex: td.QAExample, scored: bool = False) -> _Entry:
+        entry = self.entries.get(ex.id)
+        if entry is None or (scored and entry.choices is None):
+            entry = self.entries[ex.id] = self._build(ex, scored)
+        return entry
+
+    def _build(self, ex: td.QAExample, scored: bool) -> _Entry:
+        lm = self.lm
+        ids = td.tokenize(td.format_input(ex), lm.vocab)
+        encoded = lm.encode(ids)
+        q = question_repr(lm, ids, encoded)
+        if not scored:
+            return _Entry(ids, td.tokenize(td.format_target(ex), lm.vocab), q)
+        choices = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
+        target = choices[ex.answer_index()]
+        return _Entry(ids, target, q, choices, float(lm.decode_loss(*encoded, target).data))
 
 
-def control_eval(lm: FrozenLM, eval_set: list[td.QAExample]) -> float:
-    """Mean no-prompt loss over the eval set; order-independent (fsum)."""
+def control_eval(lm: FrozenLM, eval_set: list[td.QAExample],
+                 cache: _ExampleCache | None = None) -> float:
+    """Mean no-prompt loss over the eval set, order-independent (fsum): the
+    unprompted half of prompted_eval's pass, which needs only the LM."""
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    losses = []
-    for ex in eval_set:
-        ids = td.tokenize(td.format_input(ex), lm.vocab)
-        tgt = td.tokenize(td.format_target(ex), lm.vocab)
-        losses.append(float(lm.loss_with_prompt(None, ids, tgt).data))
-    return math.fsum(losses) / len(losses)
+    cache = cache or _ExampleCache(lm)
+    return math.fsum(cache.get(ex, scored=True).control for ex in eval_set) / len(eval_set)
 
 
 def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
                   eval_set: list[td.QAExample],
                   cache: _ExampleCache | None = None) -> PromptedEvalResult:
-    """Eval-mode prompted losses plus the per-example weight vectors."""
-    if not eval_set:
-        raise ValueError("eval set must be non-empty")
+    """The eval pass: eval-mode weights, prompted losses, accuracy and the
+    control loss.
+
+    control_eval runs first, so each example's one unprompted encode gives
+    its question representation and control loss. One prompted encode then
+    scores every choice: the gold choice's loss is the prompted loss, and
+    the lowest-loss choice (the earlier on ties) is the prediction.
+    """
     cache = cache or _ExampleCache(lm)
+    control = control_eval(lm, eval_set, cache)
     losses: list[float] = []
     weights: list[WeightVector] = []
+    correct = 0
     for ex in eval_set:
-        ids, tgt, q = cache.get(ex)
-        w_out = predictor.forward(Tensor(q.reshape(1, -1)), training=False, rng=None)
+        entry = cache.get(ex, scored=True)
+        w_out = predictor.forward(Tensor(entry.q.reshape(1, -1)), training=False, rng=None)
         wv = WeightVector(w_out.data[0].copy())
-        prompt = combine(basis, wv)
-        losses.append(float(lm.loss_with_prompt(prompt.tensor, ids, tgt).data))
+        scores = lm.score_choices(combine(basis, wv).tensor, entry.ids, entry.choices)
+        losses.append(scores[ex.answer_index()])
         weights.append(wv)
+        correct += int(np.argmin(scores)) == ex.answer_index()
     return PromptedEvalResult(mean_loss=math.fsum(losses) / len(losses), weights=weights,
-                              losses=losses)
+                              losses=losses, control_loss=control,
+                              accuracy=correct / len(eval_set))
 
 
 def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
@@ -204,11 +240,11 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
             step_index += 1
             loss_sum = None
             for ex in batch:
-                ids, tgt, q = cache.get(ex)
-                w_out = predictor.forward(Tensor(q.reshape(1, -1)), training=True,
+                entry = cache.get(ex)
+                w_out = predictor.forward(Tensor(entry.q.reshape(1, -1)), training=True,
                                           rng=drop_rng)
                 prompt = combine(basis, w_out)
-                loss = lm.loss_with_prompt(prompt.tensor, ids, tgt)
+                loss = lm.loss_with_prompt(prompt.tensor, entry.ids, entry.target)
                 loss_sum = loss if loss_sum is None else loss_sum + loss
             batch_loss = loss_sum * (1.0 / len(batch))
             value = float(batch_loss.data)
@@ -228,7 +264,7 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     final = prompted_eval(lm, predictor, basis, eval_set, cache)
     record.eval_losses.append([step_index, final.mean_loss])
     record.prompted_eval_loss = final.mean_loss
-    record.control_eval_loss = control_eval(lm, eval_set)
+    record.control_eval_loss = final.control_loss
     record.examples = [
         ExampleEval(id=ex.id, question=td.format_input(ex), loss=loss,
                     weights=[float(x) for x in wv.values])

@@ -13,6 +13,7 @@ import pytest
 
 from promptblend import rng as rngmod
 from promptblend import textdata as td
+from promptblend.checkpoint import load_bundle
 from promptblend.cli import run_cli
 from promptblend.composer import (DEFAULT_BASIS_PROMPTS, WeightPredictor, WeightVector,
                                   build_basis, combine, orthogonality_score,
@@ -277,7 +278,7 @@ def test_criterion_8_determinism(tmp_path):
         for name in ("curve.csv", "report.txt", "report.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
         record = RunRecord.from_json((out1 / "record.json").read_text())
-        lm = FrozenLM.load(out1 / "checkpoint.pbld")
+        lm, _, _ = load_bundle(out1 / "checkpoint.pbld")
         assert lm.frozen
         assert lm.param_hash() == record.lm_param_hash
 

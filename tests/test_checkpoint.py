@@ -1,0 +1,111 @@
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from promptblend import textdata as td
+from promptblend.checkpoint import (CheckpointError, bundle_bytes, checkpoint_bytes,
+                                    load_bundle, parse_checkpoint)
+from promptblend.composer import WeightPredictor
+from promptblend.model import FrozenLM, LMConfig
+
+TINY = LMConfig(embed_dim=4, num_heads=2, ffn_dim=6, max_positions=16)
+PROMPTS = ["alpha beta", "gamma"]
+
+
+def _bundle():
+    lm = FrozenLM(td.Vocab.build(["alpha beta gamma delta"]), TINY, seed=1)
+    lm.set_frozen(True)
+    pred = WeightPredictor.create(seed=2, in_dim=TINY.embed_dim, out_dim=len(PROMPTS),
+                                  hidden1=3, hidden2=5)
+    return lm, pred, bundle_bytes(lm, pred, PROMPTS, {"seed": 2})
+
+
+BLOB = _bundle()[2]
+META_START = BLOB.index(b'{"basis_prompts"')
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("ck") / "bundle.pbld"
+
+
+def _load(path, blob):
+    path.write_bytes(blob)
+    return load_bundle(path)
+
+
+def _retensor(edit):
+    """BLOB with its tensors and metadata passed through edit()."""
+    tensors, meta = parse_checkpoint(BLOB)
+    edit(tensors, meta)
+    return checkpoint_bytes(tensors, meta)
+
+
+def test_round_trip(scratch):
+    lm, pred, blob = _bundle()
+    loaded, loaded_pred, prompts = _load(scratch, blob)
+    assert prompts == PROMPTS
+    assert loaded.frozen and loaded.param_hash() == lm.param_hash()
+    for a, b in zip(pred.parameters(), loaded_pred.parameters()):
+        assert np.array_equal(a.data, b.data) and b.requires_grad
+    assert bundle_bytes(loaded, loaded_pred, prompts, {"seed": 2}) == blob
+
+
+def test_lm_only_bundle_has_no_predictor(scratch):
+    lm, _, _ = _bundle()
+    _, pred, prompts = _load(scratch, bundle_bytes(lm))
+    assert pred is None and prompts is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=st.integers(0, len(BLOB) - 1))
+def test_every_strict_prefix_is_a_checkpoint_error(scratch, cut):
+    with pytest.raises(CheckpointError):
+        _load(scratch, BLOB[:cut])
+
+
+@settings(max_examples=300, deadline=None)
+@given(pos=st.one_of(st.integers(0, len(BLOB) - 1), st.integers(META_START, len(BLOB) - 1)),
+       mask=st.integers(1, 255))
+def test_byte_flip_loads_or_is_a_checkpoint_error(scratch, pos, mask):
+    blob = bytearray(BLOB)
+    blob[pos] ^= mask
+    try:
+        _load(scratch, bytes(blob))
+    except CheckpointError:
+        pass
+
+
+def test_trailing_bytes_rejected(scratch):
+    with pytest.raises(CheckpointError, match="trailing"):
+        _load(scratch, BLOB + b"\x00")
+
+
+def test_lm_shape_must_match_config(scratch):
+    def edit(tensors, meta):
+        meta["lm"]["config"]["ffn_dim"] = 8
+
+    with pytest.raises(CheckpointError, match="ffn.b1"):
+        _load(scratch, _retensor(edit))
+
+
+def test_missing_lm_parameter(scratch):
+    with pytest.raises(CheckpointError, match="out.b"):
+        _load(scratch, _retensor(lambda tensors, meta: tensors.pop("lm.out.b")))
+
+
+def test_predictor_layers_must_chain(scratch):
+    def edit(tensors, meta):
+        tensors["predictor.w2"] = np.zeros((4, 5))
+
+    with pytest.raises(CheckpointError, match="predictor"):
+        _load(scratch, _retensor(edit))
+
+
+def test_predictor_width_must_match_basis(scratch):
+    def edit(tensors, meta):
+        meta["basis_prompts"] = ["only one"]
+
+    with pytest.raises(CheckpointError, match="predictor.b3"):
+        _load(scratch, _retensor(edit))

@@ -128,6 +128,23 @@ class TestPipelineCommands:
         for name in ("report.txt", "report.json", "curve.csv"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
+    def test_truncated_checkpoint_is_validation_error(self, run_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.pbld"
+        cut.write_bytes((run_dir / "checkpoint.pbld").read_bytes()[:10])
+        assert run_cli(["eval", *TINY, "--checkpoint", str(cut)]) == 1
+        err = capsys.readouterr().err
+        assert "truncated checkpoint" in err and "Traceback" not in err
+
+    def test_malformed_record_is_validation_error(self, run_dir, tmp_path, capsys):
+        record = json.loads((run_dir / "record.json").read_text())
+        del record["steps"][0]["loss"]
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        code = run_cli(["report", "--record", str(path), "--checkpoint",
+                        str(run_dir / "checkpoint.pbld"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert "StepRecord" in capsys.readouterr().err
+
     def test_ortho_prints_score(self, capsys):
         assert run_cli(["ortho", "--seed", "1"]) == 0
         stdout = capsys.readouterr().out

@@ -7,12 +7,13 @@ from promptblend import rng as rngmod
 from promptblend import textdata as td
 from promptblend.composer import (DEFAULT_BASIS_PROMPTS, BasisError, WeightPredictor,
                                   WeightVector, build_basis, combine, load_basis_file,
-                                  orthogonality_score, predict_weights, project_to_vocab,
+                                  orthogonality_score, project_to_vocab,
                                   question_repr, top_contributors)
 from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain
 from promptblend.tensor import Tensor
 
 from fdcheck import finite_difference, max_rel_error
+from oracles import predict_weights, total
 
 SMALL = LMConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_positions=96)
 
@@ -186,7 +187,7 @@ class TestCombine:
     def test_gradient_flows_to_weights_not_basis(self, lm, default_basis):
         w = Tensor(np.full(7, 0.5), requires_grad=True)
         cp = combine(default_basis, w)
-        cp.tensor.sum().backward()
+        total(cp.tensor).backward()
         assert w.grad is not None
         expected = default_basis.embeddings.sum(axis=(1, 2))
         assert np.allclose(w.grad, expected, atol=1e-12)

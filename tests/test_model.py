@@ -5,9 +5,12 @@ import pytest
 
 from promptblend import rng as rngmod
 from promptblend import textdata as td
-from promptblend.checkpoint import load_checkpoint, save_checkpoint
+from promptblend.checkpoint import (bundle_bytes, checkpoint_bytes, load_bundle,
+                                    load_checkpoint)
+from promptblend.composer import WeightPredictor, build_basis
 from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain
 from promptblend.tensor import ShapeError, Tensor
+from promptblend.train import prompted_eval
 
 from fdcheck import finite_difference, max_rel_error
 
@@ -38,8 +41,9 @@ class TestPretrain:
         examples = td.make_fixture(seed=6, n=8)
         corpus = [(td.format_input(e), td.format_target(e)) for e in examples]
         p1, p2 = tmp_path / "a.pbld", tmp_path / "b.pbld"
-        pretrain(corpus, PretrainConfig(epochs=2, model=SMALL), seed=9).save(p1)
-        pretrain(corpus, PretrainConfig(epochs=2, model=SMALL), seed=9).save(p2)
+        cfg = PretrainConfig(epochs=2, model=SMALL)
+        p1.write_bytes(bundle_bytes(pretrain(corpus, cfg, seed=9)))
+        p2.write_bytes(bundle_bytes(pretrain(corpus, cfg, seed=9)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_pad_row_is_exactly_zero(self, tiny_lm):
@@ -142,10 +146,11 @@ class TestLossWithPrompt:
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[3])
         assert len(tgt) >= 3
-        logits_a, _ = lm.target_logits(ids, tgt)
+        encoded = lm.encode(ids)
+        logits_a = lm.decode(*encoded, tgt)
         changed = list(tgt)
         changed[-1] = (changed[-1] + 1) % len(lm.vocab)
-        logits_b, _ = lm.target_logits(ids, changed)
+        logits_b = lm.decode(*encoded, changed)
         keep = len(tgt)  # rows 0..len-1 precede the changed token
         assert np.array_equal(logits_a.data[:keep - 1], logits_b.data[:keep - 1])
         assert not np.array_equal(logits_a.data[keep:], logits_b.data[keep:])
@@ -159,6 +164,11 @@ class TestLossWithPrompt:
         assert float(lm.loss_with_prompt(p, ids, tgt).data) != control
 
 
+def _score(lm, prompt, ex):
+    return lm.score_choices(prompt, td.tokenize(td.format_input(ex), lm.vocab),
+                            [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices])
+
+
 class TestScoreChoices:
     def test_memorized_example_prefers_gold(self):
         examples = td.make_fixture(seed=9, n=1)
@@ -166,43 +176,46 @@ class TestScoreChoices:
         corpus = [(td.format_input(ex), td.format_target(ex))]
         lm = pretrain(corpus, PretrainConfig(epochs=150, batch_size=1, lr=3e-3,
                                              model=SMALL), seed=3)
-        losses = lm.score_choices(None, ex)
-        gold = [c.label for c in ex.choices].index(ex.answer_key)
-        assert int(np.argmin(losses)) == gold
+        assert int(np.argmin(_score(lm, None, ex))) == ex.answer_index()
 
     def test_untrained_model_ties_on_identical_texts(self):
         vocab = td.Vocab.build(["question words here same thing"])
         lm = FrozenLM(vocab, SMALL, seed=4)
         ex = td.QAExample(id="t", question="question words here?", answer_key="A",
                           choices=[td.Choice(lab, "same thing") for lab in "ABC"])
-        losses = lm.score_choices(None, ex)
+        losses = _score(lm, None, ex)
         assert max(losses) - min(losses) < 1e-12
 
     def test_returns_one_loss_per_choice(self, tiny_lm):
         lm, examples = tiny_lm
-        assert len(lm.score_choices(None, examples[0])) == len(examples[0].choices)
+        assert len(_score(lm, None, examples[0])) == len(examples[0].choices)
 
     def test_tie_break_prefers_earlier_label(self):
+        # the untrained model scores every choice ln V, so the eval pass
+        # predicts "A" whatever the answer key
         vocab = td.Vocab.build(["q same"])
         lm = FrozenLM(vocab, SMALL, seed=5)
-        ex = td.QAExample(id="t", question="q", answer_key="B",
-                          choices=[td.Choice(lab, "same") for lab in "ABCD"])
-        assert lm.predict_choice(None, ex) == "A"
+        lm.set_frozen(True)
+        pred = WeightPredictor.create(seed=0, in_dim=SMALL.embed_dim, out_dim=1)
+        basis = build_basis(["same"], lm)
+        for key, accuracy in (("A", 1.0), ("B", 0.0), ("D", 0.0)):
+            ex = td.QAExample(id=key, question="q", answer_key=key,
+                              choices=[td.Choice(lab, "same") for lab in "ABCD"])
+            assert prompted_eval(lm, pred, basis, [ex]).accuracy == accuracy
 
 
 class TestCheckpoint:
     def test_round_trip_bytes(self, tiny_lm, tmp_path):
         lm, _ = tiny_lm
-        p1, p2 = tmp_path / "one.pbld", tmp_path / "two.pbld"
-        lm.save(p1)
-        FrozenLM.load(p1).save(p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        p1 = tmp_path / "one.pbld"
+        p1.write_bytes(bundle_bytes(lm))
+        assert bundle_bytes(load_bundle(p1)[0]) == p1.read_bytes()
 
     def test_loaded_model_behaves_identically(self, tiny_lm, tmp_path):
         lm, examples = tiny_lm
         path = tmp_path / "ck.pbld"
-        lm.save(path)
-        loaded = FrozenLM.load(path)
+        path.write_bytes(bundle_bytes(lm))
+        loaded, _, _ = load_bundle(path)
         assert loaded.frozen
         assert loaded.param_hash() == lm.param_hash()
         ids, tgt = _io_ids(lm, examples[0])
@@ -216,7 +229,7 @@ class TestCheckpoint:
                    "scalarish": gen.normal(size=(1,))}
         meta = {"hello": [1, 2, 3], "nested": {"x": "y"}}
         path = tmp_path / "generic.pbld"
-        save_checkpoint(path, tensors, meta)
+        path.write_bytes(checkpoint_bytes(tensors, meta))
         loaded, meta2 = load_checkpoint(path)
         assert meta2 == meta
         for k, v in tensors.items():

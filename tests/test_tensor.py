@@ -9,9 +9,10 @@ from promptblend import rng as rngmod
 from promptblend.tensor import (DegenerateLossError, ShapeError, Tensor, attention_core,
                                 concat_cols, concat_rows, cross_entropy, dropout,
                                 embedding_lookup, gelu, layer_norm, linear, slice_cols,
-                                softmax, weighted_sum)
+                                weighted_sum)
 
 from fdcheck import finite_difference, max_rel_error
+from oracles import mean, softmax, total, transpose
 
 
 def _matmul_oracle(a, b):
@@ -49,8 +50,8 @@ class TestMatmul:
         gen = rngmod.stream(1, "matmul-grad")
         a = Tensor(gen.normal(size=(2, 3)), requires_grad=True)
         b = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
-        (a @ b).sum().backward()
-        fd = finite_difference(lambda: float((a @ b).sum().data), [a, b])
+        total(a @ b).backward()
+        fd = finite_difference(lambda: float(total(a @ b).data), [a, b])
         assert max_rel_error([a.grad, b.grad], fd) < 1e-6
 
 
@@ -150,11 +151,11 @@ class TestDropout:
         x = Tensor(np.ones((4, 4)), requires_grad=True)
 
         def run():
-            return float(dropout(x, 0.5, training=True,
-                                 rng=rngmod.stream(7, "gm")).sum().data)
+            return float(total(dropout(x, 0.5, training=True,
+                                       rng=rngmod.stream(7, "gm"))).data)
 
         y = dropout(x, 0.5, training=True, rng=rngmod.stream(7, "gm"))
-        y.sum().backward()
+        total(y).backward()
         fd = finite_difference(run, [x])
         assert max_rel_error([x.grad], fd) < 1e-6
 
@@ -162,17 +163,17 @@ class TestDropout:
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        x.sum().backward()
+        total(x).backward()
         assert np.array_equal(x.grad, np.ones((3, 4)))
 
     def test_elementwise_square(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        (x * x).sum().backward()
+        total(x * x).backward()
         assert np.array_equal(x.grad, np.array([2.0, 4.0, 6.0]))
 
     def test_repeated_backward_accumulates(self):
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = x.sum()
+        loss = total(x)
         loss.backward()
         loss.backward()
         assert np.array_equal(x.grad, 2 * np.ones(3))
@@ -184,7 +185,7 @@ class TestBackward:
     def test_shared_subexpression(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * 3.0
-        (y * y).sum().backward()
+        total(y * y).backward()
         assert abs(float(x.grad[0]) - 36.0) < 1e-12  # d/dx (3x)^2 = 18x
 
 
@@ -192,7 +193,7 @@ def _composite(x, w, b, gain, bias, targets):
     h = gelu(x @ w + b)
     h = layer_norm(h, gain, bias)
     s = softmax(h)
-    return cross_entropy(s @ w.t(), targets, pad_id=0)
+    return cross_entropy(s @ transpose(w), targets, pad_id=0)
 
 
 class TestGradcheckComposite:
@@ -225,7 +226,7 @@ class TestGradcheckComposite:
             left = slice_cols(joined, 0, 3)
             right = slice_cols(joined, 3, 6)
             mixed = concat_cols([right, left])
-            return (mixed.mean() + weighted_sum(stack, w).sum()) * 1.0
+            return (mean(mixed) + total(weighted_sum(stack, w))) * 1.0
 
         params = [a, b, table, w]
         forward().backward()
@@ -248,8 +249,8 @@ class TestFusedOps:
         w = Tensor(gen.normal(size=(4, 5)), requires_grad=True)
         b = Tensor(gen.normal(size=5), requires_grad=True)
         params = [x, w, b]
-        linear(x, w, b).sum().backward()
-        fd = finite_difference(lambda: float(linear(x, w, b).sum().data), params)
+        total(linear(x, w, b)).backward()
+        fd = finite_difference(lambda: float(total(linear(x, w, b)).data), params)
         assert max_rel_error([p.grad for p in params], fd) < 1e-6
 
     def test_attention_core_matches_unfused_route(self):
@@ -260,7 +261,7 @@ class TestFusedOps:
         mask = np.zeros((4, 5))
         mask[:, 2] = -1e30
         fused = attention_core(q, k, v, mask, 0.5)
-        unfused = softmax((q @ k.t()) * 0.5 + Tensor(mask)) @ v
+        unfused = softmax((q @ transpose(k)) * 0.5 + Tensor(mask)) @ v
         assert np.max(np.abs(fused.data - unfused.data)) < 1e-14
         assert np.all(np.exp((q.data @ k.data.T * 0.5 + mask)
                              - (q.data @ k.data.T * 0.5 + mask).max(-1, keepdims=True))[:, 2] == 0)
@@ -273,9 +274,9 @@ class TestFusedOps:
         mask = np.zeros((3, 5))
         mask[:, 4] = -1e30
         params = [q, k, v]
-        attention_core(q, k, v, mask, 0.7).sum().backward()
+        total(attention_core(q, k, v, mask, 0.7)).backward()
         fd = finite_difference(
-            lambda: float(attention_core(q, k, v, mask, 0.7).sum().data), params)
+            lambda: float(total(attention_core(q, k, v, mask, 0.7)).data), params)
         assert max_rel_error([p.grad for p in params], fd) < 1e-4
         assert np.all(k.grad[4] == 0) and np.all(v.grad[4] == 0)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -117,6 +118,16 @@ class TestDatasetIO:
         path = tmp_path / "dup.jsonl"
         path.write_text(json.dumps(rec) + "\n")
         with pytest.raises(td.DatasetError, match="duplicate"):
+            td.load_dataset(path)
+
+    def test_duplicate_ids_name_both_lines(self, tmp_path, fixture_1000):
+        # the run caches tokens by id, so a repeated id would score the
+        # second example with the first one's tokens
+        first = fixture_1000[0]
+        second = dataclasses.replace(fixture_1000[1], id=first.id)
+        path = tmp_path / "ids.jsonl"
+        td.save_dataset([first, fixture_1000[2], second], path)
+        with pytest.raises(td.DatasetError, match=r"line 3: id 'fx00000'.*line 1"):
             td.load_dataset(path)
 
     def test_choice_count_bounds(self):

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptblend import textdata as td
-from promptblend.composer import WeightPredictor, build_basis
+from promptblend.composer import (WeightPredictor, WeightVector, build_basis, combine,
+                                  question_repr)
 from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
                                PretrainConfig, pretrain)
-from promptblend.train import (DivergenceError, RunRecord, TrainConfig, control_eval,
-                               prompted_eval, stability_metric, train)
+from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
+                               _ExampleCache, control_eval, prompted_eval,
+                               stability_metric, train)
 
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
@@ -144,6 +148,16 @@ class TestTrain:
         back = RunRecord.from_json(record.to_json())
         assert back.to_dict() == record.to_dict()
 
+    def test_malformed_record_is_a_value_error(self):
+        good = RunRecord(config={}, basis_prompts=["p"])
+        good.steps.append(StepRecord(epoch=1, step=1, batch_size=2, loss=0.5))
+        for edit in (lambda d: d["steps"][0].pop("loss"), lambda d: d.pop("examples"),
+                     lambda d: d.update(extra=1), lambda d: d.update(steps=3)):
+            d = good.to_dict()
+            edit(d)
+            with pytest.raises(ValueError, match="malformed"):
+                RunRecord.from_dict(d)
+
 
 class TestControlEval:
     def test_matches_zero_weight_prompted_eval(self, setup):
@@ -200,6 +214,54 @@ class TestPromptedEval:
         train(lm, pred, basis, train_set, eval_set, cfg)
         after = prompted_eval(lm, pred, basis, eval_set).mean_loss
         assert before == after
+
+
+def _fixed_predictor(lm, basis, weights):
+    # a zero last layer passes its bias through exactly, so the eval-mode
+    # weights are the drawn ones
+    pred = _predictor(lm, basis, final_scale=0.0)
+    pred.b3.data[:] = weights
+    return pred
+
+
+class TestEvalPass:
+    @settings(max_examples=20, deadline=None)
+    @given(index=st.integers(0, 14),
+           weights=st.one_of(st.just([0.0, 0.0, 0.0]),
+                             st.lists(st.floats(-3.0, 3.0), min_size=3, max_size=3)))
+    def test_pass_matches_separate_forwards(self, setup, index, weights):
+        lm, basis, _, eval_set = setup
+        ex = eval_set[index]
+        ids = td.tokenize(td.format_input(ex), lm.vocab)
+        choice_ids = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
+        prompt = combine(basis, WeightVector(np.array(weights))).tensor
+        separate = [float(lm.loss_with_prompt(prompt, ids, c).data) for c in choice_ids]
+        assert lm.score_choices(prompt, ids, choice_ids) == separate
+
+        cache = _ExampleCache(lm)
+        result = prompted_eval(lm, _fixed_predictor(lm, basis, weights), basis, [ex], cache)
+        entry = cache.get(ex, scored=True)
+        assert np.all(entry.q == question_repr(lm, ids))
+        control = float(lm.loss_with_prompt(None, ids, td.tokenize(td.format_target(ex),
+                                                                   lm.vocab)).data)
+        assert entry.control == control == result.control_loss
+        assert np.all(result.weights[0].values == np.array(weights))
+        assert result.losses == [separate[ex.answer_index()]]
+        assert result.accuracy == float(int(np.argmin(separate)) == ex.answer_index())
+
+    def test_training_entry_is_rebuilt_for_scoring(self, setup):
+        lm, _, train_set, _ = setup
+        cache = _ExampleCache(lm)
+        q = cache.get(train_set[0]).q
+        assert cache.get(train_set[0]).control is None
+        assert control_eval(lm, train_set[:1], cache) == control_eval(lm, train_set[:1])
+        assert np.all(cache.get(train_set[0]).q == q)
+
+    def test_accuracy_is_the_mean_over_examples(self, setup):
+        lm, basis, _, eval_set = setup
+        pred = _predictor(lm, basis)
+        each = [prompted_eval(lm, pred, basis, [ex]).accuracy for ex in eval_set]
+        assert prompted_eval(lm, pred, basis, eval_set).accuracy == sum(each) / len(each)
 
 
 class TestStabilityMetric:
