@@ -9,6 +9,7 @@ the per-epoch mean loss curves. Writes one loss-curve CSV per run.
 import argparse
 from pathlib import Path
 
+import promptblend  # noqa: F401  (sets the one-thread BLAS default before numpy loads)
 import numpy as np
 
 from promptblend import textdata as td

@@ -1,5 +1,17 @@
 """Continuous prompts as learned linear combinations of discrete prompt
-embeddings, trained against a frozen seq2seq model."""
+embeddings, trained against a frozen seq2seq model.
+
+BLAS runs on one thread unless the environment already says otherwise:
+this package's matmuls are small, and extra BLAS threads cost more than
+they save and make packed results depend on the host's core count. The
+default is set here, before numpy is first imported.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .composer import (DEFAULT_BASIS_PROMPTS, ContinuousPrompt, PromptBasis,
                        WeightPredictor, WeightVector, build_basis, combine,

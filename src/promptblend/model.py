@@ -22,15 +22,20 @@ import numpy as np
 from . import rng as rngmod
 from . import textdata as td
 from .optim import AdamW
-from .tensor import (ShapeError, Tensor, attention_core, concat_cols, concat_rows,
-                     cross_entropy, embedding_lookup, gelu, layer_norm, linear,
-                     slice_cols)
+from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entropy,
+                     embedding_lookup, gelu, layer_norm, linear, scatter_rows)
 
 MASK_VALUE = -1e30
+# pretraining's random-token prefixes are 2 to this many tokens long
+MAX_NOISE_PREFIX = 12
 
 
 class FrozenContractError(RuntimeError):
     """Raised when an operation needs the model frozen (or not) and it isn't."""
+
+
+class DivergenceError(RuntimeError):
+    """Training loss became non-finite."""
 
 
 @dataclass
@@ -140,14 +145,16 @@ class FrozenLM:
     # -- embedding -------------------------------------------------------
 
     def embed_tokens(self, ids, add_positions: bool = False) -> Tensor:
-        """Embedding rows for ids; pad rows are zero before positions."""
+        """Embedding rows for ids; pad rows are zero before positions. A
+        [B, T] grid of ids gives B*T rows, positioned from 0 on each grid row."""
         idx = np.asarray(ids, dtype=np.int64)
-        emb = embedding_lookup(self.params["embedding"], idx)
+        emb = embedding_lookup(self.params["embedding"], idx.reshape(-1))
         if add_positions:
-            if idx.shape[0] > self.config.max_positions:
-                raise ValueError(f"sequence length {idx.shape[0]} exceeds "
+            if idx.shape[-1] > self.config.max_positions:
+                raise ValueError(f"sequence length {idx.shape[-1]} exceeds "
                                  f"max_positions {self.config.max_positions}")
-            emb = emb + Tensor(self.positions[: idx.shape[0]])
+            rows = idx.shape[0] if idx.ndim == 2 else 1
+            emb = emb + Tensor(np.tile(self.positions[: idx.shape[-1]], (rows, 1)))
         return emb
 
     # -- transformer pieces ------------------------------------------------
@@ -155,21 +162,15 @@ class FrozenLM:
     def _ln(self, name: str, x: Tensor) -> Tensor:
         return layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
-    def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, add_mask: np.ndarray) -> Tensor:
+    def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, add_mask: np.ndarray,
+             batch: int) -> Tensor:
         p = self.params
         q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
         k = linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
         v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
-        d, h = self.config.embed_dim, self.config.num_heads
-        dh = d // h
-        scale = 1.0 / math.sqrt(dh)
-        heads = []
-        for i in range(h):
-            qi = slice_cols(q, i * dh, (i + 1) * dh)
-            ki = slice_cols(k, i * dh, (i + 1) * dh)
-            vi = slice_cols(v, i * dh, (i + 1) * dh)
-            heads.append(attention_core(qi, ki, vi, add_mask, scale))
-        ctx = concat_cols(heads) if h > 1 else heads[0]
+        h = self.config.num_heads
+        ctx = attention_core(q, k, v, add_mask, 1.0 / math.sqrt(self.config.embed_dim // h),
+                             batch, h)
         return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
@@ -178,65 +179,119 @@ class FrozenLM:
                       p[f"{prefix}.w2"], p[f"{prefix}.b2"])
 
     # -- public forward ----------------------------------------------------
+    #
+    # A batch is packed: example b owns rows b*S..b*S+S-1 of every encoder
+    # matrix, laid out [prompt rows | token rows | padding], and rows
+    # b*Ty..b*Ty+Ty-1 of every decoder matrix, laid out [BOS + target |
+    # padding]. Padding is masked out of attention as keys and labelled as
+    # pad, so no example sees another's rows or its padding. A single
+    # example is a batch of one.
 
     def encode(self, input_ids, prompt: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
         """Encoder states over [prompt rows || token embeddings] and their
-        validity mask. All-zero prompt rows and pad tokens are invalid."""
-        idx = np.asarray(input_ids, dtype=np.int64)
-        if idx.size == 0:
-            raise ValueError("encoder input must be non-empty")
-        emb = self.embed_tokens(idx, add_positions=True)
-        token_valid = idx != td.PAD_ID
-        if prompt is None:
-            x, valid = emb, token_valid
-        else:
-            if prompt.data.ndim != 2 or prompt.data.shape[1] != self.config.embed_dim:
-                raise ShapeError(f"prompt shape {prompt.data.shape} incompatible with "
-                                 f"embed_dim {self.config.embed_dim}")
-            total = prompt.data.shape[0] + idx.shape[0]
-            if total > self.config.max_positions:
-                raise ValueError(f"prompt+input length {total} exceeds "
-                                 f"max_positions {self.config.max_positions}")
-            prompt_valid = ~np.all(prompt.data == 0.0, axis=1)
-            x = concat_rows([prompt, emb])
-            valid = np.concatenate([prompt_valid, token_valid])
-        mask = np.zeros((valid.size, valid.size))
-        mask[:, ~valid] = MASK_VALUE
+        validity mask. All-zero prompt rows and pad tokens are invalid.
+
+        With a list of prompts (each a Tensor or None), `input_ids` is a list
+        of inputs, and the result is the packed [B*S, d] states with a [B, S]
+        mask in which padding is invalid. Otherwise [S, d] and [S].
+        """
+        batch = isinstance(prompt, list)
+        prompts, inputs = (prompt, input_ids) if batch else ([prompt], [input_ids])
+        d = self.config.embed_dim
+        if len(prompts) != len(inputs) or not inputs:
+            raise ValueError(f"a batch needs one prompt per input, got {len(prompts)} "
+                             f"prompts and {len(inputs)} inputs")
+        ids = [np.asarray(x, dtype=np.int64) for x in inputs]
+        prompt_rows = []
+        for b, (p, idx) in enumerate(zip(prompts, ids)):
+            if p is not None and (p.data.ndim != 2 or p.data.shape[1] != d):
+                raise ShapeError(f"prompt shape {p.data.shape} incompatible with "
+                                 f"embed_dim {d}")
+            prompt_rows.append(0 if p is None else p.data.shape[0])
+            self.check_fits(f"batch row {b}", prompt_rows[-1], idx, [])
+        width = max(n + idx.shape[0] for n, idx in zip(prompt_rows, ids))
+        valid = np.zeros((len(ids), width), dtype=bool)
+        prompt_slots, token_slots = [], []
+        for b, (p, n, idx) in enumerate(zip(prompts, prompt_rows, ids)):
+            if p is not None:
+                valid[b, :n] = ~np.all(p.data == 0.0, axis=1)
+                prompt_slots.append(np.arange(n) + b * width)
+            valid[b, n:n + idx.shape[0]] = idx != td.PAD_ID
+            token_slots.append(np.arange(n, n + idx.shape[0]) + b * width)
+        tokens = (self.embed_tokens(np.concatenate(ids))
+                  + Tensor(np.concatenate([self.positions[:idx.shape[0]] for idx in ids])))
+        parts = [p for p in prompts if p is not None]
+        x = scatter_rows(concat_rows(parts + [tokens]) if parts else tokens,
+                         np.concatenate(prompt_slots + token_slots), valid.size)
+        key_mask = np.where(valid, 0.0, MASK_VALUE)[:, None, None, :]
         a = self._ln("enc.ln1", x)
-        x = x + self._mha("enc.attn", a, a, mask)
+        x = x + self._mha("enc.attn", a, a, key_mask, len(ids))
         x = x + self._ffn("enc.ffn", self._ln("enc.ln2", x))
-        return self._ln("enc.lnf", x), valid
+        return self._ln("enc.lnf", x), valid if batch else valid[0]
 
     def decode(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
-        """Teacher-forced decoder logits for the target over encoder states."""
-        dec_in = [td.BOS_ID] + list(target_ids)
-        if len(dec_in) > self.config.max_positions:
-            raise ValueError(f"target length {len(dec_in)} exceeds "
-                             f"max_positions {self.config.max_positions}")
+        """Teacher-forced decoder logits for the target over encoder states.
+
+        With a packed encode's [B, S] mask, `target_ids` is a list of B
+        targets and the logits are [B*Ty, V], Ty the longest [BOS]+target.
+        """
+        if enc_valid.ndim == 1:
+            enc_valid, target_ids = enc_valid[None], [target_ids]
+        batch = enc_valid.shape[0]
+        if len(target_ids) != batch:
+            raise ValueError(f"a batch of {batch} encodes got {len(target_ids)} targets")
+        lengths = [len(t) + 1 for t in target_ids]
+        for n in lengths:
+            if n > self.config.max_positions:
+                raise ValueError(f"target length {n} exceeds "
+                                 f"max_positions {self.config.max_positions}")
+        ty = max(lengths)
+        dec_in = np.full((batch, ty), td.PAD_ID, dtype=np.int64)
+        dec_in[:, 0] = td.BOS_ID
+        for b, t in enumerate(target_ids):
+            dec_in[b, 1:lengths[b]] = t
         y = self.embed_tokens(dec_in, add_positions=True)
-        ty = y.data.shape[0]
         causal = np.triu(np.full((ty, ty), MASK_VALUE), k=1)
         a = self._ln("dec.ln1", y)
-        y = y + self._mha("dec.self", a, a, causal)
-        cross_mask = np.zeros((ty, enc_out.data.shape[0]))
-        cross_mask[:, ~enc_valid] = MASK_VALUE
-        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask)
+        y = y + self._mha("dec.self", a, a, causal, batch)
+        cross_mask = np.where(enc_valid, 0.0, MASK_VALUE)[:, None, None, :]
+        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask, batch)
         y = y + self._ffn("dec.ffn", self._ln("dec.ln3", y))
         h = self._ln("dec.lnf", y)
         return linear(h, self.params["out.w"], self.params["out.b"])
 
     def decode_loss(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
-        """Cross-entropy of the target (then EOS) given encoder states."""
-        labels = list(target_ids) + [td.EOS_ID]
-        return cross_entropy(self.decode(enc_out, enc_valid, target_ids), labels, td.PAD_ID)
+        """Cross-entropy of the target (then EOS) given encoder states; for a
+        packed encode, the mean over examples of each example's mean."""
+        if enc_valid.ndim == 1:
+            enc_valid, target_ids = enc_valid[None], [target_ids]
+        logits = self.decode(enc_out, enc_valid, target_ids)
+        labels = np.full((len(target_ids), logits.data.shape[0] // len(target_ids)),
+                         td.PAD_ID, dtype=np.int64)
+        for b, t in enumerate(target_ids):
+            labels[b, :len(t) + 1] = list(t) + [td.EOS_ID]
+        return cross_entropy(logits, labels, td.PAD_ID)
 
-    def loss_with_prompt(self, prompt: Tensor | None, input_ids, target_ids) -> Tensor:
+    def loss_with_prompt(self, prompt, input_ids, target_ids) -> Tensor:
         """Cross-entropy of the target given the (optionally prompted) input.
 
-        Gradient reaches the prompt tensor but never the model parameters
-        once the model is frozen.
+        Lists of prompts, inputs and targets are one packed batch whose loss
+        is the mean of the per-example means. Gradient reaches the prompt
+        tensors but never the model parameters once the model is frozen.
         """
         return self.decode_loss(*self.encode(input_ids, prompt), target_ids)
+
+    def check_fits(self, name: str, prompt_rows: int, input_ids, targets) -> None:
+        """Raise ValueError naming example `name` unless its input is non-empty
+        and its prompt+input and every target (after BOS) fit max_positions."""
+        if len(input_ids) == 0:
+            raise ValueError(f"{name}: encoder input must be non-empty")
+        lengths = [("prompt+input", prompt_rows + len(input_ids))]
+        lengths += [("target", len(target) + 1) for target in targets]
+        for what, n in lengths:
+            if n > self.config.max_positions:
+                raise ValueError(f"{name}: {what} length {n} exceeds "
+                                 f"max_positions {self.config.max_positions}")
 
     def score_choices(self, prompt: Tensor | None, input_ids, choice_ids) -> list[float]:
         """Target loss of each choice, all decoded from one encode of the input."""
@@ -251,8 +306,11 @@ def corpus_digest(corpus: list[tuple[str, str]]) -> str:
 def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -> FrozenLM:
     """Teacher-forced training for the configured epochs, then freeze.
 
-    The pad embedding row is re-pinned to zero after every optimizer step.
-    Deterministic for a given seed.
+    Every pair is checked against max_positions, with the longest prefix
+    it could draw, before any compute. Each step is one packed batch; a
+    non-finite batch loss aborts with the step index. The pad embedding row
+    is re-pinned to zero after every optimizer step. Deterministic for a
+    given seed.
     """
     if not corpus:
         raise ValueError("pretraining corpus must be non-empty")
@@ -260,11 +318,19 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
     vocab = td.Vocab.build(texts)
     lm = FrozenLM(vocab, config.model, seed)
     encoded = [(td.tokenize(inp, vocab), td.tokenize(tgt, vocab)) for inp, tgt in corpus]
+    for i, (inp, tgt) in enumerate(encoded):
+        prefix = max(len(tgt), MAX_NOISE_PREFIX) if config.prompt_exposure > 0 else 0
+        lm.check_fits(f"corpus pair {i}", prefix, inp, [tgt])
+
+    def batch_loss(batch, prefixes) -> Tensor:
+        return lm.loss_with_prompt(prefixes, [inp for inp, _ in batch],
+                                   [tgt for _, tgt in batch])
 
     def corpus_loss() -> float:
         total = 0.0
-        for inp, tgt in encoded:
-            total += float(lm.loss_with_prompt(None, inp, tgt).data)
+        for start in range(0, len(encoded), config.batch_size):
+            batch = encoded[start:start + config.batch_size]
+            total += float(batch_loss(batch, [None] * len(batch)).data) * len(batch)
         return total / len(encoded)
 
     initial_loss = corpus_loss()
@@ -280,26 +346,28 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
             return None
         if roll < config.prompt_exposure * config.hint_fraction and tgt:
             return lm.embed_tokens(tgt)
-        n = int(exposure.integers(2, 13))
+        n = int(exposure.integers(2, MAX_NOISE_PREFIX + 1))
         ids = exposure.integers(len(td.RESERVED_TOKENS), vocab_size, size=n)
         return lm.embed_tokens(ids)
 
     epoch_means = []
-    for _ in range(config.epochs):
+    step = 0
+    for epoch in range(1, config.epochs + 1):
         order = shuffle.permutation(len(encoded))
         losses = []
         for start in range(0, len(order), config.batch_size):
             batch = [encoded[int(i)] for i in order[start:start + config.batch_size]]
-            loss = None
-            for inp, tgt in batch:
-                one = lm.loss_with_prompt(draw_prefix(tgt), inp, tgt)
-                loss = one if loss is None else loss + one
-            loss = loss * (1.0 / len(batch))
+            step += 1
+            loss = batch_loss(batch, [draw_prefix(tgt) for _, tgt in batch])
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise DivergenceError(f"non-finite pretraining loss at step {step} "
+                                      f"(epoch {epoch})")
             loss.backward()
             opt.step()
             opt.zero_grad()
             lm.params["embedding"].data[td.PAD_ID, :] = 0.0
-            losses.append(float(loss.data))
+            losses.append(value)
         epoch_means.append(float(np.mean(losses)))
     final_loss = corpus_loss()
     lm.set_frozen(True)

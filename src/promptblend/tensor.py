@@ -1,9 +1,15 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 Covers exactly what the pipeline needs: 2-D matmul, row-wise bias add,
-elementwise ops, fused attention, layer norm, GELU, inverted dropout,
-embedding lookup, and a sequence cross-entropy with pad masking.
-Graphs are built eagerly and backpropagated single-threaded.
+elementwise ops, fused multi-head attention, layer norm, GELU, inverted
+dropout, embedding lookup, row placement, and a per-sequence cross-entropy
+with pad masking. Graphs are built eagerly and backpropagated
+single-threaded.
+
+A node's backward closure receives the node's gradient as its argument
+and holds only the node's inputs, never the node itself, so a graph has
+no reference cycles and is freed by reference counting as soon as its
+root is dropped.
 """
 
 from __future__ import annotations
@@ -84,7 +90,7 @@ class Tensor:
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.requires_grad:
-                node._backward()
+                node._backward(node.grad)
 
     # -- arithmetic ------------------------------------------------------
 
@@ -92,9 +98,9 @@ class Tensor:
         if isinstance(other, (int, float)):
             out = Tensor(self.data + other, self.requires_grad, (self,))
 
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad)
+                    self._accum(g)
 
             out._backward = _bw
             return out
@@ -102,11 +108,11 @@ class Tensor:
             out = Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
                          (self, other))
 
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad)
+                    self._accum(g)
                 if other.requires_grad:
-                    other._accum(out.grad)
+                    other._accum(g)
 
             out._backward = _bw
             return out
@@ -115,11 +121,11 @@ class Tensor:
             out = Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
                          (self, other))
 
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad)
+                    self._accum(g)
                 if other.requires_grad:
-                    other._accum(out.grad.sum(axis=0))
+                    other._accum(g.sum(axis=0))
 
             out._backward = _bw
             return out
@@ -129,9 +135,9 @@ class Tensor:
         if isinstance(other, (int, float)):
             out = Tensor(self.data * other, self.requires_grad, (self,))
 
-            def _bw():
+            def _bw(g):
                 if self.requires_grad:
-                    self._accum(out.grad * other)
+                    self._accum(g * other)
 
             out._backward = _bw
             return out
@@ -140,11 +146,11 @@ class Tensor:
         out = Tensor(self.data * other.data, self.requires_grad or other.requires_grad,
                      (self, other))
 
-        def _bw():
+        def _bw(g):
             if self.requires_grad:
-                self._accum(out.grad * other.data)
+                self._accum(g * other.data)
             if other.requires_grad:
-                other._accum(out.grad * self.data)
+                other._accum(g * self.data)
 
         out._backward = _bw
         return out
@@ -160,11 +166,11 @@ class Tensor:
             raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
         out = Tensor(a @ b, self.requires_grad or other.requires_grad, (self, other))
 
-        def _bw():
+        def _bw(g):
             if self.requires_grad:
-                self._accum(out.grad @ b.T)
+                self._accum(g @ b.T)
             if other.requires_grad:
-                other._accum(a.T @ out.grad)
+                other._accum(a.T @ g)
 
         out._backward = _bw
         return out
@@ -184,8 +190,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     out = Tensor(x.data @ w.data + b.data,
                  x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if x.requires_grad:
             x._accum(g @ w.data.T)
         if w.requires_grad:
@@ -198,29 +203,49 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
-                   scale: float) -> Tensor:
-    """softmax(q k^T * scale + mask) v as a single fused graph node.
+                   scale: float, batch: int = 1, heads: int = 1) -> Tensor:
+    """softmax(q k^T * scale + mask) v for every example and head, as one
+    fused graph node.
 
-    `add_mask` is a constant additive mask (0 or a large negative number);
-    masked keys end up with exactly zero attention weight.
+    q is [batch*Sq, heads*dh] and k, v are [batch*Sk, heads*dh]: each
+    example's rows are contiguous, and so are each head's columns. The
+    output has q's layout. `add_mask` is a constant additive mask (0 or a
+    large negative number) that broadcasts against [batch, heads, Sq, Sk],
+    so a 2-D [Sq, Sk] mask serves a single example; masked keys end up with
+    exactly zero attention weight.
     """
-    s = q.data @ k.data.T * scale + add_mask
+    width = q.data.shape[1]
+    if width % heads or any(x.data.ndim != 2 or x.data.shape[1] != width
+                            or x.data.shape[0] % batch for x in (q, k, v)):
+        raise ShapeError(f"attention operands {q.data.shape}, {k.data.shape}, "
+                         f"{v.data.shape} do not split into {batch} examples of "
+                         f"{heads} heads")
+    dh = width // heads
+
+    def split(m):  # [batch*S, heads*dh] -> [batch, heads, S, dh]
+        return m.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):  # inverse of split
+        return m.transpose(0, 2, 1, 3).reshape(-1, width)
+
+    qh, kh, vh = split(q.data), split(k.data), split(v.data)
+    s = qh @ kh.swapaxes(-1, -2) * scale + add_mask
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(a @ v.data, q.requires_grad or k.requires_grad or v.requires_grad,
+    out = Tensor(merge(a @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
                  (q, k, v))
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
+        gh = split(g)
         if v.requires_grad:
-            v._accum(a.T @ g)
+            v._accum(merge(a.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
-            da = g @ v.data.T
+            da = gh @ vh.swapaxes(-1, -2)
             ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a
             if q.requires_grad:
-                q._accum(ds @ k.data * scale)
+                q._accum(merge(ds @ kh * scale))
             if k.requires_grad:
-                k._accum(ds.T @ q.data * scale)
+                k._accum(merge(ds.swapaxes(-1, -2) @ qh * scale))
 
     out._backward = _bw
     return out
@@ -238,11 +263,11 @@ def gelu(x: Tensor) -> Tensor:
     y = 0.5 * v * (1.0 + th)
     out = Tensor(y, x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
             du = _GELU_C * (1.0 + 3 * 0.044715 * v2)
             dy = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du
-            x._accum(out.grad * dy)
+            x._accum(g * dy)
 
     out._backward = _bw
     return out
@@ -260,8 +285,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                  or bias.requires_grad, (x, gain, bias))
     d = v.shape[-1]
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if gain.requires_grad:
             gain._accum((g * xhat).reshape(-1, d).sum(axis=0))
         if bias.requires_grad:
@@ -286,56 +310,61 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     if not training or p == 0.0:
         out = Tensor(x.data, x.requires_grad, (x,))
 
-        def _bw():
+        def _bw(g):
             if x.requires_grad:
-                x._accum(out.grad)
+                x._accum(g)
 
         out._backward = _bw
         return out
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     out = Tensor(x.data * mask, x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accum(out.grad * mask)
+            x._accum(g * mask)
 
     out._backward = _bw
     return out
 
 
 def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
-    """Mean of -log softmax(logits_t)[target_t] over non-pad positions.
+    """Mean over sequences of each sequence's mean -log softmax(logits_t)[target_t]
+    over its non-pad positions.
 
-    Positions whose target equals pad_id contribute nothing to the value
-    or the gradient.
+    `targets` is one sequence of len(logits) ids, or a [B, T] grid whose
+    row b labels logits rows b*T..b*T+T-1. Positions whose target equals
+    pad_id contribute nothing to the value or the gradient.
     """
     v = logits.data
     if v.ndim != 2:
         raise ShapeError(f"cross_entropy expects [T, V] logits, got {v.shape}")
     ids = np.asarray(targets, dtype=np.int64)
-    if ids.ndim != 1 or ids.shape[0] != v.shape[0]:
+    if ids.ndim not in (1, 2) or ids.size != v.shape[0]:
         raise ShapeError(f"targets length {ids.shape} does not match logits rows {v.shape}")
+    if ids.ndim == 1:
+        ids = ids[None]
     vocab = v.shape[1]
     if np.any((ids < 0) | (ids >= vocab)):
         bad = ids[(ids < 0) | (ids >= vocab)][0]
         raise IndexError(f"target id {bad} out of range [0, {vocab})")
     keep = ids != pad_id
-    n = int(keep.sum())
-    if n == 0:
+    n = keep.sum(axis=1)
+    if np.any(n == 0):
         raise DegenerateLossError("all target positions are padding")
+    flat = ids.reshape(-1)
     shifted = v - v.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + v.max(axis=-1)
-    picked = v[np.arange(v.shape[0]), ids]
-    losses = lse - picked
-    out = Tensor((losses * keep).sum() / n, logits.requires_grad, (logits,))
+    losses = (lse - v[np.arange(v.shape[0]), flat]).reshape(ids.shape)
+    out = Tensor(((losses * keep).sum(axis=1) / n).mean(), logits.requires_grad, (logits,))
 
-    def _bw():
+    def _bw(g):
         if logits.requires_grad:
             p = np.exp(shifted)
             p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(v.shape[0]), ids] -= 1.0
-            p[~keep] = 0.0
-            logits._accum(out.grad * p / n)
+            p[np.arange(v.shape[0]), flat] -= 1.0
+            p[~keep.reshape(-1)] = 0.0
+            # a row's weight in the mean is 1 / (its sequence's positions * sequences)
+            logits._accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
 
     out._backward = _bw
     return out
@@ -351,13 +380,32 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=0),
                  any(p.requires_grad for p in parts), tuple(parts))
 
-    def _bw():
+    def _bw(g):
         r = 0
         for p in parts:
             h = p.data.shape[0]
             if p.requires_grad:
-                p._accum(out.grad[r:r + h])
+                p._accum(g[r:r + h])
             r += h
+
+    out._backward = _bw
+    return out
+
+
+def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
+    """Row i of x placed at row index[i] of an otherwise zero [rows, cols]
+    matrix; the indices must be distinct."""
+    idx = np.asarray(index, dtype=np.int64)
+    if x.data.ndim != 2 or idx.shape != x.data.shape[:1]:
+        raise ShapeError(f"scatter_rows needs one index per row of {x.data.shape}, "
+                         f"got {idx.shape}")
+    data = np.zeros((rows, x.data.shape[1]))
+    data[idx] = x.data
+    out = Tensor(data, x.requires_grad, (x,))
+
+    def _bw(g):
+        if x.requires_grad:
+            x._accum(g[idx])
 
     out._backward = _bw
     return out
@@ -366,11 +414,11 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     out = Tensor(x.data[:, j0:j1].copy(), x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            g = np.zeros_like(x.data)
-            g[:, j0:j1] = out.grad
-            x._accum(g)
+            full = np.zeros_like(x.data)
+            full[:, j0:j1] = g
+            x._accum(full)
 
     out._backward = _bw
     return out
@@ -380,12 +428,12 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     out = Tensor(np.concatenate([p.data for p in parts], axis=1),
                  any(p.requires_grad for p in parts), tuple(parts))
 
-    def _bw():
+    def _bw(g):
         c = 0
         for p in parts:
             w = p.data.shape[1]
             if p.requires_grad:
-                p._accum(out.grad[:, c:c + w])
+                p._accum(g[:, c:c + w])
             c += w
 
     out._backward = _bw
@@ -400,11 +448,11 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         raise IndexError(f"token id {bad} out of range [0, {table.data.shape[0]})")
     out = Tensor(table.data[idx], table.requires_grad, (table,))
 
-    def _bw():
+    def _bw(g):
         if table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, idx, out.grad)
-            table._accum(g)
+            full = np.zeros_like(table.data)
+            np.add.at(full, idx, g)
+            table._accum(full)
 
     out._backward = _bw
     return out
@@ -420,10 +468,10 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
         raise ShapeError(f"weight length {wv.shape[0]} does not match stack size {stack.shape[0]}")
     out = Tensor(np.tensordot(wv, stack, axes=1), w.requires_grad, (w,))
 
-    def _bw():
+    def _bw(g):
         if w.requires_grad:
             axes = tuple(range(1, stack.ndim))
-            gw = np.tensordot(stack, out.grad, axes=(axes, tuple(range(out.grad.ndim))))
+            gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
             w._accum(gw.reshape(w.data.shape))
 
     out._backward = _bw

@@ -20,13 +20,9 @@ from . import rng as rngmod
 from . import textdata as td
 from .composer import (PromptBasis, WeightPredictor, WeightVector, combine,
                        project_to_vocab, question_repr)
-from .model import FrozenContractError, FrozenLM
+from .model import DivergenceError, FrozenContractError, FrozenLM
 from .optim import AdamW
 from .tensor import Tensor
-
-
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
 
 
 @dataclass
@@ -147,11 +143,14 @@ class _ExampleCache:
 
     A scored (eval) entry also holds every choice's tokens and the control
     loss. One unprompted encode gives both the representation and the
-    control loss, and the gold choice's tokens are the target.
+    control loss, and the gold choice's tokens are the target. Each entry
+    is checked against max_positions, with `prompt_rows` prompt rows,
+    before it is encoded.
     """
 
-    def __init__(self, lm: FrozenLM):
+    def __init__(self, lm: FrozenLM, prompt_rows: int = 0):
         self.lm = lm
+        self.prompt_rows = prompt_rows
         self.entries: dict[str, _Entry] = {}
 
     def get(self, ex: td.QAExample, scored: bool = False) -> _Entry:
@@ -163,12 +162,16 @@ class _ExampleCache:
     def _build(self, ex: td.QAExample, scored: bool) -> _Entry:
         lm = self.lm
         ids = td.tokenize(td.format_input(ex), lm.vocab)
+        if scored:
+            choices = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
+            target = choices[ex.answer_index()]
+        else:
+            choices, target = None, td.tokenize(td.format_target(ex), lm.vocab)
+        lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, choices or [target])
         encoded = lm.encode(ids)
         q = question_repr(lm, ids, encoded)
         if not scored:
-            return _Entry(ids, td.tokenize(td.format_target(ex), lm.vocab), q)
-        choices = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
-        target = choices[ex.answer_index()]
+            return _Entry(ids, target, q)
         return _Entry(ids, target, q, choices, float(lm.decode_loss(*encoded, target).data))
 
 
@@ -193,7 +196,7 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     scores every choice: the gold choice's loss is the prompted loss, and
     the lowest-loss choice (the earlier on ties) is the prediction.
     """
-    cache = cache or _ExampleCache(lm)
+    cache = cache or _ExampleCache(lm, basis.length)
     control = control_eval(lm, eval_set, cache)
     losses: list[float] = []
     weights: list[WeightVector] = []
@@ -211,13 +214,24 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
                               accuracy=correct / len(eval_set))
 
 
+def _batch_loss(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
+                entries: list[_Entry], rng: np.random.Generator) -> Tensor:
+    """One training step's loss: the batch's prompted losses, averaged over
+    examples, from one packed forward. Dropout masks are drawn example by
+    example, layer by layer."""
+    prompts = [combine(basis, predictor.forward(Tensor(e.q.reshape(1, -1)), training=True,
+                                                rng=rng)).tensor for e in entries]
+    return lm.loss_with_prompt(prompts, [e.ids for e in entries], [e.target for e in entries])
+
+
 def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
           train_set: list[td.QAExample], eval_set: list[td.QAExample],
           config: TrainConfig) -> RunRecord:
     """Run the full protocol and return the loss-curve record.
 
-    Only predictor parameters receive updates; a non-finite batch loss
-    aborts with the offending step index.
+    Every example is tokenized, checked against max_positions and encoded
+    before the first step. Only predictor parameters receive updates; a
+    non-finite batch loss aborts with the offending step index.
     """
     if not lm.frozen:
         raise FrozenContractError("train() requires a frozen language model")
@@ -225,7 +239,11 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
         raise ValueError("train and eval sets must be non-empty")
     t_start = time.perf_counter()
     hash_before = lm.param_hash()
-    cache = _ExampleCache(lm)
+    cache = _ExampleCache(lm, basis.length)
+    for ex in train_set:
+        cache.get(ex)
+    for ex in eval_set:
+        cache.get(ex, scored=True)
     opt = AdamW(predictor.parameters(), lr=config.lr, beta1=config.beta1,
                 beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
@@ -238,15 +256,8 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
         for start in range(0, len(order), config.batch_size):
             batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
             step_index += 1
-            loss_sum = None
-            for ex in batch:
-                entry = cache.get(ex)
-                w_out = predictor.forward(Tensor(entry.q.reshape(1, -1)), training=True,
-                                          rng=drop_rng)
-                prompt = combine(basis, w_out)
-                loss = lm.loss_with_prompt(prompt.tensor, entry.ids, entry.target)
-                loss_sum = loss if loss_sum is None else loss_sum + loss
-            batch_loss = loss_sum * (1.0 / len(batch))
+            batch_loss = _batch_loss(lm, predictor, basis, [cache.get(ex) for ex in batch],
+                                     drop_rng)
             value = float(batch_loss.data)
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite loss at step {step_index} "

@@ -18,9 +18,8 @@ def softmax(x: Tensor) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            g = out.grad
             x._accum((g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     out._backward = _bw
@@ -32,9 +31,9 @@ def transpose(x: Tensor) -> Tensor:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.data.shape}")
     out = Tensor(x.data.T.copy(), x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accum(out.grad.T)
+            x._accum(g.T)
 
     out._backward = _bw
     return out
@@ -44,9 +43,9 @@ def total(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
     out = Tensor(x.data.sum(), x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accum(np.full_like(x.data, out.grad))
+            x._accum(np.full_like(x.data, g))
 
     out._backward = _bw
     return out
@@ -56,9 +55,9 @@ def mean(x: Tensor) -> Tensor:
     n = x.data.size
     out = Tensor(x.data.mean(), x.requires_grad, (x,))
 
-    def _bw():
+    def _bw(g):
         if x.requires_grad:
-            x._accum(np.full_like(x.data, out.grad / n))
+            x._accum(np.full_like(x.data, g / n))
 
     out._backward = _bw
     return out

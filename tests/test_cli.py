@@ -111,6 +111,14 @@ class TestPipelineCommands:
         assert code == 0
         assert (out / "report.txt").exists()
 
+    def test_pretrain_divergence_is_runtime_failure(self, tmp_path, capsys):
+        out = tmp_path / "pre"
+        code = run_cli(["pretrain", *TINY, "--epochs", "1", "--lr", "inf", "--seed", "3",
+                        "--out", str(out)])
+        assert code == 2
+        assert "non-finite pretraining loss at step 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_eval_from_checkpoint(self, run_dir, capsys):
         code = run_cli(["eval", *TINY, "--checkpoint",
                         str(run_dir / "checkpoint.pbld")])

@@ -2,13 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
 from promptblend import textdata as td
 from promptblend.checkpoint import (bundle_bytes, checkpoint_bytes, load_bundle,
                                     load_checkpoint)
 from promptblend.composer import WeightPredictor, build_basis
-from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain
+from promptblend.model import (DivergenceError, FrozenLM, LMConfig, PretrainConfig,
+                               pretrain)
 from promptblend.tensor import ShapeError, Tensor
 from promptblend.train import prompted_eval
 
@@ -58,6 +61,28 @@ class TestPretrain:
         lm, _ = tiny_lm
         assert lm.frozen
         assert all(not p.requires_grad for p in lm.params.values())
+
+    def test_non_finite_loss_aborts_with_step_index(self):
+        # an infinite learning rate makes every parameter non-finite after
+        # the first step, so the second step's loss is NaN
+        corpus = [(td.format_input(e), td.format_target(e))
+                  for e in td.make_fixture(seed=6, n=4)]
+        with pytest.raises(DivergenceError, match="step 2"):
+            pretrain(corpus, PretrainConfig(epochs=2, batch_size=2, lr=math.inf,
+                                            model=SMALL), seed=0)
+
+    def test_overlong_pair_rejected_before_any_step(self):
+        # the second pair fits alone but not behind the longest prefix it
+        # could draw (a copy of its 20-token target)
+        long_target = " ".join(["word"] * 20)
+        corpus = [("short question", "answer"),
+                  (" ".join(["word"] * 80), long_target)]
+        with pytest.raises(ValueError, match="corpus pair 1: prompt\\+input length 100"):
+            pretrain(corpus, PretrainConfig(epochs=1, model=SMALL), seed=0)
+        no_prefix = PretrainConfig(epochs=1, prompt_exposure=0.0, model=SMALL)
+        assert pretrain(corpus, no_prefix, seed=0).frozen
+        with pytest.raises(ValueError, match="corpus pair 0: target length 97"):
+            pretrain([("q", " ".join(["word"] * 96))], no_prefix, seed=0)
 
 
 class TestEmbedTokens:
@@ -162,6 +187,98 @@ class TestLossWithPrompt:
         gen = rngmod.stream(8, "nz")
         p = Tensor(gen.normal(size=(2, SMALL.embed_dim)))
         assert float(lm.loss_with_prompt(p, ids, tgt).data) != control
+
+
+def _unfrozen_lm(seed):
+    # a random output projection, so every LM parameter gets a gradient
+    vocab = td.Vocab.build([td.format_input(e) + " " + td.format_target(e)
+                            for e in td.make_fixture(seed=5, n=12)])
+    lm = FrozenLM(vocab, SMALL, seed=seed)
+    lm.params["out.w"].data[:] = rngmod.stream(seed, "out").normal(
+        size=lm.params["out.w"].data.shape)
+    return lm
+
+
+def _example(draw, vocab_size):
+    ids = st.integers(len(td.RESERVED_TOKENS), vocab_size - 1)
+    rows = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["none", "random", "some zero rows", "all zero"]))
+    prompt = None
+    if kind != "none":
+        gen = rngmod.stream(draw(st.integers(0, 10_000)), "packed-prompt")
+        data = gen.normal(size=(rows, SMALL.embed_dim))
+        if kind == "all zero":
+            data[:] = 0.0
+        elif kind == "some zero rows":
+            data[gen.random(rows) < 0.5] = 0.0
+        prompt = Tensor(data, requires_grad=True)
+    return (prompt, draw(st.lists(ids, min_size=1, max_size=12)),
+            draw(st.lists(ids, min_size=0, max_size=8)))
+
+
+def _close(a, b, rel=1e-12):
+    return float(np.max(np.abs(a - b))) <= rel * float(np.max(np.abs(b)))
+
+
+class TestPackedBatch:
+    # a packed batch of B agrees with B batches of one: the loss is the mean
+    # of per-example means, and so are the gradients of every LM parameter
+    # and every prompt (relative to each gradient's largest entry)
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data(), batch=st.integers(1, 10))
+    def test_packed_batch_matches_batches_of_one(self, data, batch):
+        lm = _unfrozen_lm(seed=batch)
+        examples = [_example(data.draw, len(lm.vocab)) for _ in range(batch)]
+        prompts, inputs, targets = (list(x) for x in zip(*examples))
+        names = list(lm.params) + ["prompt" for p in prompts if p is not None]
+        params = list(lm.params.values()) + [p for p in prompts if p is not None]
+
+        def grads(loss):
+            for p in params:
+                p.grad = None
+            loss.backward()
+            return float(loss.data), [np.zeros_like(p.data) if p.grad is None else p.grad
+                                      for p in params]
+
+        packed, packed_grads = grads(lm.loss_with_prompt(prompts, inputs, targets))
+        total = None
+        for one in zip(prompts, inputs, targets):
+            loss = lm.loss_with_prompt(*one)
+            total = loss if total is None else total + loss
+        single, single_grads = grads(total * (1.0 / batch))
+        assert abs(packed - single) <= 1e-12 * abs(single)
+        scale = max(float(np.max(np.abs(b))) for b in single_grads)
+        for name, a, b in zip(names, packed_grads, single_grads):
+            if name.endswith(".bk"):
+                # softmax ignores a shift shared by every key, so the key
+                # biases' gradients are zero up to round-off
+                assert max(np.max(np.abs(a)), np.max(np.abs(b))) <= 1e-12 * scale
+            else:
+                assert _close(a, b), name
+
+    def test_encode_layout(self, tiny_lm):
+        # [prompt | tokens | padding]: each example's valid rows are its own
+        # batch-of-one states, and padding is invalid
+        lm, examples = tiny_lm
+        inputs = [_io_ids(lm, ex)[0] for ex in examples[:3]]
+        prompts = [None, Tensor(np.ones((2, SMALL.embed_dim))), None]
+        states, valid = lm.encode(inputs, prompts)
+        width = valid.shape[1]
+        assert states.data.shape == (3 * width, SMALL.embed_dim)
+        for b, (ids, prompt) in enumerate(zip(inputs, prompts)):
+            alone, alone_valid = lm.encode(ids, prompt)
+            n = alone_valid.size
+            assert np.array_equal(valid[b, :n], alone_valid) and not valid[b, n:].any()
+            rows = states.data[b * width:b * width + n][alone_valid]
+            assert _close(rows, alone.data[alone_valid])
+
+    def test_batch_arguments_must_pair_up(self, tiny_lm):
+        lm, examples = tiny_lm
+        ids, tgt = _io_ids(lm, examples[0])
+        with pytest.raises(ValueError, match="one prompt per input"):
+            lm.loss_with_prompt([None], [ids, ids], [tgt, tgt])
+        with pytest.raises(ValueError, match="targets"):
+            lm.loss_with_prompt([None, None], [ids, ids], [tgt])
 
 
 def _score(lm, prompt, ex):

@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -5,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from promptblend import rng as rngmod
 from promptblend import textdata as td
 from promptblend.composer import (WeightPredictor, WeightVector, build_basis, combine,
                                   question_repr)
 from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
                                PretrainConfig, pretrain)
 from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
-                               _ExampleCache, control_eval, prompted_eval,
-                               stability_metric, train)
+                               _batch_loss, _ExampleCache, control_eval,
+                               prompted_eval, stability_metric, train)
 
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
@@ -121,6 +123,16 @@ class TestTrain:
         pred.w1.data[0, 0] = np.inf
         with pytest.raises(DivergenceError, match="step 1"):
             train(lm, pred, basis, train_set, eval_set, TrainConfig(epochs=1, seed=0))
+
+    def test_overlong_example_rejected_before_any_step(self, setup):
+        lm, basis, train_set, eval_set = setup
+        long = td.QAExample(id="long-one", question=" ".join(["word"] * 120) + "?",
+                            answer_key="A", choices=train_set[0].choices)
+        pred = _predictor(lm, basis)
+        before = [p.data.copy() for p in pred.parameters()]
+        with pytest.raises(ValueError, match="example 'long-one': prompt\\+input length"):
+            train(lm, pred, basis, train_set + [long], eval_set, TrainConfig(epochs=1, seed=0))
+        assert all(np.array_equal(b, p.data) for b, p in zip(before, pred.parameters()))
 
     def test_step_records_are_monotone_and_finite(self, setup):
         lm, basis, train_set, eval_set = setup
@@ -262,6 +274,55 @@ class TestEvalPass:
         pred = _predictor(lm, basis)
         each = [prompted_eval(lm, pred, basis, [ex]).accuracy for ex in eval_set]
         assert prompted_eval(lm, pred, basis, eval_set).accuracy == sum(each) / len(each)
+
+
+class TestPackedStep:
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.lists(st.integers(0, 44), min_size=1, max_size=10), seed=st.integers(0, 99))
+    def test_packed_step_matches_batches_of_one(self, setup, picks, seed):
+        # one packed step against B steps of one with the same dropout
+        # draws: the loss is the mean of theirs, and so are the predictor's
+        # gradients (relative to each gradient's largest entry)
+        lm, basis, train_set, _ = setup
+        cache = _ExampleCache(lm, basis.length)
+        entries = [cache.get(train_set[i]) for i in picks]
+        pred = _predictor(lm, basis)
+
+        def grads(loss):
+            pred_params = pred.parameters()
+            for p in pred_params:
+                p.grad = None
+            loss.backward()
+            return float(loss.data), [p.grad for p in pred_params]
+
+        packed, packed_grads = grads(_batch_loss(lm, pred, basis, entries,
+                                                 rngmod.stream(seed, "drop")))
+        rng = rngmod.stream(seed, "drop")
+        total = None
+        for entry in entries:
+            loss = _batch_loss(lm, pred, basis, [entry], rng)
+            total = loss if total is None else total + loss
+        single, single_grads = grads(total * (1.0 / len(entries)))
+        assert abs(packed - single) <= 1e-12 * abs(single)
+        for a, b in zip(packed_grads, single_grads):
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_step_graph_is_freed_without_the_cycle_collector(self, setup):
+        # backward closures never hold their own node, so dropping the root
+        # frees the whole graph by reference counting
+        lm, basis, train_set, _ = setup
+        cache = _ExampleCache(lm, basis.length)
+        entries = [cache.get(ex) for ex in train_set[:10]]
+        pred = _predictor(lm, basis)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = _batch_loss(lm, pred, basis, entries, rngmod.stream(0, "drop"))
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestStabilityMetric:
