@@ -13,7 +13,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
-from .composer import (DEFAULT_BASIS_PROMPTS, ContinuousPrompt, PromptBasis,
+from .composer import (DEFAULT_BASIS_PROMPTS, PromptBasis,
                        WeightPredictor, WeightVector, build_basis, combine,
                        orthogonality_score, project_to_vocab, question_repr,
                        top_contributors)
@@ -24,7 +24,7 @@ from .textdata import QAExample, Vocab, load_dataset, make_fixture
 from .train import RunRecord, TrainConfig, control_eval, prompted_eval, stability_metric, train
 
 __all__ = [
-    "AdamW", "ContinuousPrompt", "DEFAULT_BASIS_PROMPTS", "FrozenLM", "LMConfig",
+    "AdamW", "DEFAULT_BASIS_PROMPTS", "FrozenLM", "LMConfig",
     "PretrainConfig", "PromptBasis", "QAExample", "RunRecord", "Tensor",
     "TrainConfig", "Vocab", "WeightPredictor", "WeightVector", "build_basis",
     "combine", "control_eval", "load_dataset", "make_fixture", "orthogonality_score",

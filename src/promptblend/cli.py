@@ -183,6 +183,9 @@ def _cmd_train(args) -> int:
     _positive(args.epochs, "--epochs")
     _positive(args.batch_size, "--batch-size")
     _positive(args.top, "--top")
+    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+                         weight_decay=args.weight_decay, dropout_p=args.dropout,
+                         seed=seed, eval_every=args.eval_every)
     examples = _resolve_examples(args)
     train_set, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
     basis_prompts = _resolve_basis_prompts(args)
@@ -199,10 +202,6 @@ def _cmd_train(args) -> int:
     predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
-    config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                            weight_decay=args.weight_decay, dropout_p=args.dropout,
-                            seed=seed, prompt_length=basis.length,
-                            eval_every=args.eval_every)
     record = _train(lm, predictor, basis, train_set, eval_set, config)
     bundle = report.render_report(record, basis, n_top=args.top)
     curve = report.render_curve_csv(record)

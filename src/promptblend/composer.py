@@ -88,7 +88,8 @@ def _gram_matrix(stack: np.ndarray) -> np.ndarray:
 def build_basis(prompts: list[str], lm: FrozenLM, length: int | None = None) -> PromptBasis:
     """Embed each prompt (no positional terms) and zero-pad to `length`.
 
-    Over-long prompts are an error rather than being truncated.
+    Over-long prompts are an error rather than being truncated, and so is
+    a padded length the model's max_positions cannot hold.
     """
     if not prompts:
         raise BasisError("basis must contain at least one prompt")
@@ -103,6 +104,9 @@ def build_basis(prompts: list[str], lm: FrozenLM, length: int | None = None) -> 
         long = next(p for p, ids in zip(prompts, token_ids) if len(ids) > length)
         raise BasisError(f"prompt {long!r} has {max_len} tokens, exceeding padded "
                          f"length {length}")
+    if length > lm.config.max_positions:
+        raise BasisError(f"padded length {length} exceeds max_positions "
+                         f"{lm.config.max_positions}")
     d = lm.config.embed_dim
     stack = np.zeros((len(prompts), length, d))
     for k, ids in enumerate(token_ids):
@@ -120,15 +124,6 @@ class WeightVector:
         self.values = np.asarray(self.values, dtype=np.float64).reshape(-1)
         if not np.all(np.isfinite(self.values)):
             raise ValueError("weight vector has non-finite entries")
-
-
-@dataclass
-class ContinuousPrompt:
-    """Weighted sum of basis embeddings plus the provenance to rebuild it."""
-
-    tensor: Tensor
-    basis: PromptBasis
-    weights: np.ndarray
 
 
 class WeightPredictor:
@@ -194,20 +189,9 @@ def question_repr(lm: FrozenLM, input_ids, encoded=None) -> np.ndarray:
     return states.data[valid].mean(axis=0)
 
 
-def combine(basis: PromptBasis, w) -> ContinuousPrompt:
-    """Continuous prompt sum_k w_k * embeddings[k]; gradient flows to w."""
-    if isinstance(w, WeightVector):
-        w_tensor = Tensor(w.values.copy())
-    elif isinstance(w, Tensor):
-        w_tensor = w
-    else:
-        w_tensor = Tensor(np.asarray(w, dtype=np.float64))
-    if w_tensor.data.size != basis.size:
-        raise ShapeError(f"weight vector length {w_tensor.data.size} does not match "
-                         f"basis size {basis.size}")
-    tensor = weighted_sum(basis.embeddings, w_tensor)
-    return ContinuousPrompt(tensor=tensor, basis=basis,
-                            weights=w_tensor.data.reshape(-1).copy())
+def combine(basis: PromptBasis, w: Tensor) -> Tensor:
+    """Continuous prompt sum_k w_k * embeddings[k], [L, d]; gradient flows to w."""
+    return weighted_sum(basis.embeddings, w)
 
 
 def top_contributors(w, basis: PromptBasis, n: int) -> list[tuple[str, float]]:
@@ -232,17 +216,11 @@ def orthogonality_score(basis: PromptBasis) -> float:
     return float(1.0 - off.mean())
 
 
-def project_to_vocab(prompt, lm: FrozenLM) -> list[tuple[str, float]]:
-    """Nearest vocabulary token per prompt row by cosine similarity.
+def project_to_vocab(rows: np.ndarray, lm: FrozenLM) -> list[tuple[str, float]]:
+    """Nearest vocabulary token per row of an [L, d] prompt by cosine similarity.
 
     Zero rows map to the pad token with score 0.0 by convention.
     """
-    if isinstance(prompt, ContinuousPrompt):
-        rows = prompt.tensor.data
-    elif isinstance(prompt, Tensor):
-        rows = prompt.data
-    else:
-        rows = np.asarray(prompt, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != lm.config.embed_dim:
         raise ShapeError(f"prompt shape {rows.shape} incompatible with embed_dim "
                          f"{lm.config.embed_dim}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import textdata as td
-from .optim import AdamW
+from .optim import AdamW, DivergenceError, descend  # DivergenceError: re-exported
 from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entropy,
                      embedding_lookup, gelu, layer_norm, linear, scatter_rows)
 
@@ -32,10 +32,6 @@ MAX_NOISE_PREFIX = 12
 
 class FrozenContractError(RuntimeError):
     """Raised when an operation needs the model frozen (or not) and it isn't."""
-
-
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite."""
 
 
 @dataclass
@@ -322,7 +318,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         prefix = max(len(tgt), MAX_NOISE_PREFIX) if config.prompt_exposure > 0 else 0
         lm.check_fits(f"corpus pair {i}", prefix, inp, [tgt])
 
-    def batch_loss(batch, prefixes) -> Tensor:
+    def packed_loss(batch, prefixes) -> Tensor:
         return lm.loss_with_prompt(prefixes, [inp for inp, _ in batch],
                                    [tgt for _, tgt in batch])
 
@@ -330,12 +326,11 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         total = 0.0
         for start in range(0, len(encoded), config.batch_size):
             batch = encoded[start:start + config.batch_size]
-            total += float(batch_loss(batch, [None] * len(batch)).data) * len(batch)
+            total += float(packed_loss(batch, [None] * len(batch)).data) * len(batch)
         return total / len(encoded)
 
+    opt = AdamW(list(lm.params.values()), lr=config.lr, weight_decay=config.weight_decay)
     initial_loss = corpus_loss()
-    params = list(lm.params.values())
-    opt = AdamW(params, lr=config.lr, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(seed, "pretrain-shuffle")
     exposure = rngmod.stream(seed, "pretrain-exposure")
     vocab_size = len(vocab)
@@ -350,25 +345,17 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         ids = exposure.integers(len(td.RESERVED_TOKENS), vocab_size, size=n)
         return lm.embed_tokens(ids)
 
-    epoch_means = []
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle.permutation(len(encoded))
-        losses = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [encoded[int(i)] for i in order[start:start + config.batch_size]]
-            step += 1
-            loss = batch_loss(batch, [draw_prefix(tgt) for _, tgt in batch])
-            value = float(loss.data)
-            if not np.isfinite(value):
-                raise DivergenceError(f"non-finite pretraining loss at step {step} "
-                                      f"(epoch {epoch})")
-            loss.backward()
-            opt.step()
-            opt.zero_grad()
-            lm.params["embedding"].data[td.PAD_ID, :] = 0.0
-            losses.append(value)
-        epoch_means.append(float(np.mean(losses)))
+    def batch_loss(indices) -> Tensor:
+        batch = [encoded[int(i)] for i in indices]
+        return packed_loss(batch, [draw_prefix(tgt) for _, tgt in batch])
+
+    steps = []
+    for epoch, _, _, loss in descend(opt, len(encoded), config.batch_size, config.epochs,
+                                     shuffle, batch_loss, "pretraining loss"):
+        lm.params["embedding"].data[td.PAD_ID, :] = 0.0
+        steps.append((epoch, loss))
+    epoch_means = [float(np.mean([loss for e, loss in steps if e == epoch]))
+                   for epoch in range(1, config.epochs + 1)]
     final_loss = corpus_loss()
     lm.set_frozen(True)
     lm.provenance = {"pretrain_seed": seed, "corpus_hash": corpus_digest(corpus)}

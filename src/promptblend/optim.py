@@ -71,3 +71,34 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+
+class DivergenceError(RuntimeError):
+    """Training loss became non-finite."""
+
+
+def descend(opt: AdamW, n: int, batch_size: int, epochs: int, shuffle: np.random.Generator,
+            batch_loss, what: str):
+    """Shuffled mini-batch descent over examples 0..n-1.
+
+    Each epoch draws one permutation from `shuffle` and cuts it into
+    batches of `batch_size`. Per batch, `batch_loss(indices)` builds the
+    scalar loss; a non-finite loss raises DivergenceError naming `what`,
+    the step and the epoch, before any update. Otherwise the loss is
+    backpropagated, `opt` steps and gradients are reset. Yields
+    (epoch, step, indices, loss) after each step; both count from 1.
+    """
+    step = 0
+    for epoch in range(1, epochs + 1):
+        order = shuffle.permutation(n)
+        for start in range(0, n, batch_size):
+            indices = order[start:start + batch_size]
+            step += 1
+            loss = batch_loss(indices)
+            value = float(loss.data)
+            if not np.isfinite(value):
+                raise DivergenceError(f"non-finite {what} at step {step} (epoch {epoch})")
+            loss.backward()
+            opt.step()
+            opt.zero_grad()
+            yield epoch, step, indices, value

@@ -56,10 +56,8 @@ class Tensor:
     # -- graph construction helpers ------------------------------------
 
     def _accum(self, g: np.ndarray) -> None:
-        if self.grad is None:
-            self.grad = np.array(g, dtype=np.float64)
-        else:
-            self.grad += g
+        # out of place: backward closures may hand one array to several inputs
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar root.

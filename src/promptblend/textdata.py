@@ -28,9 +28,6 @@ RESERVED_TOKENS = ("<pad>", "<bos>", "<eos>", "<unk>")
 LABELS = "ABCDE"
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^a-z0-9\s]")
-# punctuation that attaches to the preceding token when detokenizing
-_CLOSERS = {".", ",", "!", "?", ";", ":", ")", "]", "%", "'"}
-_OPENERS = {"(", "["}
 
 
 class DatasetError(ValueError):
@@ -75,29 +72,6 @@ class Vocab:
 def tokenize(text: str, vocab: Vocab) -> list[int]:
     """Token ids for text; unknown tokens map to unk. Empty text -> []."""
     return [vocab.token_to_id.get(t, UNK_ID) for t in split_tokens(text)]
-
-
-def detokenize(ids, vocab: Vocab) -> str:
-    """Inverse of tokenize up to casing and whitespace normalization."""
-    out: list[str] = []
-    prev_opener = False
-    for i in ids:
-        tok = vocab.id_to_token[i]
-        if out and not prev_opener and tok not in _CLOSERS:
-            out.append(" ")
-        out.append(tok)
-        prev_opener = tok in _OPENERS
-    return "".join(out)
-
-
-def normalize_text(text: str) -> str:
-    """Casing/whitespace normal form used by the round-trip check."""
-    collapsed = " ".join(text.lower().split())
-    for c in _CLOSERS:
-        collapsed = collapsed.replace(" " + c, c)
-    for c in _OPENERS:
-        collapsed = collapsed.replace(c + " ", c)
-    return collapsed
 
 
 @dataclass

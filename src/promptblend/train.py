@@ -20,8 +20,8 @@ from . import rng as rngmod
 from . import textdata as td
 from .composer import (PromptBasis, WeightPredictor, WeightVector, combine,
                        project_to_vocab, question_repr)
-from .model import DivergenceError, FrozenContractError, FrozenLM
-from .optim import AdamW
+from .model import FrozenContractError, FrozenLM
+from .optim import AdamW, DivergenceError, descend  # DivergenceError: re-exported
 from .tensor import Tensor
 
 
@@ -36,7 +36,6 @@ class TrainConfig:
     weight_decay: float = 0.01
     dropout_p: float = 0.1
     seed: int = 0
-    prompt_length: int = 0  # 0 = use the basis padded length
     eval_every: int = 0  # steps between eval passes; 0 = final only
 
     def __post_init__(self):
@@ -205,7 +204,7 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
         entry = cache.get(ex, scored=True)
         w_out = predictor.forward(Tensor(entry.q.reshape(1, -1)), training=False, rng=None)
         wv = WeightVector(w_out.data[0].copy())
-        scores = lm.score_choices(combine(basis, wv).tensor, entry.ids, entry.choices)
+        scores = lm.score_choices(combine(basis, Tensor(wv.values)), entry.ids, entry.choices)
         losses.append(scores[ex.answer_index()])
         weights.append(wv)
         correct += int(np.argmin(scores)) == ex.answer_index()
@@ -220,7 +219,7 @@ def _batch_loss(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     examples, from one packed forward. Dropout masks are drawn example by
     example, layer by layer."""
     prompts = [combine(basis, predictor.forward(Tensor(e.q.reshape(1, -1)), training=True,
-                                                rng=rng)).tensor for e in entries]
+                                                rng=rng)) for e in entries]
     return lm.loss_with_prompt(prompts, [e.ids for e in entries], [e.target for e in entries])
 
 
@@ -248,32 +247,24 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
                 beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
     drop_rng = rngmod.stream(config.seed, "train-dropout")
-    record = RunRecord(config=asdict(config), basis_prompts=list(basis.prompts))
-    step_index = 0
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle.permutation(len(train_set))
-        epoch_losses: list[float] = []
-        for start in range(0, len(order), config.batch_size):
-            batch = [train_set[int(i)] for i in order[start:start + config.batch_size]]
-            step_index += 1
-            batch_loss = _batch_loss(lm, predictor, basis, [cache.get(ex) for ex in batch],
-                                     drop_rng)
-            value = float(batch_loss.data)
-            if not np.isfinite(value):
-                raise DivergenceError(f"non-finite loss at step {step_index} "
-                                      f"(epoch {epoch})")
-            batch_loss.backward()
-            opt.step()
-            opt.zero_grad()
-            record.steps.append(StepRecord(epoch=epoch, step=step_index,
-                                           batch_size=len(batch), loss=value))
-            epoch_losses.append(value)
-            if config.eval_every and step_index % config.eval_every == 0:
-                result = prompted_eval(lm, predictor, basis, eval_set, cache)
-                record.eval_losses.append([step_index, result.mean_loss])
-        record.epoch_means.append(float(np.mean(epoch_losses)))
+    record = RunRecord(config={**asdict(config), "prompt_length": basis.length},
+                       basis_prompts=list(basis.prompts))
+
+    def batch_loss(indices) -> Tensor:
+        entries = [cache.get(train_set[int(i)]) for i in indices]
+        return _batch_loss(lm, predictor, basis, entries, drop_rng)
+
+    for epoch, step, indices, loss in descend(opt, len(train_set), config.batch_size,
+                                              config.epochs, shuffle, batch_loss, "loss"):
+        record.steps.append(StepRecord(epoch=epoch, step=step, batch_size=len(indices),
+                                       loss=loss))
+        if config.eval_every and step % config.eval_every == 0:
+            result = prompted_eval(lm, predictor, basis, eval_set, cache)
+            record.eval_losses.append([step, result.mean_loss])
+    record.epoch_means = [float(np.mean([s.loss for s in record.steps if s.epoch == epoch]))
+                          for epoch in range(1, config.epochs + 1)]
     final = prompted_eval(lm, predictor, basis, eval_set, cache)
-    record.eval_losses.append([step_index, final.mean_loss])
+    record.eval_losses.append([len(record.steps), final.mean_loss])
     record.prompted_eval_loss = final.mean_loss
     record.control_eval_loss = final.control_loss
     record.examples = [
@@ -283,7 +274,7 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     ]
     mean_w = np.mean([wv.values for wv in final.weights], axis=0)
     record.projection = [[tok, cos] for tok, cos in
-                         project_to_vocab(combine(basis, mean_w), lm)]
+                         project_to_vocab(combine(basis, Tensor(mean_w)).data, lm)]
     hash_after = lm.param_hash()
     if hash_after != hash_before:
         raise FrozenContractError("frozen LM parameters changed during training")

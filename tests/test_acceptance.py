@@ -80,11 +80,11 @@ def test_criterion_1_gradient_correctness():
         def forward() -> float:
             w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                              rng=rngmod.stream(3, "crit1-drop"))
-            return float(lm.loss_with_prompt(combine(basis, w).tensor, ids, tgt).data)
+            return float(lm.loss_with_prompt(combine(basis, w), ids, tgt).data)
 
         w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                          rng=rngmod.stream(3, "crit1-drop"))
-        lm.loss_with_prompt(combine(basis, w).tensor, ids, tgt).backward()
+        lm.loss_with_prompt(combine(basis, w), ids, tgt).backward()
         params = pred.parameters()
         analytic = [p.grad for p in params]
         numeric = finite_difference(forward, params, h=1e-5)
@@ -187,16 +187,16 @@ def test_criterion_5_combination_exactness(small_lm):
         for k in range(basis.size):
             w = np.zeros(basis.size)
             w[k] = 1.0
-            cp = combine(basis, WeightVector(w))
-            assert cp.tensor.data.tobytes() == basis.embeddings[k].tobytes()
+            prompt = combine(basis, Tensor(w))
+            assert prompt.data.tobytes() == basis.embeddings[k].tobytes()
         gen = rngmod.stream(5, "crit5")
         for _ in range(1000):
             w1 = gen.normal(size=basis.size)
             w2 = gen.normal(size=basis.size)
             a, b = gen.normal(), gen.normal()
-            lhs = combine(basis, WeightVector(a * w1 + b * w2)).tensor.data
-            rhs = (a * combine(basis, WeightVector(w1)).tensor.data
-                   + b * combine(basis, WeightVector(w2)).tensor.data)
+            lhs = combine(basis, Tensor(a * w1 + b * w2)).data
+            rhs = (a * combine(basis, Tensor(w1)).data
+                   + b * combine(basis, Tensor(w2)).data)
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -253,7 +253,7 @@ def test_criterion_7_oracle_equivalences(small_lm):
         gen = rngmod.stream(6, "crit7")
         rows = gen.normal(size=(100, lm.config.embed_dim))
         table = lm.params["embedding"].data
-        got = project_to_vocab(Tensor(rows), lm)
+        got = project_to_vocab(rows, lm)
         for row, (tok, cos) in zip(rows, got):
             best_tok, best_cos = None, -np.inf
             for j in range(table.shape[0]):

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from promptblend.cli import run_cli
+from promptblend.model import FrozenLM
 
 TINY = ["--fixture-size", "30", "--fixture-seed", "5", "--val-fraction", "0.2"]
 FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10"]
@@ -180,3 +183,48 @@ class TestPipelineCommands:
         stdout = capsys.readouterr().out
         assert "score: 0.0000" in stdout
         assert "similarity 1.0000" in stdout
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("compute started before the flags were checked")
+
+
+class TestFlagsCheckedBeforeCompute:
+    @pytest.mark.parametrize("flag", [["--lr", "-1"], ["--dropout", "1.5"],
+                                      ["--weight-decay", "-1"], ["--eval-every", "-1"]])
+    def test_bad_train_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
+        assert "error:" in capsys.readouterr().err
+
+    def test_bad_pretrain_lr_exits_before_any_forward(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(FrozenLM, "loss_with_prompt", _never_called)
+        assert run_cli(["pretrain", *TINY, "--lr", "-1", "--out", str(tmp_path / "pre")]) == 1
+        assert "lr must be non-negative" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def scratch_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("cli-input") / "input"
+
+
+class TestNeverTraceback:
+    """Whatever the input, the CLI returns an exit code instead of raising."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(command=st.sampled_from(["embed", "ortho"]), length=st.integers(),
+           basis_text=st.none() | st.text(max_size=300))
+    @example(command="embed", length=10**9, basis_text=None)
+    def test_basis_inspection(self, scratch_file, command, length, basis_text):
+        argv = [command, "--seed", "1", f"--prompt-length={length}"]
+        if basis_text is not None:
+            scratch_file.write_text(basis_text, encoding="utf-8")
+            argv += ["--basis", str(scratch_file)]
+        assert run_cli(argv) in (0, 1, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(blob=st.binary(max_size=200))
+    def test_eval_of_arbitrary_checkpoint_bytes(self, scratch_file, blob):
+        scratch_file.write_bytes(blob)
+        assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)

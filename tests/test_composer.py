@@ -147,12 +147,12 @@ class TestCombine:
         for j in (0, 3, 6):
             w = np.zeros(7)
             w[j] = 1.0
-            cp = combine(default_basis, WeightVector(w))
-            assert cp.tensor.data.tobytes() == default_basis.embeddings[j].tobytes()
+            prompt = combine(default_basis, Tensor(w))
+            assert prompt.data.tobytes() == default_basis.embeddings[j].tobytes()
 
     def test_zero_weights_give_zero_tensor(self, default_basis):
-        cp = combine(default_basis, WeightVector(np.zeros(7)))
-        assert np.all(cp.tensor.data == 0.0)
+        prompt = combine(default_basis, Tensor(np.zeros(7)))
+        assert np.all(prompt.data == 0.0)
 
     def test_signed_weight_reading(self, lm):
         basis = build_basis(DEFAULT_BASIS_PROMPTS[:4], lm)
@@ -163,14 +163,14 @@ class TestCombine:
 
     def test_length_mismatch(self, default_basis):
         with pytest.raises(Exception):
-            combine(default_basis, WeightVector(np.zeros(3)))
+            combine(default_basis, Tensor(np.zeros(3)))
 
     def test_reconstruction_from_provenance(self, default_basis):
         gen = rngmod.stream(4, "recon")
         w = gen.normal(size=7)
-        cp = combine(default_basis, WeightVector(w))
-        rebuilt = np.tensordot(cp.weights, cp.basis.embeddings, axes=1)
-        assert np.max(np.abs(rebuilt - cp.tensor.data)) < 1e-12
+        prompt = combine(default_basis, Tensor(w))
+        rebuilt = np.tensordot(w, default_basis.embeddings, axes=1)
+        assert np.max(np.abs(rebuilt - prompt.data)) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000),
@@ -179,15 +179,15 @@ class TestCombine:
         gen = rngmod.stream(seed, "lin")
         w1 = gen.normal(size=7)
         w2 = gen.normal(size=7)
-        lhs = combine(default_basis, WeightVector(a * w1 + b * w2)).tensor.data
-        rhs = (a * combine(default_basis, WeightVector(w1)).tensor.data
-               + b * combine(default_basis, WeightVector(w2)).tensor.data)
+        lhs = combine(default_basis, Tensor(a * w1 + b * w2)).data
+        rhs = (a * combine(default_basis, Tensor(w1)).data
+               + b * combine(default_basis, Tensor(w2)).data)
         assert np.max(np.abs(lhs - rhs)) < 1e-10
 
     def test_gradient_flows_to_weights_not_basis(self, lm, default_basis):
         w = Tensor(np.full(7, 0.5), requires_grad=True)
-        cp = combine(default_basis, w)
-        total(cp.tensor).backward()
+        prompt = combine(default_basis, w)
+        total(prompt).backward()
         assert w.grad is not None
         expected = default_basis.embeddings.sum(axis=(1, 2))
         assert np.allclose(w.grad, expected, atol=1e-12)
@@ -272,19 +272,19 @@ class TestProjectToVocab:
     def test_exact_embedding_row_matches_itself(self, lm):
         token_id = 10
         row = lm.params["embedding"].data[token_id][None, :].copy()
-        out = project_to_vocab(Tensor(row), lm)
+        out = project_to_vocab(row, lm)
         assert out[0][0] == lm.vocab.id_to_token[token_id]
         assert abs(out[0][1] - 1.0) < 1e-12
 
     def test_zero_row_maps_to_pad(self, lm):
-        out = project_to_vocab(Tensor(np.zeros((1, SMALL.embed_dim))), lm)
+        out = project_to_vocab(np.zeros((1, SMALL.embed_dim)), lm)
         assert out[0] == ("<pad>", 0.0)
 
     def test_matches_exhaustive_scan_oracle(self, lm):
         gen = rngmod.stream(9, "proj")
         table = lm.params["embedding"].data
         rows = gen.normal(size=(100, SMALL.embed_dim))
-        got = project_to_vocab(Tensor(rows), lm)
+        got = project_to_vocab(rows, lm)
         for row, (tok, cos) in zip(rows, got):
             best_tok, best_cos = None, -np.inf
             for j in range(table.shape[0]):
@@ -311,12 +311,12 @@ class TestEndToEndGradient:
         def forward():
             w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                              rng=rngmod.stream(12, "fd-drop"))
-            return float(lm.loss_with_prompt(combine(default_basis, w).tensor,
+            return float(lm.loss_with_prompt(combine(default_basis, w),
                                              ids, tgt).data)
 
         w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                          rng=rngmod.stream(12, "fd-drop"))
-        loss = lm.loss_with_prompt(combine(default_basis, w).tensor, ids, tgt)
+        loss = lm.loss_with_prompt(combine(default_basis, w), ids, tgt)
         loss.backward()
         params = pred.parameters()
         analytic = [p.grad for p in params]

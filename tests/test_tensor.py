@@ -178,6 +178,16 @@ class TestBackward:
         loss.backward()
         assert np.array_equal(x.grad, 2 * np.ones(3))
 
+    def test_shared_gradient_accumulates_out_of_place(self):
+        # __add__ hands one gradient array to both inputs
+        a = Tensor(np.array([1.0]), requires_grad=True)
+        b = Tensor(np.array([5.0]), requires_grad=True)
+        loss = a + b
+        loss.backward()
+        loss.backward()
+        assert np.array_equal(a.grad, [2.0]) and np.array_equal(b.grad, [2.0])
+        assert not np.shares_memory(a.grad, b.grad)
+
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2)), requires_grad=True).backward()

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
 from promptblend import textdata as td
-from promptblend.composer import (WeightPredictor, WeightVector, build_basis, combine,
-                                  question_repr)
+from promptblend.composer import WeightPredictor, build_basis, combine, question_repr
 from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
                                PretrainConfig, pretrain)
+from promptblend.tensor import Tensor
 from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
                                _batch_loss, _ExampleCache, control_eval,
                                prompted_eval, stability_metric, train)
@@ -246,7 +246,7 @@ class TestEvalPass:
         ex = eval_set[index]
         ids = td.tokenize(td.format_input(ex), lm.vocab)
         choice_ids = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
-        prompt = combine(basis, WeightVector(np.array(weights))).tensor
+        prompt = combine(basis, Tensor(np.array(weights)))
         separate = [float(lm.loss_with_prompt(prompt, ids, c).data) for c in choice_ids]
         assert lm.score_choices(prompt, ids, choice_ids) == separate
 
