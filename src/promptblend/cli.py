@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -116,6 +117,22 @@ def _positive(value: int, flag: str) -> int:
     return value
 
 
+def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAExample],
+                         max_positions: int) -> None:
+    """Reject a --prompt-length (0: the longest basis prompt) that cannot hold
+    every basis prompt, or whose prompt and longest input together exceed
+    max_positions; token counts need no vocabulary."""
+    longest = max((len(td.split_tokens(p)) for p in prompts), default=0)
+    if 0 < length < longest:
+        raise ValueError(f"--prompt-length {length} is shorter than the longest basis "
+                         f"prompt ({longest} tokens)")
+    rows = length if length > 0 else longest
+    longest_input = max(len(td.split_tokens(td.format_input(ex))) for ex in examples)
+    if rows + longest_input > max_positions:
+        raise ValueError(f"--prompt-length {rows} plus the longest input ({longest_input} "
+                         f"tokens) exceeds max_positions {max_positions}")
+
+
 def _resolve_examples(args) -> list[td.QAExample]:
     if args.data == "fixture":
         _positive(args.fixture_size, "--fixture-size")
@@ -183,6 +200,9 @@ def _cmd_train(args) -> int:
     _positive(args.epochs, "--epochs")
     _positive(args.batch_size, "--batch-size")
     _positive(args.top, "--top")
+    if not (math.isfinite(args.final_init_scale) and args.final_init_scale >= 0):
+        raise ValueError(f"--final-init-scale must be a finite non-negative number, "
+                         f"got {args.final_init_scale}")
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                          weight_decay=args.weight_decay, dropout_p=args.dropout,
                          seed=seed, eval_every=args.eval_every)
@@ -194,8 +214,12 @@ def _cmd_train(args) -> int:
         lm.set_frozen(True)
         if ck_prompts and args.basis == "default":
             basis_prompts = ck_prompts
+        _check_prompt_length(args.prompt_length, basis_prompts, examples,
+                             lm.config.max_positions)
     else:
         _positive(args.pretrain_epochs, "--pretrain-epochs")
+        _check_prompt_length(args.prompt_length, basis_prompts, examples,
+                             LMConfig().max_positions)
         lm = _pretrain_lm(train_set, basis_prompts, seed, args.pretrain_epochs)
     length = args.prompt_length if args.prompt_length > 0 else None
     basis = composer.build_basis(basis_prompts, lm, length)

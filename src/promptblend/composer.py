@@ -181,12 +181,20 @@ class WeightPredictor:
 
 def question_repr(lm: FrozenLM, input_ids, encoded=None) -> np.ndarray:
     """Mean of the frozen encoder's output states over non-pad positions;
-    `encoded` is lm.encode(input_ids) when the caller already has it."""
-    idx = np.asarray(input_ids, dtype=np.int64)
-    if idx.size == 0 or np.all(idx == td.PAD_ID):
-        raise ValueError("question representation needs at least one non-pad token")
-    states, valid = encoded or lm.encode(idx, prompt=None)
-    return states.data[valid].mean(axis=0)
+    `encoded` is lm.encode(input_ids) when the caller already has it.
+
+    With a packed encode of a list of inputs, the result has one row per
+    input."""
+    packed = encoded is not None and encoded[1].ndim == 2
+    for ids in input_ids if packed else [input_ids]:
+        idx = np.asarray(ids, dtype=np.int64)
+        if idx.size == 0 or np.all(idx == td.PAD_ID):
+            raise ValueError("question representation needs at least one non-pad token")
+    states, valid = encoded or lm.encode(np.asarray(input_ids, dtype=np.int64), prompt=None)
+    if not packed:
+        return states.data[valid].mean(axis=0)
+    blocks = states.data.reshape(*valid.shape, -1)
+    return np.stack([rows[keep].mean(axis=0) for rows, keep in zip(blocks, valid)])
 
 
 def combine(basis: PromptBasis, w: Tensor) -> Tensor:

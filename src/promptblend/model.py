@@ -23,7 +23,8 @@ from . import rng as rngmod
 from . import textdata as td
 from .optim import AdamW, DivergenceError, descend  # DivergenceError: re-exported
 from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entropy,
-                     embedding_lookup, gelu, layer_norm, linear, scatter_rows)
+                     embedding_lookup, gelu, layer_norm, linear, scatter_rows,
+                     sequence_losses)
 
 MASK_VALUE = -1e30
 # pretraining's random-token prefixes are 2 to this many tokens long
@@ -159,11 +160,15 @@ class FrozenLM:
         return layer_norm(x, self.params[f"{name}.gain"], self.params[f"{name}.bias"])
 
     def _mha(self, prefix: str, x_q: Tensor, x_kv: Tensor, add_mask: np.ndarray,
-             batch: int) -> Tensor:
+             batch: int, kv_rows=None) -> Tensor:
+        """Attention of x_q over x_kv; `kv_rows` picks, after projection, the
+        key/value rows each query example reads."""
         p = self.params
         q = linear(x_q, p[f"{prefix}.wq"], p[f"{prefix}.bq"])
         k = linear(x_kv, p[f"{prefix}.wk"], p[f"{prefix}.bk"])
         v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
+        if kv_rows is not None:
+            k, v = embedding_lookup(k, kv_rows), embedding_lookup(v, kv_rows)
         h = self.config.num_heads
         ctx = attention_core(q, k, v, add_mask, 1.0 / math.sqrt(self.config.embed_dim // h),
                              batch, h)
@@ -225,14 +230,23 @@ class FrozenLM:
         x = x + self._ffn("enc.ffn", self._ln("enc.ln2", x))
         return self._ln("enc.lnf", x), valid if batch else valid[0]
 
-    def decode(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
+    def decode(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids,
+               blocks=None) -> Tensor:
         """Teacher-forced decoder logits for the target over encoder states.
 
-        With a packed encode's [B, S] mask, `target_ids` is a list of B
-        targets and the logits are [B*Ty, V], Ty the longest [BOS]+target.
+        With a packed encode's [B, S] mask, `target_ids` is a list of
+        targets and the logits are [N*Ty, V] for N targets, Ty the longest
+        [BOS]+target. Target n reads encoder block `blocks[n]`; without
+        `blocks`, there is one target per block, in block order. The
+        cross-attention keys and values are computed once per block.
         """
         if enc_valid.ndim == 1:
             enc_valid, target_ids = enc_valid[None], [target_ids]
+        kv_rows = None
+        if blocks is not None:
+            width = enc_valid.shape[1]
+            kv_rows = (np.asarray(blocks)[:, None] * width + np.arange(width)).reshape(-1)
+            enc_valid = enc_valid[blocks]
         batch = enc_valid.shape[0]
         if len(target_ids) != batch:
             raise ValueError(f"a batch of {batch} encodes got {len(target_ids)} targets")
@@ -251,7 +265,8 @@ class FrozenLM:
         a = self._ln("dec.ln1", y)
         y = y + self._mha("dec.self", a, a, causal, batch)
         cross_mask = np.where(enc_valid, 0.0, MASK_VALUE)[:, None, None, :]
-        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask, batch)
+        y = y + self._mha("dec.cross", self._ln("dec.ln2", y), enc_out, cross_mask, batch,
+                          kv_rows)
         y = y + self._ffn("dec.ffn", self._ln("dec.ln3", y))
         h = self._ln("dec.lnf", y)
         return linear(h, self.params["out.w"], self.params["out.b"])
@@ -262,11 +277,14 @@ class FrozenLM:
         if enc_valid.ndim == 1:
             enc_valid, target_ids = enc_valid[None], [target_ids]
         logits = self.decode(enc_out, enc_valid, target_ids)
-        labels = np.full((len(target_ids), logits.data.shape[0] // len(target_ids)),
-                         td.PAD_ID, dtype=np.int64)
-        for b, t in enumerate(target_ids):
-            labels[b, :len(t) + 1] = list(t) + [td.EOS_ID]
-        return cross_entropy(logits, labels, td.PAD_ID)
+        return cross_entropy(logits, _labels(target_ids), td.PAD_ID)
+
+    def target_losses(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids,
+                      blocks=None) -> np.ndarray:
+        """Each target's cross-entropy over a packed encode, as decode lays
+        the targets out; a float array, with no graph kept."""
+        logits = self.decode(enc_out, enc_valid, target_ids, blocks)
+        return sequence_losses(logits.data, _labels(target_ids), td.PAD_ID)
 
     def loss_with_prompt(self, prompt, input_ids, target_ids) -> Tensor:
         """Cross-entropy of the target given the (optionally prompted) input.
@@ -289,10 +307,36 @@ class FrozenLM:
                 raise ValueError(f"{name}: {what} length {n} exceeds "
                                  f"max_positions {self.config.max_positions}")
 
-    def score_choices(self, prompt: Tensor | None, input_ids, choice_ids) -> list[float]:
-        """Target loss of each choice, all decoded from one encode of the input."""
-        enc_out, valid = self.encode(input_ids, prompt)
-        return [float(self.decode_loss(enc_out, valid, ids).data) for ids in choice_ids]
+    def score_choices(self, prompt: Tensor | None, input_ids, choice_ids) -> list:
+        """Target loss of each choice of an input, as a list of floats.
+
+        With a list of prompts, `input_ids` and `choice_ids` hold one input
+        and one list of choices per example, and the result is one list of
+        losses per example. The batch is one packed encode and one decode of
+        every choice, each reading its own example's encoder block. A single
+        example is a batch of one.
+        """
+        batch = isinstance(prompt, list)
+        prompts, inputs, choices = ((prompt, input_ids, choice_ids) if batch
+                                    else ([prompt], [input_ids], [choice_ids]))
+        if len(choices) != len(inputs):
+            raise ValueError(f"a batch of {len(inputs)} inputs got {len(choices)} "
+                             f"lists of choices")
+        targets = [t for cs in choices for t in cs]
+        blocks = [b for b, cs in enumerate(choices) for _ in cs]
+        losses = self.target_losses(*self.encode(inputs, prompts), targets, blocks).tolist()
+        ends = np.cumsum([len(cs) for cs in choices])
+        scores = [losses[end - len(cs):end] for cs, end in zip(choices, ends)]
+        return scores if batch else scores[0]
+
+
+def _labels(target_ids) -> np.ndarray:
+    """A [N, Ty] grid of each target then EOS, pad-filled; Ty matches decode's."""
+    labels = np.full((len(target_ids), max(len(t) for t in target_ids) + 1), td.PAD_ID,
+                     dtype=np.int64)
+    for b, t in enumerate(target_ids):
+        labels[b, :len(t) + 1] = list(t) + [td.EOS_ID]
+    return labels
 
 
 def corpus_digest(corpus: list[tuple[str, str]]) -> str:

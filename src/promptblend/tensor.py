@@ -9,7 +9,9 @@ single-threaded.
 A node's backward closure receives the node's gradient as its argument
 and holds only the node's inputs, never the node itself, so a graph has
 no reference cycles and is freed by reference counting as soon as its
-root is dropped.
+root is dropped. A node that requires no gradient keeps neither its
+inputs nor its closure, so a forward-only graph is freed op by op, as
+soon as the caller drops each intermediate.
 """
 
 from __future__ import annotations
@@ -39,12 +41,16 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, _prev=()):
+    def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None):
         self.data = _as_f64(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._prev = tuple(_prev)
-        self._backward = None
+        if requires_grad:
+            self._prev = tuple(_prev)
+            self._backward = _backward
+        else:  # no gradient passes through: hold nothing that backward would need
+            self._prev = ()
+            self._backward = None
 
     @property
     def is_leaf(self) -> bool:
@@ -94,55 +100,41 @@ class Tensor:
 
     def __add__(self, other):
         if isinstance(other, (int, float)):
-            out = Tensor(self.data + other, self.requires_grad, (self,))
-
             def _bw(g):
                 if self.requires_grad:
                     self._accum(g)
 
-            out._backward = _bw
-            return out
+            return Tensor(self.data + other, self.requires_grad, (self,), _bw)
         if self.data.shape == other.data.shape:
-            out = Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
-                         (self, other))
-
             def _bw(g):
                 if self.requires_grad:
                     self._accum(g)
                 if other.requires_grad:
                     other._accum(g)
 
-            out._backward = _bw
-            return out
+            return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
+                          (self, other), _bw)
         # row-wise bias: [T, d] + [d]
         if self.data.ndim == 2 and other.data.ndim == 1 and self.data.shape[1] == other.data.shape[0]:
-            out = Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
-                         (self, other))
-
             def _bw(g):
                 if self.requires_grad:
                     self._accum(g)
                 if other.requires_grad:
                     other._accum(g.sum(axis=0))
 
-            out._backward = _bw
-            return out
+            return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
+                          (self, other), _bw)
         raise ShapeError(f"cannot add shapes {self.data.shape} and {other.data.shape}")
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            out = Tensor(self.data * other, self.requires_grad, (self,))
-
             def _bw(g):
                 if self.requires_grad:
                     self._accum(g * other)
 
-            out._backward = _bw
-            return out
+            return Tensor(self.data * other, self.requires_grad, (self,), _bw)
         if self.data.shape != other.data.shape:
             raise ShapeError(f"cannot multiply shapes {self.data.shape} and {other.data.shape}")
-        out = Tensor(self.data * other.data, self.requires_grad or other.requires_grad,
-                     (self, other))
 
         def _bw(g):
             if self.requires_grad:
@@ -150,8 +142,8 @@ class Tensor:
             if other.requires_grad:
                 other._accum(g * self.data)
 
-        out._backward = _bw
-        return out
+        return Tensor(self.data * other.data, self.requires_grad or other.requires_grad,
+                      (self, other), _bw)
 
     __rmul__ = __mul__
     __radd__ = __add__
@@ -162,7 +154,6 @@ class Tensor:
             raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
         if a.shape[1] != b.shape[0]:
             raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-        out = Tensor(a @ b, self.requires_grad or other.requires_grad, (self, other))
 
         def _bw(g):
             if self.requires_grad:
@@ -170,8 +161,7 @@ class Tensor:
             if other.requires_grad:
                 other._accum(a.T @ g)
 
-        out._backward = _bw
-        return out
+        return Tensor(a @ b, self.requires_grad or other.requires_grad, (self, other), _bw)
 
     __matmul__ = matmul
 
@@ -185,8 +175,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     if b.data.shape != (w.data.shape[1],):
         raise ShapeError(f"bias shape {b.data.shape} does not match output width "
                          f"{w.data.shape[1]}")
-    out = Tensor(x.data @ w.data + b.data,
-                 x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b))
 
     def _bw(g):
         if x.requires_grad:
@@ -196,8 +184,8 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b._accum(g.sum(axis=0))
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data @ w.data + b.data,
+                  x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b), _bw)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
@@ -230,8 +218,6 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
     s = qh @ kh.swapaxes(-1, -2) * scale + add_mask
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(merge(a @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
-                 (q, k, v))
 
     def _bw(g):
         gh = split(g)
@@ -245,8 +231,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
             if k.requires_grad:
                 k._accum(merge(ds.swapaxes(-1, -2) @ qh * scale))
 
-    out._backward = _bw
-    return out
+    return Tensor(merge(a @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
+                  (q, k, v), _bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -259,7 +245,6 @@ def gelu(x: Tensor) -> Tensor:
     u = _GELU_C * (v + 0.044715 * (v2 * v))
     th = np.tanh(u)
     y = 0.5 * v * (1.0 + th)
-    out = Tensor(y, x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
@@ -267,8 +252,7 @@ def gelu(x: Tensor) -> Tensor:
             dy = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du
             x._accum(g * dy)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, x.requires_grad, (x,), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -279,8 +263,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
-    out = Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad
-                 or bias.requires_grad, (x, gain, bias))
     d = v.shape[-1]
 
     def _bw(g):
@@ -294,8 +276,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
             x._accum(dx)
 
-    out._backward = _bw
-    return out
+    return Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad
+                  or bias.requires_grad, (x, gain, bias), _bw)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
@@ -306,34 +288,24 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        out = Tensor(x.data, x.requires_grad, (x,))
-
         def _bw(g):
             if x.requires_grad:
                 x._accum(g)
 
-        out._backward = _bw
-        return out
+        return Tensor(x.data, x.requires_grad, (x,), _bw)
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
-    out = Tensor(x.data * mask, x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(g * mask)
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data * mask, x.requires_grad, (x,), _bw)
 
 
-def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
-    """Mean over sequences of each sequence's mean -log softmax(logits_t)[target_t]
-    over its non-pad positions.
-
-    `targets` is one sequence of len(logits) ids, or a [B, T] grid whose
-    row b labels logits rows b*T..b*T+T-1. Positions whose target equals
-    pad_id contribute nothing to the value or the gradient.
-    """
-    v = logits.data
+def _sequence_terms(v: np.ndarray, targets, pad_id: int):
+    """The checked [B, T] target grid for [B*T, V] logits `v`, its non-pad
+    mask and per-sequence counts, the max-shifted logits, and each
+    sequence's mean loss over its non-pad positions."""
     if v.ndim != 2:
         raise ShapeError(f"cross_entropy expects [T, V] logits, got {v.shape}")
     ids = np.asarray(targets, dtype=np.int64)
@@ -349,23 +321,38 @@ def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
     n = keep.sum(axis=1)
     if np.any(n == 0):
         raise DegenerateLossError("all target positions are padding")
-    flat = ids.reshape(-1)
     shifted = v - v.max(axis=-1, keepdims=True)
     lse = np.log(np.exp(shifted).sum(axis=-1)) + v.max(axis=-1)
-    losses = (lse - v[np.arange(v.shape[0]), flat]).reshape(ids.shape)
-    out = Tensor(((losses * keep).sum(axis=1) / n).mean(), logits.requires_grad, (logits,))
+    losses = (lse - v[np.arange(v.shape[0]), ids.reshape(-1)]).reshape(ids.shape)
+    return ids, keep, n, shifted, (losses * keep).sum(axis=1) / n
+
+
+def sequence_losses(logits: np.ndarray, targets, pad_id: int) -> np.ndarray:
+    """Each sequence's term of cross_entropy's mean, as a [B] array and
+    without a graph."""
+    return _sequence_terms(logits, targets, pad_id)[-1]
+
+
+def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
+    """Mean over sequences of each sequence's mean -log softmax(logits_t)[target_t]
+    over its non-pad positions.
+
+    `targets` is one sequence of len(logits) ids, or a [B, T] grid whose
+    row b labels logits rows b*T..b*T+T-1. Positions whose target equals
+    pad_id contribute nothing to the value or the gradient.
+    """
+    ids, keep, n, shifted, per_sequence = _sequence_terms(logits.data, targets, pad_id)
 
     def _bw(g):
         if logits.requires_grad:
             p = np.exp(shifted)
             p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(v.shape[0]), flat] -= 1.0
+            p[np.arange(p.shape[0]), ids.reshape(-1)] -= 1.0
             p[~keep.reshape(-1)] = 0.0
             # a row's weight in the mean is 1 / (its sequence's positions * sequences)
             logits._accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
 
-    out._backward = _bw
-    return out
+    return Tensor(per_sequence.mean(), logits.requires_grad, (logits,), _bw)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -375,8 +362,6 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
         if p.data.ndim != 2 or p.data.shape[1] != cols:
             raise ShapeError(f"concat_rows needs matching column counts, got "
                              f"{[q.data.shape for q in parts]}")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0),
-                 any(p.requires_grad for p in parts), tuple(parts))
 
     def _bw(g):
         r = 0
@@ -386,8 +371,8 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
                 p._accum(g[r:r + h])
             r += h
 
-    out._backward = _bw
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=0),
+                  any(p.requires_grad for p in parts), tuple(parts), _bw)
 
 
 def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
@@ -399,33 +384,25 @@ def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
                          f"got {idx.shape}")
     data = np.zeros((rows, x.data.shape[1]))
     data[idx] = x.data
-    out = Tensor(data, x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(g[idx])
 
-    out._backward = _bw
-    return out
+    return Tensor(data, x.requires_grad, (x,), _bw)
 
 
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    out = Tensor(x.data[:, j0:j1].copy(), x.requires_grad, (x,))
-
     def _bw(g):
         if x.requires_grad:
             full = np.zeros_like(x.data)
             full[:, j0:j1] = g
             x._accum(full)
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data[:, j0:j1].copy(), x.requires_grad, (x,), _bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    out = Tensor(np.concatenate([p.data for p in parts], axis=1),
-                 any(p.requires_grad for p in parts), tuple(parts))
-
     def _bw(g):
         c = 0
         for p in parts:
@@ -434,8 +411,8 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
                 p._accum(g[:, c:c + w])
             c += w
 
-    out._backward = _bw
-    return out
+    return Tensor(np.concatenate([p.data for p in parts], axis=1),
+                  any(p.requires_grad for p in parts), tuple(parts), _bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -444,7 +421,6 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if np.any((idx < 0) | (idx >= table.data.shape[0])):
         bad = idx[(idx < 0) | (idx >= table.data.shape[0])][0]
         raise IndexError(f"token id {bad} out of range [0, {table.data.shape[0]})")
-    out = Tensor(table.data[idx], table.requires_grad, (table,))
 
     def _bw(g):
         if table.requires_grad:
@@ -452,8 +428,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             np.add.at(full, idx, g)
             table._accum(full)
 
-    out._backward = _bw
-    return out
+    return Tensor(table.data[idx], table.requires_grad, (table,), _bw)
 
 
 def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
@@ -464,7 +439,6 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
     wv = w.data.reshape(-1)
     if wv.shape[0] != stack.shape[0]:
         raise ShapeError(f"weight length {wv.shape[0]} does not match stack size {stack.shape[0]}")
-    out = Tensor(np.tensordot(wv, stack, axes=1), w.requires_grad, (w,))
 
     def _bw(g):
         if w.requires_grad:
@@ -472,5 +446,4 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
             gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
             w._accum(gw.reshape(w.data.shape))
 
-    out._backward = _bw
-    return out
+    return Tensor(np.tensordot(wv, stack, axes=1), w.requires_grad, (w,), _bw)

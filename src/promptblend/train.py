@@ -128,23 +128,42 @@ class PromptedEvalResult:
     accuracy: float  # share of examples whose lowest-loss choice is the gold one
 
 
+# The eval pass encodes and decodes this many examples at a time. Two
+# inputs share one activation matrix at the cost of the padding between
+# them. From three up, each [rows, ffn_dim] temporary passes about 400 KB,
+# and glibc hands it fresh pages on every op. On a 2-core box, 40 prompted
+# encodes took 72-81 ms of CPU two at a time and 82-95 ms one at a time,
+# with no minor page faults, but 118-142 ms and 7,900-8,500 faults at
+# three, four or ten per encode.
+EVAL_CHUNK = 2
+
+
 @dataclass
 class _Entry:
     ids: list[int]  # tokenized input
     target: list[int]  # tokenized gold choice
-    q: np.ndarray  # question representation
-    choices: list[list[int]] | None = None  # every choice's tokens; scored entries only
+    q: np.ndarray | None  # question representation; None until encoded
+    choices: list[list[int]] | None = None  # every choice's tokens; prompted eval only
     control: float | None = None  # no-prompt target loss; scored entries only
+
+
+def _chunks(entries: list[_Entry], ids: list[str]) -> list[list[int]]:
+    """Indices of `entries` in chunks of EVAL_CHUNK, taken in (input length,
+    id) order: inputs of like length share a block, and an example's chunk
+    does not depend on the order it was given in."""
+    order = sorted(range(len(entries)), key=lambda i: (len(entries[i].ids), ids[i]))
+    return [order[start:start + EVAL_CHUNK] for start in range(0, len(order), EVAL_CHUNK)]
 
 
 class _ExampleCache:
     """Per-example tokens and question representations, keyed by id.
 
-    A scored (eval) entry also holds every choice's tokens and the control
-    loss. One unprompted encode gives both the representation and the
-    control loss, and the gold choice's tokens are the target. Each entry
-    is checked against max_positions, with `prompt_rows` prompt rows,
-    before it is encoded.
+    A training entry is one unprompted encode of its input. A scored (eval)
+    entry also holds the control loss, and for prompted eval every choice's
+    tokens. Scored entries are built EVAL_CHUNK at a time: one unprompted
+    encode gives their representations, and one decode of their targets
+    their control losses. Each entry is checked against max_positions, with
+    `prompt_rows` prompt rows, before any of them is encoded.
     """
 
     def __init__(self, lm: FrozenLM, prompt_rows: int = 0):
@@ -152,26 +171,59 @@ class _ExampleCache:
         self.prompt_rows = prompt_rows
         self.entries: dict[str, _Entry] = {}
 
-    def get(self, ex: td.QAExample, scored: bool = False) -> _Entry:
+    def _tokenize(self, ex: td.QAExample, choices: bool) -> _Entry:
+        """A checked entry, not yet encoded; with `choices`, every choice is
+        tokenized and the gold one is the target, else only the target."""
+        ids = td.tokenize(td.format_input(ex), self.lm.vocab)
+        if choices:
+            tokens = self._choices(ex, ids)
+            return _Entry(ids, tokens[ex.answer_index()], None, tokens)
+        target = td.tokenize(td.format_target(ex), self.lm.vocab)
+        self.lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, [target])
+        return _Entry(ids, target, None)
+
+    def _choices(self, ex: td.QAExample, ids: list[int]) -> list[list[int]]:
+        tokens = [td.tokenize(td.format_choice(c), self.lm.vocab) for c in ex.choices]
+        self.lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, tokens)
+        return tokens
+
+    def get(self, ex: td.QAExample) -> _Entry:
+        """The example's entry, built from one unprompted encode if missing."""
         entry = self.entries.get(ex.id)
-        if entry is None or (scored and entry.choices is None):
-            entry = self.entries[ex.id] = self._build(ex, scored)
+        if entry is None:
+            entry = self.entries[ex.id] = self._tokenize(ex, choices=False)
+            entry.q = question_repr(self.lm, entry.ids)
         return entry
 
-    def _build(self, ex: td.QAExample, scored: bool) -> _Entry:
+    def scored(self, examples: list[td.QAExample], choices: bool = False) -> list[_Entry]:
+        """Scored entries of `examples`, in their order, with every choice's
+        tokens if `choices`.
+
+        Missing control losses are computed in _chunks, so each is the same
+        whatever the order of `examples`. An entry that already has a
+        representation keeps it.
+        """
+        todo: dict[str, _Entry] = {}
+        for ex in examples:
+            entry = self.entries.get(ex.id)
+            if entry is None:
+                entry = self.entries[ex.id] = self._tokenize(ex, choices)
+            elif choices and entry.choices is None:
+                entry.choices = self._choices(ex, entry.ids)
+            if entry.control is None:
+                todo[ex.id] = entry
         lm = self.lm
-        ids = td.tokenize(td.format_input(ex), lm.vocab)
-        if scored:
-            choices = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
-            target = choices[ex.answer_index()]
-        else:
-            choices, target = None, td.tokenize(td.format_target(ex), lm.vocab)
-        lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, choices or [target])
-        encoded = lm.encode(ids)
-        q = question_repr(lm, ids, encoded)
-        if not scored:
-            return _Entry(ids, target, q)
-        return _Entry(ids, target, q, choices, float(lm.decode_loss(*encoded, target).data))
+        pending = list(todo.values())
+        for indices in _chunks(pending, list(todo)):
+            chunk = [pending[i] for i in indices]
+            inputs = [e.ids for e in chunk]
+            encoded = lm.encode(inputs, [None] * len(chunk))
+            controls = lm.target_losses(*encoded, [e.target for e in chunk])
+            for e, q, control in zip(chunk, question_repr(lm, inputs, encoded), controls):
+                e.control = float(control)
+                if e.q is None:
+                    e.q = q
+        return [self.entries[ex.id] for ex in examples]
 
 
 def control_eval(lm: FrozenLM, eval_set: list[td.QAExample],
@@ -180,8 +232,8 @@ def control_eval(lm: FrozenLM, eval_set: list[td.QAExample],
     unprompted half of prompted_eval's pass, which needs only the LM."""
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    cache = cache or _ExampleCache(lm)
-    return math.fsum(cache.get(ex, scored=True).control for ex in eval_set) / len(eval_set)
+    entries = (cache or _ExampleCache(lm)).scored(eval_set)
+    return math.fsum(e.control for e in entries) / len(eval_set)
 
 
 def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
@@ -190,24 +242,32 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     """The eval pass: eval-mode weights, prompted losses, accuracy and the
     control loss.
 
-    control_eval runs first, so each example's one unprompted encode gives
-    its question representation and control loss. One prompted encode then
-    scores every choice: the gold choice's loss is the prompted loss, and
-    the lowest-loss choice (the earlier on ties) is the prediction.
+    Each example's one unprompted encode gives its question representation
+    and control loss (see _ExampleCache.scored). Then each of _chunks is one
+    prompted encode and one decode of all its examples' choices: the gold
+    choice's loss is the prompted loss, and the lowest-loss choice (the
+    earlier on ties) is the prediction.
     """
+    if not eval_set:
+        raise ValueError("eval set must be non-empty")
     cache = cache or _ExampleCache(lm, basis.length)
+    entries = cache.scored(eval_set, choices=True)
     control = control_eval(lm, eval_set, cache)
-    losses: list[float] = []
-    weights: list[WeightVector] = []
+    losses: list[float] = [0.0] * len(eval_set)
+    weights: list[WeightVector] = [None] * len(eval_set)
     correct = 0
-    for ex in eval_set:
-        entry = cache.get(ex, scored=True)
-        w_out = predictor.forward(Tensor(entry.q.reshape(1, -1)), training=False, rng=None)
-        wv = WeightVector(w_out.data[0].copy())
-        scores = lm.score_choices(combine(basis, Tensor(wv.values)), entry.ids, entry.choices)
-        losses.append(scores[ex.answer_index()])
-        weights.append(wv)
-        correct += int(np.argmin(scores)) == ex.answer_index()
+    for chunk in _chunks(entries, [ex.id for ex in eval_set]):
+        for i in chunk:
+            w_out = predictor.forward(Tensor(entries[i].q.reshape(1, -1)), training=False,
+                                      rng=None)
+            weights[i] = WeightVector(w_out.data[0].copy())
+        scores = lm.score_choices([combine(basis, Tensor(weights[i].values)) for i in chunk],
+                                  [entries[i].ids for i in chunk],
+                                  [entries[i].choices for i in chunk])
+        for i, choice_losses in zip(chunk, scores):
+            gold = eval_set[i].answer_index()
+            losses[i] = choice_losses[gold]
+            correct += int(np.argmin(choice_losses)) == gold
     return PromptedEvalResult(mean_loss=math.fsum(losses) / len(losses), weights=weights,
                               losses=losses, control_loss=control,
                               accuracy=correct / len(eval_set))
@@ -241,8 +301,7 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     cache = _ExampleCache(lm, basis.length)
     for ex in train_set:
         cache.get(ex)
-    for ex in eval_set:
-        cache.get(ex, scored=True)
+    cache.scored(eval_set, choices=True)
     opt = AdamW(predictor.parameters(), lr=config.lr, beta1=config.beta1,
                 beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")

@@ -16,51 +16,43 @@ def softmax(x: Tensor) -> Tensor:
     shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum((g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
-    out._backward = _bw
-    return out
+    return Tensor(y, x.requires_grad, (x,), _bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.data.shape}")
-    out = Tensor(x.data.T.copy(), x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(g.T)
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data.T.copy(), x.requires_grad, (x,), _bw)
 
 
 def total(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
-    out = Tensor(x.data.sum(), x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(np.full_like(x.data, g))
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data.sum(), x.requires_grad, (x,), _bw)
 
 
 def mean(x: Tensor) -> Tensor:
     n = x.data.size
-    out = Tensor(x.data.mean(), x.requires_grad, (x,))
 
     def _bw(g):
         if x.requires_grad:
             x._accum(np.full_like(x.data, g / n))
 
-    out._backward = _bw
-    return out
+    return Tensor(x.data.mean(), x.requires_grad, (x,), _bw)
 
 
 def predict_weights(predictor: WeightPredictor, q: np.ndarray, training: bool = False,

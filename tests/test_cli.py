@@ -198,6 +198,16 @@ class TestFlagsCheckedBeforeCompute:
         assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    # the longest basis prompt has 20 tokens, the longest input 49, and
+    # max_positions is 256
+    @pytest.mark.parametrize("flag", [["--final-init-scale", "-1"], ["--prompt-length", "3"],
+                                      ["--prompt-length", "240"], ["--prompt-length", "257"]])
+    def test_bad_basis_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
+        assert flag[0] in capsys.readouterr().err
+
     def test_bad_pretrain_lr_exits_before_any_forward(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(FrozenLM, "loss_with_prompt", _never_called)
         assert run_cli(["pretrain", *TINY, "--lr", "-1", "--out", str(tmp_path / "pre")]) == 1

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from promptblend.checkpoint import (bundle_bytes, checkpoint_bytes, load_bundle,
 from promptblend.composer import WeightPredictor, build_basis
 from promptblend.model import (DivergenceError, FrozenLM, LMConfig, PretrainConfig,
                                pretrain)
-from promptblend.tensor import ShapeError, Tensor
+from promptblend.tensor import ShapeError, Tensor, gelu
 from promptblend.train import prompted_eval
 
 from fdcheck import finite_difference, max_rel_error
@@ -279,6 +280,44 @@ class TestPackedBatch:
             lm.loss_with_prompt([None], [ids, ids], [tgt, tgt])
         with pytest.raises(ValueError, match="targets"):
             lm.loss_with_prompt([None, None], [ids, ids], [tgt])
+
+
+class TestForwardOnlyGraph:
+    """With the LM frozen and no prompt, no gradient is needed anywhere, so
+    an op's output keeps neither its inputs nor its backward closure."""
+
+    def test_no_op_output_holds_inputs_or_closure(self, tiny_lm, monkeypatch):
+        lm, examples = tiny_lm
+        ids, tgt = _io_ids(lm, examples[0])
+        outputs = []
+        init = Tensor.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            if (args[2] if len(args) > 2 else kwargs.get("_prev")):  # an op's output
+                outputs.append(self)
+
+        monkeypatch.setattr(Tensor, "__init__", recording_init)
+        lm.decode(*lm.encode(ids), tgt)
+        assert len(outputs) > 20
+        assert all(node._prev == () and node._backward is None for node in outputs)
+
+    def test_ffn_hidden_state_is_freed_before_the_forward_returns(self, tiny_lm,
+                                                                 monkeypatch):
+        lm, examples = tiny_lm
+        ids, tgt = _io_ids(lm, examples[0])
+        hidden = []
+
+        def recording_gelu(x):
+            out = gelu(x)
+            hidden.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr("promptblend.model.gelu", recording_gelu)
+        logits = lm.decode(*lm.encode(ids), tgt)
+        assert len(hidden) == 2  # the encoder's and the decoder's FFN
+        assert all(ref() is None for ref in hidden)
+        assert np.all(np.isfinite(logits.data))
 
 
 def _score(lm, prompt, ex):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
@@ -200,6 +200,16 @@ class TestControlEval:
         with pytest.raises(ValueError):
             control_eval(lm, [])
 
+    def test_tokenizes_only_the_input_and_the_gold_target(self, setup, monkeypatch):
+        lm, _, _, eval_set = setup
+        texts = []
+        tokenize = td.tokenize
+        monkeypatch.setattr(td, "tokenize",
+                            lambda text, vocab: texts.append(text) or tokenize(text, vocab))
+        control_eval(lm, eval_set)
+        assert texts == [text for ex in eval_set
+                         for text in (td.format_input(ex), td.format_target(ex))]
+
 
 class TestPromptedEval:
     def test_returns_weights_per_example(self, setup):
@@ -228,6 +238,24 @@ class TestPromptedEval:
         assert before == after
 
 
+def _agree(got, want, rel=1e-12):
+    return len(got) == len(want) and all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
+
+
+def _with_choice_count(ex, n, donor):
+    """`ex` with n of 3..5 choices: its own plus `donor`'s first, less
+    non-gold ones from the end, relabelled A, B, ... in order."""
+    pool = ex.choices + donor.choices[:1]
+    gold = ex.answer_index()
+    keep = list(range(len(pool)))
+    while len(keep) > n:
+        keep.remove(next(i for i in reversed(keep) if i != gold))
+    return td.QAExample(id=f"{ex.id}-{n}", question=ex.question,
+                        choices=[td.Choice(label, pool[i].text)
+                                 for label, i in zip("ABCDE", keep)],
+                        answer_key="ABCDE"[keep.index(gold)])
+
+
 def _fixed_predictor(lm, basis, weights):
     # a zero last layer passes its bias through exactly, so the eval-mode
     # weights are the drawn ones
@@ -248,18 +276,53 @@ class TestEvalPass:
         choice_ids = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
         prompt = combine(basis, Tensor(np.array(weights)))
         separate = [float(lm.loss_with_prompt(prompt, ids, c).data) for c in choice_ids]
-        assert lm.score_choices(prompt, ids, choice_ids) == separate
+        # the choices are decoded as one batch, which reorders sums
+        assert _agree(lm.score_choices(prompt, ids, choice_ids), separate)
 
         cache = _ExampleCache(lm)
         result = prompted_eval(lm, _fixed_predictor(lm, basis, weights), basis, [ex], cache)
-        entry = cache.get(ex, scored=True)
+        entry = cache.get(ex)
         assert np.all(entry.q == question_repr(lm, ids))
         control = float(lm.loss_with_prompt(None, ids, td.tokenize(td.format_target(ex),
                                                                    lm.vocab)).data)
         assert entry.control == control == result.control_loss
         assert np.all(result.weights[0].values == np.array(weights))
-        assert result.losses == [separate[ex.answer_index()]]
+        assert _agree(result.losses, [separate[ex.answer_index()]])
         assert result.accuracy == float(int(np.argmin(separate)) == ex.answer_index())
+
+    @settings(max_examples=20, deadline=None)
+    @given(picks=st.lists(st.tuples(st.integers(0, 14), st.sampled_from([3, 4, 5])),
+                          min_size=1, max_size=7, unique=True),
+           predictor_seed=st.none() | st.integers(0, 99))
+    @example(picks=[(0, 3), (1, 5), (2, 4), (3, 3), (4, 5)], predictor_seed=None)
+    @example(picks=[(5, 5), (6, 3), (7, 4)], predictor_seed=3)
+    def test_packed_pass_matches_one_example_at_a_time(self, setup, picks, predictor_seed):
+        # predictor_seed None gives all-zero prompts; otherwise each example
+        # gets its own weights from a predictor with a large last layer
+        lm, basis, _, eval_set = setup
+        examples = [_with_choice_count(eval_set[i], n, eval_set[(i + 1) % 15])
+                    for i, n in picks]
+        pred = (_fixed_predictor(lm, basis, [0.0] * basis.size) if predictor_seed is None
+                else _predictor(lm, basis, seed=predictor_seed, final_scale=1.0))
+        cache = _ExampleCache(lm, basis.length)
+        result = prompted_eval(lm, pred, basis, examples, cache)
+        lowest, decisive = 0, 0
+        for ex, wv, loss in zip(examples, result.weights, result.losses):
+            ids = td.tokenize(td.format_input(ex), lm.vocab)
+            gold = ex.answer_index()
+            prompt = combine(basis, Tensor(wv.values))
+            alone = [float(lm.loss_with_prompt(prompt, ids, td.tokenize(
+                td.format_choice(c), lm.vocab)).data) for c in ex.choices]
+            assert _agree([loss], [alone[gold]])
+            control = float(lm.loss_with_prompt(None, ids, td.tokenize(
+                td.format_target(ex), lm.vocab)).data)
+            assert _agree([cache.get(ex).control], [control])
+            first, second = sorted(alone)[:2]
+            if second - first > 1e-9 * abs(second):
+                decisive += 1
+                lowest += int(np.argmin(alone)) == gold
+        n = len(examples)
+        assert lowest <= round(result.accuracy * n) <= lowest + n - decisive
 
     def test_training_entry_is_rebuilt_for_scoring(self, setup):
         lm, _, train_set, _ = setup
