@@ -137,7 +137,10 @@ def _resolve_examples(args) -> list[td.QAExample]:
     if args.data == "fixture":
         _positive(args.fixture_size, "--fixture-size")
         return td.make_fixture(args.fixture_seed, args.fixture_size)
-    return td.load_dataset(args.data)
+    examples = td.load_dataset(args.data)
+    if not examples:
+        raise ValueError(f"dataset {args.data} contains no examples")
+    return examples
 
 
 def _resolve_basis_prompts(args) -> list[str]:
@@ -246,8 +249,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     _resolve_seed(args)
-    lm, predictor, ck_prompts = load_bundle(args.checkpoint)
     examples = _resolve_examples(args)
+    lm, predictor, ck_prompts = load_bundle(args.checkpoint)
     _, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
     payload = {"eval_examples": len(eval_set)}
     if predictor is None:

@@ -110,7 +110,7 @@ def build_basis(prompts: list[str], lm: FrozenLM, length: int | None = None) -> 
     d = lm.config.embed_dim
     stack = np.zeros((len(prompts), length, d))
     for k, ids in enumerate(token_ids):
-        stack[k, : len(ids)] = lm.embed_tokens(ids, add_positions=False).data
+        stack[k, : len(ids)] = lm.embed_tokens(ids).data
     return PromptBasis(prompts=list(prompts), embeddings=stack, gram=_gram_matrix(stack))
 
 
@@ -179,20 +179,15 @@ class WeightPredictor:
         return dropout(linear(gelu(h), self.w3, self.b3), self.dropout_p, training, rng)
 
 
-def question_repr(lm: FrozenLM, input_ids, encoded=None) -> np.ndarray:
-    """Mean of the frozen encoder's output states over non-pad positions;
-    `encoded` is lm.encode(input_ids) when the caller already has it.
-
-    With a packed encode of a list of inputs, the result has one row per
-    input."""
-    packed = encoded is not None and encoded[1].ndim == 2
-    for ids in input_ids if packed else [input_ids]:
+def question_repr(lm: FrozenLM, inputs, encoded=None) -> np.ndarray:
+    """One row per input of a list: the mean of the frozen encoder's output
+    states over its non-pad positions. `encoded` is the unprompted packed
+    encode of `inputs` when the caller already has it."""
+    for ids in inputs:
         idx = np.asarray(ids, dtype=np.int64)
         if idx.size == 0 or np.all(idx == td.PAD_ID):
             raise ValueError("question representation needs at least one non-pad token")
-    states, valid = encoded or lm.encode(np.asarray(input_ids, dtype=np.int64), prompt=None)
-    if not packed:
-        return states.data[valid].mean(axis=0)
+    states, valid = encoded or lm.encode(inputs, [None] * len(inputs))
     blocks = states.data.reshape(*valid.shape, -1)
     return np.stack([rows[keep].mean(axis=0) for rows, keep in zip(blocks, valid)])
 

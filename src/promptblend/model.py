@@ -29,6 +29,9 @@ from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entr
 MASK_VALUE = -1e30
 # pretraining's random-token prefixes are 2 to this many tokens long
 MAX_NOISE_PREFIX = 12
+# of the pretraining passes that see a prefix, the share whose prefix is an
+# embedded copy of the target rather than random tokens
+HINT_FRACTION = 0.67
 
 
 class FrozenContractError(RuntimeError):
@@ -59,11 +62,8 @@ class PretrainConfig:
     weight_decay: float = 0.01
     # fraction of pretraining passes that see a prefix prepended to the
     # encoder input, so the frozen model treats continuous prompts as
-    # consumable context instead of corruption; of the exposed passes,
-    # hint_fraction carry an embedded copy of the target and the rest
-    # carry random token noise
+    # consumable context instead of corruption (see HINT_FRACTION)
     prompt_exposure: float = 0.6
-    hint_fraction: float = 0.67
     model: LMConfig = field(default_factory=LMConfig)
     extra_vocab_texts: list[str] = field(default_factory=list)
 
@@ -141,18 +141,15 @@ class FrozenLM:
 
     # -- embedding -------------------------------------------------------
 
-    def embed_tokens(self, ids, add_positions: bool = False) -> Tensor:
-        """Embedding rows for ids; pad rows are zero before positions. A
-        [B, T] grid of ids gives B*T rows, positioned from 0 on each grid row."""
-        idx = np.asarray(ids, dtype=np.int64)
-        emb = embedding_lookup(self.params["embedding"], idx.reshape(-1))
-        if add_positions:
-            if idx.shape[-1] > self.config.max_positions:
-                raise ValueError(f"sequence length {idx.shape[-1]} exceeds "
-                                 f"max_positions {self.config.max_positions}")
-            rows = idx.shape[0] if idx.ndim == 2 else 1
-            emb = emb + Tensor(np.tile(self.positions[: idx.shape[-1]], (rows, 1)))
-        return emb
+    def embed_tokens(self, ids) -> Tensor:
+        """Embedding rows for ids, without positions; pad rows are zero."""
+        return embedding_lookup(self.params["embedding"], ids)
+
+    def _embed_positioned(self, seqs) -> Tensor:
+        """The sequences' embedding rows, stacked, each sequence's positioned
+        from 0; callers have checked the lengths against max_positions."""
+        return (self.embed_tokens(np.concatenate(seqs))
+                + Tensor(np.concatenate([self.positions[:len(s)] for s in seqs])))
 
     # -- transformer pieces ------------------------------------------------
 
@@ -185,19 +182,18 @@ class FrozenLM:
     # matrix, laid out [prompt rows | token rows | padding], and rows
     # b*Ty..b*Ty+Ty-1 of every decoder matrix, laid out [BOS + target |
     # padding]. Padding is masked out of attention as keys and labelled as
-    # pad, so no example sees another's rows or its padding. A single
-    # example is a batch of one.
+    # pad, so no example sees another's rows or its padding. Every entry
+    # point takes only this packed shape: lists with one entry per example,
+    # so a single example is a list of one.
 
-    def encode(self, input_ids, prompt: Tensor | None = None) -> tuple[Tensor, np.ndarray]:
-        """Encoder states over [prompt rows || token embeddings] and their
-        validity mask. All-zero prompt rows and pad tokens are invalid.
+    def encode(self, inputs, prompts) -> tuple[Tensor, np.ndarray]:
+        """Packed encoder states over each example's [prompt rows || token
+        embeddings], [B*S, d], and their [B, S] validity mask.
 
-        With a list of prompts (each a Tensor or None), `input_ids` is a list
-        of inputs, and the result is the packed [B*S, d] states with a [B, S]
-        mask in which padding is invalid. Otherwise [S, d] and [S].
+        `inputs` holds B token-id sequences and `prompts` one prompt (a
+        Tensor or None) for each. All-zero prompt rows, pad tokens and
+        padding are invalid.
         """
-        batch = isinstance(prompt, list)
-        prompts, inputs = (prompt, input_ids) if batch else ([prompt], [input_ids])
         d = self.config.embed_dim
         if len(prompts) != len(inputs) or not inputs:
             raise ValueError(f"a batch needs one prompt per input, got {len(prompts)} "
@@ -219,8 +215,7 @@ class FrozenLM:
                 prompt_slots.append(np.arange(n) + b * width)
             valid[b, n:n + idx.shape[0]] = idx != td.PAD_ID
             token_slots.append(np.arange(n, n + idx.shape[0]) + b * width)
-        tokens = (self.embed_tokens(np.concatenate(ids))
-                  + Tensor(np.concatenate([self.positions[:idx.shape[0]] for idx in ids])))
+        tokens = self._embed_positioned(ids)
         parts = [p for p in prompts if p is not None]
         x = scatter_rows(concat_rows(parts + [tokens]) if parts else tokens,
                          np.concatenate(prompt_slots + token_slots), valid.size)
@@ -228,20 +223,17 @@ class FrozenLM:
         a = self._ln("enc.ln1", x)
         x = x + self._mha("enc.attn", a, a, key_mask, len(ids))
         x = x + self._ffn("enc.ffn", self._ln("enc.ln2", x))
-        return self._ln("enc.lnf", x), valid if batch else valid[0]
+        return self._ln("enc.lnf", x), valid
 
     def decode(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids,
                blocks=None) -> Tensor:
-        """Teacher-forced decoder logits for the target over encoder states.
+        """Teacher-forced decoder logits for a list of targets over a packed
+        encode, [N*Ty, V] for N targets, Ty the longest [BOS]+target.
 
-        With a packed encode's [B, S] mask, `target_ids` is a list of
-        targets and the logits are [N*Ty, V] for N targets, Ty the longest
-        [BOS]+target. Target n reads encoder block `blocks[n]`; without
-        `blocks`, there is one target per block, in block order. The
-        cross-attention keys and values are computed once per block.
+        Target n reads encoder block `blocks[n]`; without `blocks`, there is
+        one target per block, in block order. The cross-attention keys and
+        values are computed once per block.
         """
-        if enc_valid.ndim == 1:
-            enc_valid, target_ids = enc_valid[None], [target_ids]
         kv_rows = None
         if blocks is not None:
             width = enc_valid.shape[1]
@@ -260,7 +252,7 @@ class FrozenLM:
         dec_in[:, 0] = td.BOS_ID
         for b, t in enumerate(target_ids):
             dec_in[b, 1:lengths[b]] = t
-        y = self.embed_tokens(dec_in, add_positions=True)
+        y = self._embed_positioned(dec_in)
         causal = np.triu(np.full((ty, ty), MASK_VALUE), k=1)
         a = self._ln("dec.ln1", y)
         y = y + self._mha("dec.self", a, a, causal, batch)
@@ -271,14 +263,6 @@ class FrozenLM:
         h = self._ln("dec.lnf", y)
         return linear(h, self.params["out.w"], self.params["out.b"])
 
-    def decode_loss(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids) -> Tensor:
-        """Cross-entropy of the target (then EOS) given encoder states; for a
-        packed encode, the mean over examples of each example's mean."""
-        if enc_valid.ndim == 1:
-            enc_valid, target_ids = enc_valid[None], [target_ids]
-        logits = self.decode(enc_out, enc_valid, target_ids)
-        return cross_entropy(logits, _labels(target_ids), td.PAD_ID)
-
     def target_losses(self, enc_out: Tensor, enc_valid: np.ndarray, target_ids,
                       blocks=None) -> np.ndarray:
         """Each target's cross-entropy over a packed encode, as decode lays
@@ -286,14 +270,16 @@ class FrozenLM:
         logits = self.decode(enc_out, enc_valid, target_ids, blocks)
         return sequence_losses(logits.data, _labels(target_ids), td.PAD_ID)
 
-    def loss_with_prompt(self, prompt, input_ids, target_ids) -> Tensor:
-        """Cross-entropy of the target given the (optionally prompted) input.
+    def loss_with_prompt(self, prompts, inputs, targets) -> Tensor:
+        """Cross-entropy of each target (then EOS) given its (optionally
+        prompted) input, from one packed forward of the lists.
 
-        Lists of prompts, inputs and targets are one packed batch whose loss
-        is the mean of the per-example means. Gradient reaches the prompt
-        tensors but never the model parameters once the model is frozen.
+        The loss is the mean over examples of each example's mean. Gradient
+        reaches the prompt tensors but never the model parameters once the
+        model is frozen.
         """
-        return self.decode_loss(*self.encode(input_ids, prompt), target_ids)
+        logits = self.decode(*self.encode(inputs, prompts), targets)
+        return cross_entropy(logits, _labels(targets), td.PAD_ID)
 
     def check_fits(self, name: str, prompt_rows: int, input_ids, targets) -> None:
         """Raise ValueError naming example `name` unless its input is non-empty
@@ -307,18 +293,15 @@ class FrozenLM:
                 raise ValueError(f"{name}: {what} length {n} exceeds "
                                  f"max_positions {self.config.max_positions}")
 
-    def score_choices(self, prompt: Tensor | None, input_ids, choice_ids) -> list:
-        """Target loss of each choice of an input, as a list of floats.
+    def score_choices(self, prompts, inputs, choices) -> list:
+        """Target loss of each choice of each example, as one list of floats
+        per example.
 
-        With a list of prompts, `input_ids` and `choice_ids` hold one input
-        and one list of choices per example, and the result is one list of
-        losses per example. The batch is one packed encode and one decode of
-        every choice, each reading its own example's encoder block. A single
-        example is a batch of one.
+        `prompts`, `inputs` and `choices` hold one prompt (or None), one
+        input and one list of choices per example. The batch is one packed
+        encode and one decode of every choice, each reading its own
+        example's encoder block.
         """
-        batch = isinstance(prompt, list)
-        prompts, inputs, choices = ((prompt, input_ids, choice_ids) if batch
-                                    else ([prompt], [input_ids], [choice_ids]))
         if len(choices) != len(inputs):
             raise ValueError(f"a batch of {len(inputs)} inputs got {len(choices)} "
                              f"lists of choices")
@@ -326,8 +309,7 @@ class FrozenLM:
         blocks = [b for b, cs in enumerate(choices) for _ in cs]
         losses = self.target_losses(*self.encode(inputs, prompts), targets, blocks).tolist()
         ends = np.cumsum([len(cs) for cs in choices])
-        scores = [losses[end - len(cs):end] for cs, end in zip(choices, ends)]
-        return scores if batch else scores[0]
+        return [losses[end - len(cs):end] for cs, end in zip(choices, ends)]
 
 
 def _labels(target_ids) -> np.ndarray:
@@ -383,7 +365,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         roll = exposure.random()
         if roll >= config.prompt_exposure:
             return None
-        if roll < config.prompt_exposure * config.hint_fraction and tgt:
+        if roll < config.prompt_exposure * HINT_FRACTION and tgt:
             return lm.embed_tokens(tgt)
         n = int(exposure.integers(2, MAX_NOISE_PREFIX + 1))
         ids = exposure.integers(len(td.RESERVED_TOKENS), vocab_size, size=n)

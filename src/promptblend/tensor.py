@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Covers exactly what the pipeline needs: 2-D matmul, row-wise bias add,
+Covers exactly what the pipeline needs: fused linear, row-wise bias add,
 elementwise ops, fused multi-head attention, layer norm, GELU, inverted
 dropout, embedding lookup, row placement, and a per-sequence cross-entropy
 with pad masking. Graphs are built eagerly and backpropagated
@@ -148,23 +148,6 @@ class Tensor:
     __rmul__ = __mul__
     __radd__ = __add__
 
-    def matmul(self, other: "Tensor") -> "Tensor":
-        a, b = self.data, other.data
-        if a.ndim != 2 or b.ndim != 2:
-            raise ShapeError(f"matmul needs 2-D operands, got {a.shape} and {b.shape}")
-        if a.shape[1] != b.shape[0]:
-            raise ShapeError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-
-        def _bw(g):
-            if self.requires_grad:
-                self._accum(g @ b.T)
-            if other.requires_grad:
-                other._accum(a.T @ g)
-
-        return Tensor(a @ b, self.requires_grad or other.requires_grad, (self, other), _bw)
-
-    __matmul__ = matmul
-
 # -- functional ops ------------------------------------------------------
 
 
@@ -283,16 +266,12 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
 
-    Eval mode is the identity, bit-exactly.
+    In eval mode or at p == 0 it returns x itself, adding no graph node.
     """
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
     if not training or p == 0.0:
-        def _bw(g):
-            if x.requires_grad:
-                x._accum(g)
-
-        return Tensor(x.data, x.requires_grad, (x,), _bw)
+        return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
     def _bw(g):

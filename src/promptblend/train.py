@@ -30,9 +30,6 @@ class TrainConfig:
     epochs: int = 20
     batch_size: int = 10
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.01
     dropout_p: float = 0.1
     seed: int = 0
@@ -45,10 +42,6 @@ class TrainConfig:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.lr < 0:
             raise ValueError(f"lr must be non-negative, got {self.lr}")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got ({self.beta1}, {self.beta2})")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if not 0.0 <= self.dropout_p < 1.0:
@@ -192,7 +185,7 @@ class _ExampleCache:
         entry = self.entries.get(ex.id)
         if entry is None:
             entry = self.entries[ex.id] = self._tokenize(ex, choices=False)
-            entry.q = question_repr(self.lm, entry.ids)
+            entry.q = question_repr(self.lm, [entry.ids])[0]
         return entry
 
     def scored(self, examples: list[td.QAExample], choices: bool = False) -> list[_Entry]:
@@ -302,8 +295,7 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     for ex in train_set:
         cache.get(ex)
     cache.scored(eval_set, choices=True)
-    opt = AdamW(predictor.parameters(), lr=config.lr, beta1=config.beta1,
-                beta2=config.beta2, eps=config.eps, weight_decay=config.weight_decay)
+    opt = AdamW(predictor.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
     drop_rng = rngmod.stream(config.seed, "train-dropout")
     record = RunRecord(config={**asdict(config), "prompt_length": basis.length},

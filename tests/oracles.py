@@ -24,6 +24,22 @@ def softmax(x: Tensor) -> Tensor:
     return Tensor(y, x.requires_grad, (x,), _bw)
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """2-D a @ b; the library only multiplies through fused `linear`."""
+    if a.data.ndim != 2 or b.data.ndim != 2:
+        raise ShapeError(f"matmul needs 2-D operands, got {a.data.shape} and {b.data.shape}")
+    if a.data.shape[1] != b.data.shape[0]:
+        raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
+
+    def _bw(g):
+        if a.requires_grad:
+            a._accum(g @ b.data.T)
+        if b.requires_grad:
+            b._accum(a.data.T @ g)
+
+    return Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b), _bw)
+
+
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.data.shape}")

@@ -75,16 +75,16 @@ def test_criterion_1_gradient_correctness():
                                       hidden2=8, dropout_p=0.1, final_scale=0.05)
         ids = td.tokenize(corpus[0][0], lm.vocab)
         tgt = td.tokenize(corpus[0][1], lm.vocab)
-        q = question_repr(lm, ids)
+        q = question_repr(lm, [ids])[0]
 
         def forward() -> float:
             w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                              rng=rngmod.stream(3, "crit1-drop"))
-            return float(lm.loss_with_prompt(combine(basis, w), ids, tgt).data)
+            return float(lm.loss_with_prompt([combine(basis, w)], [ids], [tgt]).data)
 
         w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                          rng=rngmod.stream(3, "crit1-drop"))
-        lm.loss_with_prompt(combine(basis, w), ids, tgt).backward()
+        lm.loss_with_prompt([combine(basis, w)], [ids], [tgt]).backward()
         params = pred.parameters()
         analytic = [p.grad for p in params]
         numeric = finite_difference(forward, params, h=1e-5)
@@ -108,10 +108,10 @@ def test_criterion_2_control_equivalence(small_lm):
         ex = eval_set[0]
         ids = td.tokenize(td.format_input(ex), lm.vocab)
         tgt = td.tokenize(td.format_target(ex), lm.vocab)
-        base = float(lm.loss_with_prompt(None, ids, tgt).data)
+        base = float(lm.loss_with_prompt([None], [ids], [tgt]).data)
         for length in range(1, 9):
             z = Tensor(np.zeros((length, lm.config.embed_dim)))
-            assert abs(float(lm.loss_with_prompt(z, ids, tgt).data) - base) <= 1e-12
+            assert abs(float(lm.loss_with_prompt([z], [ids], [tgt]).data) - base) <= 1e-12
 
 
 @pytest.fixture(scope="module")

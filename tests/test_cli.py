@@ -213,6 +213,18 @@ class TestFlagsCheckedBeforeCompute:
         assert run_cli(["pretrain", *TINY, "--lr", "-1", "--out", str(tmp_path / "pre")]) == 1
         assert "lr must be non-negative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["train"], ["pretrain"],
+                                         ["eval", "--checkpoint", "missing.pbld"]])
+    def test_empty_dataset_exits_before_any_compute(self, command, tmp_path, monkeypatch,
+                                                    capsys):
+        data = tmp_path / "empty.jsonl"
+        data.write_text("")
+        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
+        assert run_cli([*command, "--data", str(data), "--out", str(tmp_path / "run")]) == 1
+        assert f"dataset {data} contains no examples" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):

@@ -84,29 +84,29 @@ class TestQuestionRepr:
     def test_single_token_is_that_state(self, lm):
         ids = td.tokenize("energy", lm.vocab)
         assert len(ids) == 1
-        states, _ = lm.encode(ids)
-        assert np.array_equal(question_repr(lm, ids), states.data[0])
+        states, _ = lm.encode([ids], [None])
+        assert np.array_equal(question_repr(lm, [ids])[0], states.data[0])
 
     def test_appended_pads_do_not_change_it(self, lm):
         ids = td.tokenize("which tool should a student use", lm.vocab)
-        base = question_repr(lm, ids)
-        padded = question_repr(lm, ids + [td.PAD_ID, td.PAD_ID])
+        base = question_repr(lm, [ids])[0]
+        padded = question_repr(lm, [ids + [td.PAD_ID, td.PAD_ID]])[0]
         assert np.max(np.abs(base - padded)) < 1e-12
 
     def test_matches_sum_count_oracle(self, lm):
         ids = td.tokenize("what change of state occurs", lm.vocab)
-        states, valid = lm.encode(ids)
+        states, valid = lm.encode([ids], [None])
         total = np.zeros(SMALL.embed_dim)
         count = 0
         for t in range(len(ids)):
             if ids[t] != td.PAD_ID:
                 total += states.data[t]
                 count += 1
-        assert np.max(np.abs(question_repr(lm, ids) - total / count)) < 1e-12
+        assert np.max(np.abs(question_repr(lm, [ids])[0] - total / count)) < 1e-12
 
     def test_all_pad_rejected(self, lm):
         with pytest.raises(ValueError):
-            question_repr(lm, [td.PAD_ID, td.PAD_ID])
+            question_repr(lm, [[td.PAD_ID, td.PAD_ID]])
 
 
 class TestWeightPredictor:
@@ -303,7 +303,7 @@ class TestEndToEndGradient:
         examples = td.make_fixture(seed=3, n=10)
         ids = td.tokenize(td.format_input(examples[0]), lm.vocab)
         tgt = td.tokenize(td.format_target(examples[0]), lm.vocab)
-        q = question_repr(lm, ids)
+        q = question_repr(lm, [ids])[0]
         pred = WeightPredictor.create(seed=11, in_dim=SMALL.embed_dim, out_dim=7,
                                       hidden1=6, hidden2=6, dropout_p=0.1,
                                       final_scale=0.05)
@@ -311,12 +311,12 @@ class TestEndToEndGradient:
         def forward():
             w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                              rng=rngmod.stream(12, "fd-drop"))
-            return float(lm.loss_with_prompt(combine(default_basis, w),
-                                             ids, tgt).data)
+            return float(lm.loss_with_prompt([combine(default_basis, w)],
+                                             [ids], [tgt]).data)
 
         w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
                          rng=rngmod.stream(12, "fd-drop"))
-        loss = lm.loss_with_prompt(combine(default_basis, w), ids, tgt)
+        loss = lm.loss_with_prompt([combine(default_basis, w)], [ids], [tgt])
         loss.backward()
         params = pred.parameters()
         analytic = [p.grad for p in params]

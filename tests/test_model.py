@@ -108,9 +108,10 @@ class TestEmbedTokens:
 
     def test_positions_added_when_requested(self, tiny_lm):
         lm, _ = tiny_lm
-        base = lm.embed_tokens([4, 5]).data
-        with_pos = lm.embed_tokens([4, 5], add_positions=True).data
-        assert np.allclose(with_pos - base, lm.positions[:2])
+        base = lm.embed_tokens([4, 5, 6]).data
+        with_pos = lm._embed_positioned([[4, 5], [6]]).data
+        # each sequence is positioned from 0
+        assert np.allclose(with_pos - base, lm.positions[[0, 1, 0]])
 
     def test_out_of_range_id(self, tiny_lm):
         lm, _ = tiny_lm
@@ -122,26 +123,26 @@ class TestLossWithPrompt:
     def test_all_zero_prompt_equals_control(self, tiny_lm):
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[0])
-        control = float(lm.loss_with_prompt(None, ids, tgt).data)
+        control = float(lm.loss_with_prompt([None], [ids], [tgt]).data)
         for length in range(1, 9):
             z = Tensor(np.zeros((length, SMALL.embed_dim)))
-            assert abs(float(lm.loss_with_prompt(z, ids, tgt).data) - control) <= 1e-12
+            assert abs(float(lm.loss_with_prompt([z], [ids], [tgt]).data) - control) <= 1e-12
 
     def test_prompt_gradient_matches_finite_differences(self, tiny_lm):
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[1])
         gen = rngmod.stream(4, "prompt")
         prompt = Tensor(gen.normal(size=(3, SMALL.embed_dim)), requires_grad=True)
-        lm.loss_with_prompt(prompt, ids, tgt).backward()
+        lm.loss_with_prompt([prompt], [ids], [tgt]).backward()
         fd = finite_difference(
-            lambda: float(lm.loss_with_prompt(prompt, ids, tgt).data), [prompt])
+            lambda: float(lm.loss_with_prompt([prompt], [ids], [tgt]).data), [prompt])
         assert max_rel_error([prompt.grad], fd) < 1e-4
 
     def test_untrained_model_scores_uniform(self):
         vocab = td.Vocab.build(["alpha beta gamma delta"])
         lm = FrozenLM(vocab, SMALL, seed=2)
-        loss = lm.loss_with_prompt(None, td.tokenize("alpha beta", vocab),
-                                   td.tokenize("gamma", vocab))
+        loss = lm.loss_with_prompt([None], [td.tokenize("alpha beta", vocab)],
+                                   [td.tokenize("gamma", vocab)])
         assert abs(float(loss.data) - math.log(len(vocab))) < 1e-9
 
     def test_gradient_never_reaches_frozen_params(self, tiny_lm):
@@ -149,7 +150,7 @@ class TestLossWithPrompt:
         ids, tgt = _io_ids(lm, examples[2])
         prompt = Tensor(np.ones((2, SMALL.embed_dim)), requires_grad=True)
         before = lm.param_hash()
-        lm.loss_with_prompt(prompt, ids, tgt).backward()
+        lm.loss_with_prompt([prompt], [ids], [tgt]).backward()
         assert prompt.grad is not None
         assert all(p.grad is None for p in lm.params.values())
         assert lm.param_hash() == before
@@ -158,25 +159,25 @@ class TestLossWithPrompt:
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[0])
         with pytest.raises(ShapeError):
-            lm.loss_with_prompt(Tensor(np.ones((2, SMALL.embed_dim + 1))), ids, tgt)
+            lm.loss_with_prompt([Tensor(np.ones((2, SMALL.embed_dim + 1)))], [ids], [tgt])
 
     def test_length_overflow(self, tiny_lm):
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[0])
         big = Tensor(np.ones((SMALL.max_positions, SMALL.embed_dim)))
         with pytest.raises(ValueError, match="max_positions"):
-            lm.loss_with_prompt(big, ids, tgt)
+            lm.loss_with_prompt([big], [ids], [tgt])
 
     def test_causal_masking(self, tiny_lm):
         # logits at position t must ignore target tokens after t
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[3])
         assert len(tgt) >= 3
-        encoded = lm.encode(ids)
-        logits_a = lm.decode(*encoded, tgt)
+        encoded = lm.encode([ids], [None])
+        logits_a = lm.decode(*encoded, [tgt])
         changed = list(tgt)
         changed[-1] = (changed[-1] + 1) % len(lm.vocab)
-        logits_b = lm.decode(*encoded, changed)
+        logits_b = lm.decode(*encoded, [changed])
         keep = len(tgt)  # rows 0..len-1 precede the changed token
         assert np.array_equal(logits_a.data[:keep - 1], logits_b.data[:keep - 1])
         assert not np.array_equal(logits_a.data[keep:], logits_b.data[keep:])
@@ -184,10 +185,10 @@ class TestLossWithPrompt:
     def test_nonzero_prompt_changes_loss(self, tiny_lm):
         lm, examples = tiny_lm
         ids, tgt = _io_ids(lm, examples[4])
-        control = float(lm.loss_with_prompt(None, ids, tgt).data)
+        control = float(lm.loss_with_prompt([None], [ids], [tgt]).data)
         gen = rngmod.stream(8, "nz")
         p = Tensor(gen.normal(size=(2, SMALL.embed_dim)))
-        assert float(lm.loss_with_prompt(p, ids, tgt).data) != control
+        assert float(lm.loss_with_prompt([p], [ids], [tgt]).data) != control
 
 
 def _unfrozen_lm(seed):
@@ -244,7 +245,7 @@ class TestPackedBatch:
         packed, packed_grads = grads(lm.loss_with_prompt(prompts, inputs, targets))
         total = None
         for one in zip(prompts, inputs, targets):
-            loss = lm.loss_with_prompt(*one)
+            loss = lm.loss_with_prompt(*([x] for x in one))
             total = loss if total is None else total + loss
         single, single_grads = grads(total * (1.0 / batch))
         assert abs(packed - single) <= 1e-12 * abs(single)
@@ -267,7 +268,7 @@ class TestPackedBatch:
         width = valid.shape[1]
         assert states.data.shape == (3 * width, SMALL.embed_dim)
         for b, (ids, prompt) in enumerate(zip(inputs, prompts)):
-            alone, alone_valid = lm.encode(ids, prompt)
+            alone, (alone_valid,) = lm.encode([ids], [prompt])
             n = alone_valid.size
             assert np.array_equal(valid[b, :n], alone_valid) and not valid[b, n:].any()
             rows = states.data[b * width:b * width + n][alone_valid]
@@ -298,7 +299,7 @@ class TestForwardOnlyGraph:
                 outputs.append(self)
 
         monkeypatch.setattr(Tensor, "__init__", recording_init)
-        lm.decode(*lm.encode(ids), tgt)
+        lm.decode(*lm.encode([ids], [None]), [tgt])
         assert len(outputs) > 20
         assert all(node._prev == () and node._backward is None for node in outputs)
 
@@ -314,15 +315,16 @@ class TestForwardOnlyGraph:
             return out
 
         monkeypatch.setattr("promptblend.model.gelu", recording_gelu)
-        logits = lm.decode(*lm.encode(ids), tgt)
+        logits = lm.decode(*lm.encode([ids], [None]), [tgt])
         assert len(hidden) == 2  # the encoder's and the decoder's FFN
         assert all(ref() is None for ref in hidden)
         assert np.all(np.isfinite(logits.data))
 
 
 def _score(lm, prompt, ex):
-    return lm.score_choices(prompt, td.tokenize(td.format_input(ex), lm.vocab),
-                            [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices])
+    return lm.score_choices([prompt], [td.tokenize(td.format_input(ex), lm.vocab)],
+                            [[td.tokenize(td.format_choice(c), lm.vocab)
+                              for c in ex.choices]])[0]
 
 
 class TestScoreChoices:
@@ -375,8 +377,8 @@ class TestCheckpoint:
         assert loaded.frozen
         assert loaded.param_hash() == lm.param_hash()
         ids, tgt = _io_ids(lm, examples[0])
-        a = float(lm.loss_with_prompt(None, ids, tgt).data)
-        b = float(loaded.loss_with_prompt(None, ids, tgt).data)
+        a = float(lm.loss_with_prompt([None], [ids], [tgt]).data)
+        b = float(loaded.loss_with_prompt([None], [ids], [tgt]).data)
         assert a == b
 
     def test_generic_container_round_trip(self, tmp_path):

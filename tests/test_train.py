@@ -275,16 +275,17 @@ class TestEvalPass:
         ids = td.tokenize(td.format_input(ex), lm.vocab)
         choice_ids = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
         prompt = combine(basis, Tensor(np.array(weights)))
-        separate = [float(lm.loss_with_prompt(prompt, ids, c).data) for c in choice_ids]
+        separate = [float(lm.loss_with_prompt([prompt], [ids], [c]).data)
+                    for c in choice_ids]
         # the choices are decoded as one batch, which reorders sums
-        assert _agree(lm.score_choices(prompt, ids, choice_ids), separate)
+        assert _agree(lm.score_choices([prompt], [ids], [choice_ids])[0], separate)
 
         cache = _ExampleCache(lm)
         result = prompted_eval(lm, _fixed_predictor(lm, basis, weights), basis, [ex], cache)
         entry = cache.get(ex)
-        assert np.all(entry.q == question_repr(lm, ids))
-        control = float(lm.loss_with_prompt(None, ids, td.tokenize(td.format_target(ex),
-                                                                   lm.vocab)).data)
+        assert np.all(entry.q == question_repr(lm, [ids])[0])
+        control = float(lm.loss_with_prompt([None], [ids], [td.tokenize(td.format_target(ex),
+                                                                     lm.vocab)]).data)
         assert entry.control == control == result.control_loss
         assert np.all(result.weights[0].values == np.array(weights))
         assert _agree(result.losses, [separate[ex.answer_index()]])
@@ -311,11 +312,11 @@ class TestEvalPass:
             ids = td.tokenize(td.format_input(ex), lm.vocab)
             gold = ex.answer_index()
             prompt = combine(basis, Tensor(wv.values))
-            alone = [float(lm.loss_with_prompt(prompt, ids, td.tokenize(
-                td.format_choice(c), lm.vocab)).data) for c in ex.choices]
+            alone = [float(lm.loss_with_prompt([prompt], [ids], [td.tokenize(
+                td.format_choice(c), lm.vocab)]).data) for c in ex.choices]
             assert _agree([loss], [alone[gold]])
-            control = float(lm.loss_with_prompt(None, ids, td.tokenize(
-                td.format_target(ex), lm.vocab)).data)
+            control = float(lm.loss_with_prompt([None], [ids], [td.tokenize(
+                td.format_target(ex), lm.vocab)]).data)
             assert _agree([cache.get(ex).control], [control])
             first, second = sorted(alone)[:2]
             if second - first > 1e-9 * abs(second):
