@@ -57,8 +57,8 @@ def main() -> None:
         (out / f"summary_seed{seed}.txt").write_text(summary)
         m2, m10 = stability_metric(records[0]), stability_metric(records[1])
         diffs.append(m2 - m10)
-        print(f"{seed:>4} {m2:>10.5f} {m10:>10.5f} "
-              f"{'batch 2' if m2 > m10 else 'batch 10'}")
+        noisier = "batch 2" if m2 > m10 else "batch 10" if m10 > m2 else "tie"
+        print(f"{seed:>4} {m2:>10.5f} {m10:>10.5f} {noisier}")
     print(f"median volatility difference (batch2 - batch10): {np.median(diffs):+.5f}")
     print(f"curves written to {out}/")
 

@@ -143,6 +143,14 @@ def _resolve_examples(args) -> list[td.QAExample]:
     return examples
 
 
+def _split(examples: list[td.QAExample], val_fraction: float):
+    train_set, eval_set = td.train_eval_split(examples, val_fraction, SPLIT_SEED)
+    if not train_set:
+        raise ValueError(f"--val-fraction {val_fraction} leaves no training examples "
+                         f"out of {len(examples)}")
+    return train_set, eval_set
+
+
 def _resolve_basis_prompts(args) -> list[str]:
     if args.basis == "default":
         return list(composer.DEFAULT_BASIS_PROMPTS)
@@ -187,7 +195,7 @@ def _cmd_pretrain(args) -> int:
     _positive(args.epochs, "--epochs")
     _positive(args.batch_size, "--batch-size")
     examples = _resolve_examples(args)
-    train_set, _ = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
+    train_set, _ = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
     lm = _pretrain_lm(train_set, basis_prompts, seed, args.epochs, args.batch_size, args.lr)
     _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, basis_prompts=basis_prompts)})
@@ -210,7 +218,7 @@ def _cmd_train(args) -> int:
                          weight_decay=args.weight_decay, dropout_p=args.dropout,
                          seed=seed, eval_every=args.eval_every)
     examples = _resolve_examples(args)
-    train_set, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
+    train_set, eval_set = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
     if args.checkpoint:
         lm, _, ck_prompts = load_bundle(args.checkpoint)

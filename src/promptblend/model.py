@@ -59,7 +59,6 @@ class PretrainConfig:
     epochs: int = 6
     batch_size: int = 10
     lr: float = 3e-3
-    weight_decay: float = 0.01
     # fraction of pretraining passes that see a prefix prepended to the
     # encoder input, so the frozen model treats continuous prompts as
     # consumable context instead of corruption (see HINT_FRACTION)
@@ -355,7 +354,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
             total += float(packed_loss(batch, [None] * len(batch)).data) * len(batch)
         return total / len(encoded)
 
-    opt = AdamW(list(lm.params.values()), lr=config.lr, weight_decay=config.weight_decay)
+    opt = AdamW(list(lm.params.values()), lr=config.lr)
     initial_loss = corpus_loss()
     shuffle = rngmod.stream(seed, "pretrain-shuffle")
     exposure = rngmod.stream(seed, "pretrain-exposure")

@@ -21,11 +21,7 @@ _ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 
 @dataclass
 class ReportBundle:
-    metadata: dict
-    summary: dict
     rows: list[dict]
-    ortho: dict
-    projection: list[list] | None
     text: str
     json_text: str
 
@@ -142,8 +138,7 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
         "projection": record.projection,
     }
     json_text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    return ReportBundle(metadata=metadata, summary=summary, rows=rows, ortho=ortho,
-                        projection=record.projection, text=text, json_text=json_text)
+    return ReportBundle(rows=rows, text=text, json_text=json_text)
 
 
 def render_curve_csv(record: RunRecord) -> str:

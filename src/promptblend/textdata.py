@@ -62,9 +62,6 @@ class Vocab:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self.token_to_id
-
     def non_reserved(self) -> list[str]:
         return self.id_to_token[len(RESERVED_TOKENS):]
 

@@ -3,7 +3,9 @@
 Each step runs question representation -> weight prediction (training
 mode) -> linear combination -> prompted loss, then backpropagates into
 the predictor parameters only. The LM is bit-frozen throughout; its
-parameter hash is checked before and after.
+parameter hash is checked before and after. Each example's entry (its
+tokens, question representation and, for eval, control loss) is built
+once per run, before the first step, and kept in a plain list.
 """
 
 from __future__ import annotations
@@ -135,121 +137,95 @@ EVAL_CHUNK = 2
 class _Entry:
     ids: list[int]  # tokenized input
     target: list[int]  # tokenized gold choice
-    q: np.ndarray | None  # question representation; None until encoded
-    choices: list[list[int]] | None = None  # every choice's tokens; prompted eval only
+    choices: list[list[int]] | None  # every choice's tokens; prompted eval only
+    q: np.ndarray  # question representation
     control: float | None = None  # no-prompt target loss; scored entries only
 
 
-def _chunks(entries: list[_Entry], ids: list[str]) -> list[list[int]]:
-    """Indices of `entries` in chunks of EVAL_CHUNK, taken in (input length,
+def _chunks(inputs: list[list[int]], ids: list[str]) -> list[list[int]]:
+    """Indices of `inputs` in chunks of EVAL_CHUNK, taken in (input length,
     id) order: inputs of like length share a block, and an example's chunk
     does not depend on the order it was given in."""
-    order = sorted(range(len(entries)), key=lambda i: (len(entries[i].ids), ids[i]))
+    order = sorted(range(len(inputs)), key=lambda i: (len(inputs[i]), ids[i]))
     return [order[start:start + EVAL_CHUNK] for start in range(0, len(order), EVAL_CHUNK)]
 
 
-class _ExampleCache:
-    """Per-example tokens and question representations, keyed by id.
+def _tokens(lm: FrozenLM, ex: td.QAExample, prompt_rows: int, choices: bool = False):
+    """The example's input, gold target and, with `choices`, every choice's
+    tokens (the gold one is the target), checked against max_positions with
+    `prompt_rows` prompt rows."""
+    ids = td.tokenize(td.format_input(ex), lm.vocab)
+    if choices:
+        every = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
+        target = every[ex.answer_index()]
+    else:
+        every, target = None, td.tokenize(td.format_target(ex), lm.vocab)
+    lm.check_fits(f"example {ex.id!r}", prompt_rows, ids, every or [target])
+    return ids, target, every
 
-    A training entry is one unprompted encode of its input. A scored (eval)
-    entry also holds the control loss, and for prompted eval every choice's
-    tokens. Scored entries are built EVAL_CHUNK at a time: one unprompted
-    encode gives their representations, and one decode of their targets
-    their control losses. Each entry is checked against max_positions, with
-    `prompt_rows` prompt rows, before any of them is encoded.
+
+def _training_entries(lm: FrozenLM, examples: list[td.QAExample],
+                      prompt_rows: int) -> list[_Entry]:
+    """One entry per example, in their order, each from its own unprompted
+    encode; every example is checked before any is encoded."""
+    tokens = [_tokens(lm, ex, prompt_rows) for ex in examples]
+    return [_Entry(*t, question_repr(lm, [t[0]])[0]) for t in tokens]
+
+
+def _scored_entries(lm: FrozenLM, examples: list[td.QAExample], prompt_rows: int = 0,
+                    choices: bool = False) -> list[_Entry]:
+    """One entry per example, in their order, with its control loss and, if
+    `choices`, every choice's tokens; every example is checked before any is
+    encoded.
+
+    Each of _chunks is one unprompted encode, which gives its examples'
+    representations, and one decode of their gold targets, which gives their
+    control losses; so each entry is the same whatever the order of
+    `examples`.
     """
-
-    def __init__(self, lm: FrozenLM, prompt_rows: int = 0):
-        self.lm = lm
-        self.prompt_rows = prompt_rows
-        self.entries: dict[str, _Entry] = {}
-
-    def _tokenize(self, ex: td.QAExample, choices: bool) -> _Entry:
-        """A checked entry, not yet encoded; with `choices`, every choice is
-        tokenized and the gold one is the target, else only the target."""
-        ids = td.tokenize(td.format_input(ex), self.lm.vocab)
-        if choices:
-            tokens = self._choices(ex, ids)
-            return _Entry(ids, tokens[ex.answer_index()], None, tokens)
-        target = td.tokenize(td.format_target(ex), self.lm.vocab)
-        self.lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, [target])
-        return _Entry(ids, target, None)
-
-    def _choices(self, ex: td.QAExample, ids: list[int]) -> list[list[int]]:
-        tokens = [td.tokenize(td.format_choice(c), self.lm.vocab) for c in ex.choices]
-        self.lm.check_fits(f"example {ex.id!r}", self.prompt_rows, ids, tokens)
-        return tokens
-
-    def get(self, ex: td.QAExample) -> _Entry:
-        """The example's entry, built from one unprompted encode if missing."""
-        entry = self.entries.get(ex.id)
-        if entry is None:
-            entry = self.entries[ex.id] = self._tokenize(ex, choices=False)
-            entry.q = question_repr(self.lm, [entry.ids])[0]
-        return entry
-
-    def scored(self, examples: list[td.QAExample], choices: bool = False) -> list[_Entry]:
-        """Scored entries of `examples`, in their order, with every choice's
-        tokens if `choices`.
-
-        Missing control losses are computed in _chunks, so each is the same
-        whatever the order of `examples`. An entry that already has a
-        representation keeps it.
-        """
-        todo: dict[str, _Entry] = {}
-        for ex in examples:
-            entry = self.entries.get(ex.id)
-            if entry is None:
-                entry = self.entries[ex.id] = self._tokenize(ex, choices)
-            elif choices and entry.choices is None:
-                entry.choices = self._choices(ex, entry.ids)
-            if entry.control is None:
-                todo[ex.id] = entry
-        lm = self.lm
-        pending = list(todo.values())
-        for indices in _chunks(pending, list(todo)):
-            chunk = [pending[i] for i in indices]
-            inputs = [e.ids for e in chunk]
-            encoded = lm.encode(inputs, [None] * len(chunk))
-            controls = lm.target_losses(*encoded, [e.target for e in chunk])
-            for e, q, control in zip(chunk, question_repr(lm, inputs, encoded), controls):
-                e.control = float(control)
-                if e.q is None:
-                    e.q = q
-        return [self.entries[ex.id] for ex in examples]
+    tokens = [_tokens(lm, ex, prompt_rows, choices) for ex in examples]
+    entries: list[_Entry] = [None] * len(examples)
+    for chunk in _chunks([ids for ids, _, _ in tokens], [ex.id for ex in examples]):
+        inputs = [tokens[i][0] for i in chunk]
+        encoded = lm.encode(inputs, [None] * len(chunk))
+        controls = lm.target_losses(*encoded, [tokens[i][1] for i in chunk])
+        for i, q, control in zip(chunk, question_repr(lm, inputs, encoded), controls):
+            entries[i] = _Entry(*tokens[i], q, float(control))
+    return entries
 
 
 def control_eval(lm: FrozenLM, eval_set: list[td.QAExample],
-                 cache: _ExampleCache | None = None) -> float:
+                 entries: list[_Entry] | None = None) -> float:
     """Mean no-prompt loss over the eval set, order-independent (fsum): the
-    unprompted half of prompted_eval's pass, which needs only the LM."""
+    unprompted half of prompted_eval's pass, which needs only the LM.
+    `entries` are the eval set's scored entries, built here when not given."""
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    entries = (cache or _ExampleCache(lm)).scored(eval_set)
+    entries = entries or _scored_entries(lm, eval_set)
     return math.fsum(e.control for e in entries) / len(eval_set)
 
 
 def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
                   eval_set: list[td.QAExample],
-                  cache: _ExampleCache | None = None) -> PromptedEvalResult:
+                  entries: list[_Entry] | None = None) -> PromptedEvalResult:
     """The eval pass: eval-mode weights, prompted losses, accuracy and the
     control loss.
 
     Each example's one unprompted encode gives its question representation
-    and control loss (see _ExampleCache.scored). Then each of _chunks is one
-    prompted encode and one decode of all its examples' choices: the gold
-    choice's loss is the prompted loss, and the lowest-loss choice (the
-    earlier on ties) is the prediction.
+    and control loss (see _scored_entries). `entries` are the eval set's
+    scored entries with choices, built here when not given. Then each of
+    _chunks is one prompted encode and one decode of all its examples'
+    choices: the gold choice's loss is the prompted loss, and the
+    lowest-loss choice (the earlier on ties) is the prediction.
     """
     if not eval_set:
         raise ValueError("eval set must be non-empty")
-    cache = cache or _ExampleCache(lm, basis.length)
-    entries = cache.scored(eval_set, choices=True)
-    control = control_eval(lm, eval_set, cache)
+    entries = entries or _scored_entries(lm, eval_set, basis.length, choices=True)
+    control = control_eval(lm, eval_set, entries)
     losses: list[float] = [0.0] * len(eval_set)
     weights: list[WeightVector] = [None] * len(eval_set)
     correct = 0
-    for chunk in _chunks(entries, [ex.id for ex in eval_set]):
+    for chunk in _chunks([e.ids for e in entries], [ex.id for ex in eval_set]):
         for i in chunk:
             w_out = predictor.forward(Tensor(entries[i].q.reshape(1, -1)), training=False,
                                       rng=None)
@@ -281,8 +257,10 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
           config: TrainConfig) -> RunRecord:
     """Run the full protocol and return the loss-curve record.
 
-    Every example is tokenized, checked against max_positions and encoded
-    before the first step. Only predictor parameters receive updates; a
+    The training and eval entries are built once, before the first step:
+    every example is tokenized, checked against max_positions and encoded.
+    Each step indexes the training entries by position, and every eval pass
+    reuses the eval entries. Only predictor parameters receive updates; a
     non-finite batch loss aborts with the offending step index.
     """
     if not lm.frozen:
@@ -291,10 +269,8 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
         raise ValueError("train and eval sets must be non-empty")
     t_start = time.perf_counter()
     hash_before = lm.param_hash()
-    cache = _ExampleCache(lm, basis.length)
-    for ex in train_set:
-        cache.get(ex)
-    cache.scored(eval_set, choices=True)
+    entries = _training_entries(lm, train_set, basis.length)
+    scored = _scored_entries(lm, eval_set, basis.length, choices=True)
     opt = AdamW(predictor.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
     drop_rng = rngmod.stream(config.seed, "train-dropout")
@@ -302,19 +278,18 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
                        basis_prompts=list(basis.prompts))
 
     def batch_loss(indices) -> Tensor:
-        entries = [cache.get(train_set[int(i)]) for i in indices]
-        return _batch_loss(lm, predictor, basis, entries, drop_rng)
+        return _batch_loss(lm, predictor, basis, [entries[int(i)] for i in indices], drop_rng)
 
     for epoch, step, indices, loss in descend(opt, len(train_set), config.batch_size,
                                               config.epochs, shuffle, batch_loss, "loss"):
         record.steps.append(StepRecord(epoch=epoch, step=step, batch_size=len(indices),
                                        loss=loss))
         if config.eval_every and step % config.eval_every == 0:
-            result = prompted_eval(lm, predictor, basis, eval_set, cache)
+            result = prompted_eval(lm, predictor, basis, eval_set, scored)
             record.eval_losses.append([step, result.mean_loss])
     record.epoch_means = [float(np.mean([s.loss for s in record.steps if s.epoch == epoch]))
                           for epoch in range(1, config.epochs + 1)]
-    final = prompted_eval(lm, predictor, basis, eval_set, cache)
+    final = prompted_eval(lm, predictor, basis, eval_set, scored)
     record.eval_losses.append([len(record.steps), final.mean_loss])
     record.prompted_eval_loss = final.mean_loss
     record.control_eval_loss = final.control_loss

@@ -225,6 +225,18 @@ class TestFlagsCheckedBeforeCompute:
         assert f"dataset {data} contains no examples" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    # one example splits into none for training and one for eval
+    @pytest.mark.parametrize("command", [["train", "--checkpoint", "missing.pbld"],
+                                         ["train"], ["pretrain"]])
+    def test_empty_training_split_exits_before_any_compute(self, command, tmp_path,
+                                                           monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
+        assert run_cli([*command, "--fixture-size", "1", "--out", str(tmp_path / "run")]) == 1
+        assert ("--val-fraction 0.2 leaves no training examples out of 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
 
 @pytest.fixture(scope="module")
 def scratch_file(tmp_path_factory):

@@ -13,8 +13,8 @@ from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
                                PretrainConfig, pretrain)
 from promptblend.tensor import Tensor
 from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
-                               _batch_loss, _ExampleCache, control_eval,
-                               prompted_eval, stability_metric, train)
+                               _batch_loss, _scored_entries, _training_entries,
+                               control_eval, prompted_eval, stability_metric, train)
 
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
@@ -153,6 +153,21 @@ class TestTrain:
         assert len(record.eval_losses) >= 2
         assert record.eval_losses[-1][1] == record.prompted_eval_loss
 
+    def test_record_matches_a_fresh_eval_of_the_trained_predictor(self, setup):
+        # train() scores with the eval entries it built before the first
+        # step; a fresh pass that builds its own must agree exactly
+        lm, basis, train_set, eval_set = setup
+        pred = _predictor(lm, basis)
+        cfg = TrainConfig(epochs=2, batch_size=10, seed=13, eval_every=3)
+        record = train(lm, pred, basis, train_set, eval_set, cfg)
+        fresh = prompted_eval(lm, pred, basis, eval_set)
+        assert record.prompted_eval_loss == fresh.mean_loss
+        assert record.control_eval_loss == fresh.control_loss
+        assert [ex.id for ex in record.examples] == [ex.id for ex in eval_set]
+        for ex, loss, wv in zip(record.examples, fresh.losses, fresh.weights):
+            assert ex.loss == loss
+            assert ex.weights == [float(x) for x in wv.values]
+
     def test_record_json_round_trip(self, setup):
         lm, basis, train_set, eval_set = setup
         cfg = TrainConfig(epochs=1, batch_size=10, seed=11)
@@ -280,9 +295,9 @@ class TestEvalPass:
         # the choices are decoded as one batch, which reorders sums
         assert _agree(lm.score_choices([prompt], [ids], [choice_ids])[0], separate)
 
-        cache = _ExampleCache(lm)
-        result = prompted_eval(lm, _fixed_predictor(lm, basis, weights), basis, [ex], cache)
-        entry = cache.get(ex)
+        entries = _scored_entries(lm, [ex], choices=True)
+        result = prompted_eval(lm, _fixed_predictor(lm, basis, weights), basis, [ex], entries)
+        entry = entries[0]
         assert np.all(entry.q == question_repr(lm, [ids])[0])
         control = float(lm.loss_with_prompt([None], [ids], [td.tokenize(td.format_target(ex),
                                                                      lm.vocab)]).data)
@@ -305,10 +320,10 @@ class TestEvalPass:
                     for i, n in picks]
         pred = (_fixed_predictor(lm, basis, [0.0] * basis.size) if predictor_seed is None
                 else _predictor(lm, basis, seed=predictor_seed, final_scale=1.0))
-        cache = _ExampleCache(lm, basis.length)
-        result = prompted_eval(lm, pred, basis, examples, cache)
+        entries = _scored_entries(lm, examples, basis.length, choices=True)
+        result = prompted_eval(lm, pred, basis, examples, entries)
         lowest, decisive = 0, 0
-        for ex, wv, loss in zip(examples, result.weights, result.losses):
+        for ex, entry, wv, loss in zip(examples, entries, result.weights, result.losses):
             ids = td.tokenize(td.format_input(ex), lm.vocab)
             gold = ex.answer_index()
             prompt = combine(basis, Tensor(wv.values))
@@ -317,7 +332,7 @@ class TestEvalPass:
             assert _agree([loss], [alone[gold]])
             control = float(lm.loss_with_prompt([None], [ids], [td.tokenize(
                 td.format_target(ex), lm.vocab)]).data)
-            assert _agree([cache.get(ex).control], [control])
+            assert _agree([entry.control], [control])
             first, second = sorted(alone)[:2]
             if second - first > 1e-9 * abs(second):
                 decisive += 1
@@ -325,19 +340,26 @@ class TestEvalPass:
         n = len(examples)
         assert lowest <= round(result.accuracy * n) <= lowest + n - decisive
 
-    def test_training_entry_is_rebuilt_for_scoring(self, setup):
-        lm, _, train_set, _ = setup
-        cache = _ExampleCache(lm)
-        q = cache.get(train_set[0]).q
-        assert cache.get(train_set[0]).control is None
-        assert control_eval(lm, train_set[:1], cache) == control_eval(lm, train_set[:1])
-        assert np.all(cache.get(train_set[0]).q == q)
-
     def test_accuracy_is_the_mean_over_examples(self, setup):
         lm, basis, _, eval_set = setup
         pred = _predictor(lm, basis)
         each = [prompted_eval(lm, pred, basis, [ex]).accuracy for ex in eval_set]
         assert prompted_eval(lm, pred, basis, eval_set).accuracy == sum(each) / len(each)
+
+
+class TestTrainingEntries:
+    def test_each_q_is_its_own_unprompted_encode(self, setup):
+        # packing these encodes would move q by round-off, which predictor
+        # training amplifies, so each must equal a batch of one bit for bit
+        lm, basis, train_set, _ = setup
+        entries = _training_entries(lm, train_set, basis.length)
+        assert len(entries) == len(train_set)
+        for ex, entry in zip(train_set, entries):
+            ids = td.tokenize(td.format_input(ex), lm.vocab)
+            assert entry.ids == ids
+            assert entry.target == td.tokenize(td.format_target(ex), lm.vocab)
+            assert entry.q.tobytes() == question_repr(lm, [ids])[0].tobytes()
+            assert entry.control is None and entry.choices is None
 
 
 class TestPackedStep:
@@ -348,8 +370,7 @@ class TestPackedStep:
         # draws: the loss is the mean of theirs, and so are the predictor's
         # gradients (relative to each gradient's largest entry)
         lm, basis, train_set, _ = setup
-        cache = _ExampleCache(lm, basis.length)
-        entries = [cache.get(train_set[i]) for i in picks]
+        entries = _training_entries(lm, [train_set[i] for i in picks], basis.length)
         pred = _predictor(lm, basis)
 
         def grads(loss):
@@ -375,8 +396,7 @@ class TestPackedStep:
         # backward closures never hold their own node, so dropping the root
         # frees the whole graph by reference counting
         lm, basis, train_set, _ = setup
-        cache = _ExampleCache(lm, basis.length)
-        entries = [cache.get(ex) for ex in train_set[:10]]
+        entries = _training_entries(lm, train_set[:10], basis.length)
         pred = _predictor(lm, basis)
         gc.collect()
         gc.disable()
