@@ -21,7 +21,7 @@ from .model import FrozenLM, LMConfig, PretrainConfig, pretrain
 from .optim import AdamW
 from .tensor import Tensor
 from .textdata import QAExample, Vocab, load_dataset, make_fixture
-from .train import RunRecord, TrainConfig, control_eval, prompted_eval, stability_metric, train
+from .train import RunRecord, TrainConfig, control_eval, prompted_eval, stability_metric
 
 __all__ = [
     "AdamW", "DEFAULT_BASIS_PROMPTS", "FrozenLM", "LMConfig",
@@ -29,5 +29,5 @@ __all__ = [
     "TrainConfig", "Vocab", "WeightPredictor", "WeightVector", "build_basis",
     "combine", "control_eval", "load_dataset", "make_fixture", "orthogonality_score",
     "pretrain", "prompted_eval", "project_to_vocab", "question_repr",
-    "stability_metric", "top_contributors", "train",
+    "stability_metric", "top_contributors",
 ]

@@ -135,7 +135,10 @@ def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAEx
 
 def _resolve_examples(args) -> list[td.QAExample]:
     if args.data == "fixture":
-        _positive(args.fixture_size, "--fixture-size")
+        capacity = td.fixture_capacity()
+        if not 1 <= args.fixture_size <= capacity:
+            raise ValueError(f"--fixture-size must be between 1 and {capacity}, the "
+                             f"distinct examples the fixture renders; got {args.fixture_size}")
         return td.make_fixture(args.fixture_seed, args.fixture_size)
     examples = td.load_dataset(args.data)
     if not examples:

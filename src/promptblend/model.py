@@ -347,18 +347,25 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         return lm.loss_with_prompt(prefixes, [inp for inp, _ in batch],
                                    [tgt for _, tgt in batch])
 
-    def corpus_loss() -> float:
+    def corpus_loss(loss_of) -> float:
         total = 0.0
         for start in range(0, len(encoded), config.batch_size):
             batch = encoded[start:start + config.batch_size]
-            total += float(packed_loss(batch, [None] * len(batch)).data) * len(batch)
+            total += float(loss_of(batch)) * len(batch)
         return total / len(encoded)
 
+    vocab_size = len(vocab)
+
+    def fresh_loss(batch) -> float:
+        # the output projection starts at zero, so the fresh model's logits
+        # are exactly 0 and its loss needs no forward pass
+        labels = _labels([tgt for _, tgt in batch])
+        return sequence_losses(np.zeros((labels.size, vocab_size)), labels, td.PAD_ID).mean()
+
     opt = AdamW(list(lm.params.values()), lr=config.lr)
-    initial_loss = corpus_loss()
+    initial_loss = corpus_loss(fresh_loss)
     shuffle = rngmod.stream(seed, "pretrain-shuffle")
     exposure = rngmod.stream(seed, "pretrain-exposure")
-    vocab_size = len(vocab)
 
     def draw_prefix(tgt: list[int]) -> Tensor | None:
         roll = exposure.random()
@@ -381,8 +388,8 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
         steps.append((epoch, loss))
     epoch_means = [float(np.mean([loss for e, loss in steps if e == epoch]))
                    for epoch in range(1, config.epochs + 1)]
-    final_loss = corpus_loss()
-    lm.set_frozen(True)
+    lm.set_frozen(True)  # the final pass runs forward-only
+    final_loss = corpus_loss(lambda batch: packed_loss(batch, [None] * len(batch)).data)
     lm.provenance = {"pretrain_seed": seed, "corpus_hash": corpus_digest(corpus)}
     lm.pretrain_record = {"initial_loss": initial_loss, "final_loss": final_loss,
                           "epoch_means": epoch_means, "epochs": config.epochs,

@@ -219,23 +219,77 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
+# GELU walks its input in blocks of this many rows, so each temporary stays
+# in L2 instead of streaming a whole [rows, 256] array through memory once
+# per elementwise op; a 64 x 256 block is 128 KB. Measured on a 2-vCPU Xeon
+# (2 MB L2 per core) on the FFN's [690, 256] input: forward 3.2 -> 1.6 ms,
+# backward 2.3 -> 1.0 ms; 32 to 128 rows time the same within noise.
+GELU_BLOCK_ROWS = 64
+
+
+def _in_row_blocks(kernel, whole, scratch) -> None:
+    """Run `kernel` on successive blocks of GELU_BLOCK_ROWS rows: row slices
+    of the `whole` arrays, then the leading rows of the block-sized `scratch`
+    arrays. An input of one block runs on the arrays themselves."""
+    rows = whole[0].shape[0]
+    if rows <= GELU_BLOCK_ROWS:
+        kernel(*whole, *scratch)
+        return
+    for r in range(0, rows, GELU_BLOCK_ROWS):
+        part = [a[r:r + GELU_BLOCK_ROWS] for a in whole]
+        kernel(*part, *(a[:len(part[0])] for a in scratch))
+
+
+def _gelu_rows(v, y, th, t) -> None:
+    """y = 0.5 * v * (1 + th) with th = tanh(c * (v + 0.044715 * (v * v * v))),
+    op for op; t is scratch. Each ufunc call's last argument is its output."""
+    np.multiply(v, v, y)
+    np.multiply(y, v, y)
+    np.multiply(0.044715, y, y)
+    np.add(v, y, y)
+    np.multiply(_GELU_C, y, y)
+    np.tanh(y, th)
+    np.multiply(0.5, v, y)
+    np.add(1.0, th, t)
+    np.multiply(y, t, y)
+
+
+def _gelu_grad_rows(v, th, g, dx, du, t) -> None:
+    """dx = g * (0.5 * (1 + th) + 0.5 * v * (1 - th * th) * du) with
+    du = c * (1 + 3 * 0.044715 * (v * v)), op for op; du and t are scratch."""
+    np.multiply(v, v, du)
+    np.multiply(3 * 0.044715, du, du)
+    np.add(1.0, du, du)
+    np.multiply(_GELU_C, du, du)
+    np.multiply(th, th, t)
+    np.subtract(1.0, t, t)
+    np.multiply(0.5, v, dx)
+    np.multiply(dx, t, dx)
+    np.multiply(dx, du, dx)
+    np.add(1.0, th, t)
+    np.multiply(0.5, t, t)
+    np.add(t, dx, t)
+    np.multiply(g, t, dx)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth ramp nonlinearity (tanh-form GELU)."""
-    v = x.data
-    v2 = v * v
-    u = _GELU_C * (v + 0.044715 * (v2 * v))
-    th = np.tanh(u)
-    y = 0.5 * v * (1.0 + th)
+    """Smooth ramp nonlinearity (tanh-form GELU), evaluated in row blocks
+    with the op order of the whole-array expressions, so every output and
+    gradient element is bit-identical to them."""
+    shape = x.data.shape
+    v = x.data.reshape(-1, shape[-1]) if x.data.ndim > 1 else x.data.reshape(1, -1)
+    block = (min(v.shape[0], GELU_BLOCK_ROWS), v.shape[1])
+    th, y = np.empty(v.shape), np.empty(v.shape)
+    _in_row_blocks(_gelu_rows, (v, y, th), (np.empty(block),))
 
     def _bw(g):
         if x.requires_grad:
-            du = _GELU_C * (1.0 + 3 * 0.044715 * v2)
-            dy = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du
-            x._accum(g * dy)
+            dx = np.empty(v.shape)
+            _in_row_blocks(_gelu_grad_rows, (v, th, g.reshape(v.shape), dx),
+                           (np.empty(block), np.empty(block)))
+            x._accum(dx.reshape(shape))
 
-    return Tensor(y, x.requires_grad, (x,), _bw)
+    return Tensor(y.reshape(shape), x.requires_grad, (x,), _bw)
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:

@@ -12,6 +12,7 @@ JSON record per line:
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -260,13 +261,25 @@ def _fixture_families():
     return fams
 
 
+def fixture_capacity() -> int:
+    """How many distinct examples the fixture families render: per question,
+    every ordered draw of 3 distractors times the 4 answer slots."""
+    return sum(math.perm(len([t for t in pool if t != answer]), 3) * 4
+               for instances, pool in _fixture_families() for _, answer in instances)
+
+
 def make_fixture(seed: int, n: int) -> list[QAExample]:
     """Deterministic synthetic science QA; same seed gives the same set.
 
-    Every example has 4 choices and a unique rendered form.
+    Every example has 4 choices and a unique rendered form, so n may not
+    exceed fixture_capacity().
     """
     if n < 1:
         raise ValueError(f"fixture size must be >= 1, got {n}")
+    capacity = fixture_capacity()
+    if n > capacity:
+        raise ValueError(f"fixture size {n} exceeds the {capacity} distinct examples "
+                         f"the fixture can render")
     gen = rngmod.stream(seed, "fixture")
     families = _fixture_families()
     seen: set[str] = set()

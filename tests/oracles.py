@@ -71,6 +71,27 @@ def mean(x: Tensor) -> Tensor:
     return Tensor(x.data.mean(), x.requires_grad, (x,), _bw)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
+def gelu(x: Tensor) -> Tensor:
+    """Tanh-form GELU as whole-array expressions; the library evaluates the
+    same expressions in row blocks and must match this bit for bit."""
+    v = x.data
+    v2 = v * v
+    u = _GELU_C * (v + 0.044715 * (v2 * v))
+    th = np.tanh(u)
+    y = 0.5 * v * (1.0 + th)
+
+    def _bw(g):
+        if x.requires_grad:
+            du = _GELU_C * (1.0 + 3 * 0.044715 * v2)
+            dy = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du
+            x._accum(g * dy)
+
+    return Tensor(y, x.requires_grad, (x,), _bw)
+
+
 def predict_weights(predictor: WeightPredictor, q: np.ndarray, training: bool = False,
                     rng: np.random.Generator | None = None) -> WeightVector:
     out = predictor.forward(Tensor(np.asarray(q).reshape(1, -1)), training, rng)

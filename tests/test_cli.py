@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -197,6 +198,13 @@ class TestFlagsCheckedBeforeCompute:
         monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
         assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    def test_fixture_size_above_capacity_names_the_flag(self, command, tmp_path, capsys):
+        start = time.perf_counter()
+        assert run_cli([command, "--fixture-size", "8000", "--out", str(tmp_path / "run")]) == 1
+        assert time.perf_counter() - start < 1.0
+        assert "--fixture-size must be between 1 and 7392" in capsys.readouterr().err
 
     # the longest basis prompt has 20 tokens, the longest input 49, and
     # max_positions is 256

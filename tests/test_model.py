@@ -41,6 +41,25 @@ class TestPretrain:
         rec = lm.pretrain_record
         assert rec["final_loss"] < rec["initial_loss"]
 
+    @pytest.mark.parametrize("fixture_seed", [6, 7])
+    @pytest.mark.parametrize("batch_size", [3, 10])
+    def test_initial_loss_is_a_fresh_model_corpus_pass(self, fixture_seed, batch_size):
+        # pretrain takes the fresh model's loss from all-zero logits without a
+        # forward pass, which holds only while the output projection starts at 0
+        examples = td.make_fixture(seed=fixture_seed, n=23)
+        corpus = [(td.format_input(e), td.format_target(e)) for e in examples]
+        lm = pretrain(corpus, PretrainConfig(epochs=1, batch_size=batch_size, model=SMALL),
+                      seed=4)
+        fresh = FrozenLM(lm.vocab, SMALL, seed=4)
+        encoded = [(td.tokenize(i, lm.vocab), td.tokenize(t, lm.vocab)) for i, t in corpus]
+        total = 0.0
+        for start in range(0, len(encoded), batch_size):
+            batch = encoded[start:start + batch_size]
+            loss = fresh.loss_with_prompt([None] * len(batch), [i for i, _ in batch],
+                                          [t for _, t in batch])
+            total += float(loss.data) * len(batch)
+        assert lm.pretrain_record["initial_loss"] == total / len(encoded)
+
     def test_same_seed_gives_bit_identical_checkpoints(self, tmp_path):
         examples = td.make_fixture(seed=6, n=8)
         corpus = [(td.format_input(e), td.format_target(e)) for e in examples]

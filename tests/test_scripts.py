@@ -1,6 +1,5 @@
 """Smoke tests of the experiment scripts under scripts/, run as a user would."""
 
-import importlib
 import os
 import runpy
 import subprocess
@@ -27,9 +26,7 @@ def test_run_stability_writes_both_curves_and_the_summary(tmp_path):
 
 
 def test_run_stability_calls_equal_volatility_a_tie(tmp_path, monkeypatch, capsys):
-    # the package's `train` attribute is the function, so fetch the module
-    monkeypatch.setattr(importlib.import_module("promptblend.train"), "stability_metric",
-                        lambda record: 0.5)
+    monkeypatch.setattr("promptblend.train.stability_metric", lambda record: 0.5)
     monkeypatch.setattr(sys, "argv", [str(STABILITY), *SMALL, "--out", str(tmp_path)])
     runpy.run_path(str(STABILITY), run_name="__main__")
     row = capsys.readouterr().out.splitlines()[1].split()

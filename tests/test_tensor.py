@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
-from promptblend.tensor import (DegenerateLossError, ShapeError, Tensor, attention_core,
-                                concat_cols, concat_rows, cross_entropy, dropout,
+from promptblend.tensor import (GELU_BLOCK_ROWS, DegenerateLossError, ShapeError, Tensor,
+                                attention_core, concat_cols, concat_rows, cross_entropy, dropout,
                                 embedding_lookup, gelu, layer_norm, linear, slice_cols,
                                 weighted_sum)
 
 from fdcheck import finite_difference, max_rel_error
+import oracles
 from oracles import matmul, mean, softmax, total, transpose
 
 
@@ -331,3 +332,25 @@ def test_forward_ops_stay_finite():
     x = Tensor(gen.normal(scale=50.0, size=(4, 8)))
     for out in (softmax(x), gelu(x), matmul(x, Tensor(gen.normal(size=(8, 3))))):
         assert np.all(np.isfinite(out.data))
+
+
+_B = GELU_BLOCK_ROWS
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.sampled_from([1, _B - 1, _B, _B + 1, 3 * _B + 1]),
+       width=st.sampled_from([7, 64, 128, 256]), transposed=st.booleans(),
+       scale=st.sampled_from([0.1, 1.0, 6.0]), seed=st.integers(0, 2**16))
+def test_blocked_gelu_is_bitwise_the_whole_array_gelu(rows, width, transposed, scale, seed):
+    gen = np.random.default_rng(seed)
+    # a transposed input is a non-contiguous view of the same values
+    data = gen.normal(scale=scale, size=(width, rows)).T if transposed \
+        else gen.normal(scale=scale, size=(rows, width))
+    g = gen.normal(size=(rows, width))
+    got, want = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    y, y_ref = gelu(got), oracles.gelu(want)
+    assert y.data.tobytes() == y_ref.data.tobytes()
+    y._backward(g)
+    y_ref._backward(g)
+    assert got.grad.shape == want.grad.shape == (rows, width)
+    assert got.grad.tobytes() == want.grad.tobytes()

@@ -210,6 +210,19 @@ class TestFixture:
         with pytest.raises(ValueError):
             td.make_fixture(seed=0, n=0)
 
+    def test_capacity_is_every_renderable_example(self):
+        # per question: ordered draws of 3 distractors times 4 answer slots
+        assert td.fixture_capacity() == 7392
+        assert len(td.make_fixture(seed=3, n=7392)) == 7392
+
+    def test_size_above_capacity_rejected_before_any_draw(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("drew from the fixture stream")
+
+        monkeypatch.setattr(td.rngmod, "stream", no_draws)
+        with pytest.raises(ValueError, match="exceeds the 7392 distinct examples"):
+            td.make_fixture(seed=3, n=7393)
+
 
 class TestSplit:
     def test_split_partitions(self, fixture_1000):

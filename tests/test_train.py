@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import promptblend
 from promptblend import rng as rngmod
 from promptblend import textdata as td
 from promptblend.composer import WeightPredictor, build_basis, combine, question_repr
@@ -22,6 +23,14 @@ BASIS_PROMPTS = [
     "Write pseudocode for an algorithm that could determine the answer",
     "Summarize the key insights needed to answer in a short poem",
 ]
+
+
+def test_package_train_attribute_is_the_module():
+    # README names promptblend.train.prompted_eval; callers take the function
+    # itself from the module
+    assert promptblend.train.prompted_eval is prompted_eval
+    assert promptblend.train.train is train
+    assert "train" not in promptblend.__all__
 
 
 @pytest.fixture(scope="module")
