@@ -14,9 +14,32 @@ import numpy as np
 
 from promptblend import textdata as td
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
-from promptblend.model import PretrainConfig, pretrain
-from promptblend.report import render_curves
-from promptblend.train import TrainConfig, stability_metric, train
+from promptblend.model import PretrainConfig, pretrain_examples
+from promptblend.report import render_curve_csv
+from promptblend.train import RunRecord, TrainConfig, stability_metric, train
+
+
+def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
+    """One CSV per record plus a volatility comparison summary."""
+    if not records:
+        raise ValueError("need at least one record")
+    epoch_counts = {len(r.epoch_means) for r in records}
+    if len(epoch_counts) != 1:
+        raise ValueError(f"records disagree on epoch count: {sorted(epoch_counts)}")
+    csvs = [render_curve_csv(r) for r in records]
+    lines = ["loss-curve comparison", "---------------------"]
+    metrics = []
+    for r in records:
+        m = stability_metric(r)
+        metrics.append(m)
+        lines.append(f"batch_size={r.config['batch_size']} epochs={len(r.epoch_means)} "
+                     f"stability={m!r}")
+    if len(records) == 2 and metrics[0] != metrics[1]:
+        if min(metrics) > 0:
+            lines.append(f"volatility ratio: {max(metrics) / min(metrics):.3f}")
+        noisier = records[int(np.argmax(metrics))]
+        lines.append(f"higher volatility: batch_size={noisier.config['batch_size']}")
+    return csvs, "\n".join(lines) + "\n"
 
 
 def main() -> None:
@@ -29,13 +52,23 @@ def main() -> None:
     ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--lr", type=float, default=3e-3)
     args = ap.parse_args()
+    # the stability metric differences epoch means, so it needs two of them
+    if args.epochs < 2:
+        ap.error(f"--epochs must be at least 2, got {args.epochs}")
+    if args.pretrain_epochs < 1:
+        ap.error(f"--pretrain-epochs must be at least 1, got {args.pretrain_epochs}")
+    capacity = td.fixture_capacity()
+    if not 1 <= args.fixture_size <= capacity:
+        ap.error(f"--fixture-size must be between 1 and {capacity}, got {args.fixture_size}")
 
     examples = td.make_fixture(args.fixture_seed, args.fixture_size)
-    train_set, eval_set = td.train_eval_split(examples, 0.2, seed=0)
-    corpus = [(td.format_input(e), td.format_target(e)) for e in train_set]
-    lm = pretrain(corpus, PretrainConfig(epochs=args.pretrain_epochs,
-                                         extra_vocab_texts=DEFAULT_BASIS_PROMPTS),
-                  seed=args.fixture_seed)
+    train_set, eval_set = td.train_eval_split(examples, 0.2)
+    if not train_set:
+        ap.error(f"--fixture-size {args.fixture_size} leaves no training example "
+                 f"after the 0.2 eval split")
+    lm = pretrain_examples(train_set, PretrainConfig(epochs=args.pretrain_epochs,
+                                                     extra_vocab_texts=DEFAULT_BASIS_PROMPTS),
+                           seed=args.fixture_seed)
     basis = build_basis(DEFAULT_BASIS_PROMPTS, lm)
 
     out = Path(args.out)

@@ -17,7 +17,7 @@ from .composer import (DEFAULT_BASIS_PROMPTS, PromptBasis,
                        WeightPredictor, WeightVector, build_basis, combine,
                        orthogonality_score, project_to_vocab, question_repr,
                        top_contributors)
-from .model import FrozenLM, LMConfig, PretrainConfig, pretrain
+from .model import FrozenLM, LMConfig, PretrainConfig, pretrain, pretrain_examples
 from .optim import AdamW
 from .tensor import Tensor
 from .textdata import QAExample, Vocab, load_dataset, make_fixture
@@ -28,6 +28,6 @@ __all__ = [
     "PretrainConfig", "PromptBasis", "QAExample", "RunRecord", "Tensor",
     "TrainConfig", "Vocab", "WeightPredictor", "WeightVector", "build_basis",
     "combine", "control_eval", "load_dataset", "make_fixture", "orthogonality_score",
-    "pretrain", "prompted_eval", "project_to_vocab", "question_repr",
+    "pretrain", "pretrain_examples", "prompted_eval", "project_to_vocab", "question_repr",
     "stability_metric", "top_contributors",
 ]

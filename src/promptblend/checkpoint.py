@@ -157,7 +157,7 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
             widths[-1] = len(prompts)
         for w, b, n_in, n_out in zip(names[0::2], names[1::2], widths, widths[1:]):
             expected[w], expected[b] = (n_in, n_out), (n_out,)
-        dropout_p = pred_meta.get("dropout_p", 0.1) if names else 0.0
+        dropout_p = pred_meta["dropout_p"] if names else 0.0
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointError(f"malformed bundle metadata ({e!r})") from e
     for name in sorted(set(tensors) | set(expected)):

@@ -21,14 +21,13 @@ from . import composer, report
 from . import textdata as td
 from .checkpoint import bundle_bytes, load_bundle
 from .composer import WeightPredictor
-from .model import FrozenLM, LMConfig, PretrainConfig, pretrain
+from .model import FrozenLM, LMConfig, PretrainConfig, pretrain_examples
 from .train import RunRecord, TrainConfig
 from .train import control_eval as _control_eval
 from .train import prompted_eval as _prompted_eval
 from .train import train as _train
 
 DEFAULT_FIXTURE_SEED = 3
-SPLIT_SEED = 0  # dataset split is independent of the run seed
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -117,6 +116,14 @@ def _positive(value: int, flag: str) -> int:
     return value
 
 
+def _prompt_length(value: int) -> int | None:
+    """build_basis's padded length for a --prompt-length; 0 gives None, the
+    longest basis prompt."""
+    if value < 0:
+        raise ValueError(f"--prompt-length must be non-negative, got {value}")
+    return value or None
+
+
 def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAExample],
                          max_positions: int) -> None:
     """Reject a --prompt-length (0: the longest basis prompt) that cannot hold
@@ -147,7 +154,7 @@ def _resolve_examples(args) -> list[td.QAExample]:
 
 
 def _split(examples: list[td.QAExample], val_fraction: float):
-    train_set, eval_set = td.train_eval_split(examples, val_fraction, SPLIT_SEED)
+    train_set, eval_set = td.train_eval_split(examples, val_fraction)
     if not train_set:
         raise ValueError(f"--val-fraction {val_fraction} leaves no training examples "
                          f"out of {len(examples)}")
@@ -178,13 +185,6 @@ def _write_outputs(out_dir, files: dict) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _pretrain_lm(train_set, basis_prompts, seed, epochs, batch_size=10, lr=3e-3) -> FrozenLM:
-    corpus = [(td.format_input(ex), td.format_target(ex)) for ex in train_set]
-    config = PretrainConfig(epochs=epochs, batch_size=batch_size, lr=lr,
-                            model=LMConfig(), extra_vocab_texts=list(basis_prompts))
-    return pretrain(corpus, config, seed)
-
-
 def _fresh_lm(basis_prompts, seed) -> FrozenLM:
     # unpretrained stand-in: enough for embedding-only workflows
     vocab = td.Vocab.build(basis_prompts)
@@ -200,7 +200,9 @@ def _cmd_pretrain(args) -> int:
     examples = _resolve_examples(args)
     train_set, _ = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
-    lm = _pretrain_lm(train_set, basis_prompts, seed, args.epochs, args.batch_size, args.lr)
+    config = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
+                            extra_vocab_texts=list(basis_prompts))
+    lm = pretrain_examples(train_set, config, seed)
     _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, basis_prompts=basis_prompts)})
     rec = lm.pretrain_record
     print(f"pretrained on {len(train_set)} examples: initial loss "
@@ -217,9 +219,12 @@ def _cmd_train(args) -> int:
     if not (math.isfinite(args.final_init_scale) and args.final_init_scale >= 0):
         raise ValueError(f"--final-init-scale must be a finite non-negative number, "
                          f"got {args.final_init_scale}")
+    if not 0.0 <= args.dropout < 1.0:
+        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}")
+    length = _prompt_length(args.prompt_length)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                         weight_decay=args.weight_decay, dropout_p=args.dropout,
-                         seed=seed, eval_every=args.eval_every)
+                         weight_decay=args.weight_decay, seed=seed,
+                         eval_every=args.eval_every)
     examples = _resolve_examples(args)
     train_set, eval_set = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
@@ -234,8 +239,8 @@ def _cmd_train(args) -> int:
         _positive(args.pretrain_epochs, "--pretrain-epochs")
         _check_prompt_length(args.prompt_length, basis_prompts, examples,
                              LMConfig().max_positions)
-        lm = _pretrain_lm(train_set, basis_prompts, seed, args.pretrain_epochs)
-    length = args.prompt_length if args.prompt_length > 0 else None
+        lm = pretrain_examples(train_set, PretrainConfig(
+            epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), seed)
     basis = composer.build_basis(basis_prompts, lm, length)
     predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
@@ -262,7 +267,7 @@ def _cmd_eval(args) -> int:
     _resolve_seed(args)
     examples = _resolve_examples(args)
     lm, predictor, ck_prompts = load_bundle(args.checkpoint)
-    _, eval_set = td.train_eval_split(examples, args.val_fraction, SPLIT_SEED)
+    _, eval_set = td.train_eval_split(examples, args.val_fraction)
     payload = {"eval_examples": len(eval_set)}
     if predictor is None:
         payload["control_eval_loss"] = _control_eval(lm, eval_set)
@@ -307,12 +312,12 @@ def _cmd_report(args) -> int:
 
 def _basis_for_inspection(args):
     seed = _resolve_seed(args)
+    length = _prompt_length(args.prompt_length)
     prompts = _resolve_basis_prompts(args)
     if args.checkpoint:
         lm, _, _ = load_bundle(args.checkpoint)
     else:
         lm = _fresh_lm(prompts, seed)
-    length = args.prompt_length if args.prompt_length > 0 else None
     return composer.build_basis(prompts, lm, length)
 
 

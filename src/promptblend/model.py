@@ -29,6 +29,10 @@ from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entr
 MASK_VALUE = -1e30
 # pretraining's random-token prefixes are 2 to this many tokens long
 MAX_NOISE_PREFIX = 12
+# share of pretraining passes that see a prefix prepended to the encoder
+# input, so the frozen model treats continuous prompts as consumable
+# context instead of corruption
+PROMPT_EXPOSURE = 0.6
 # of the pretraining passes that see a prefix, the share whose prefix is an
 # embedded copy of the target rather than random tokens
 HINT_FRACTION = 0.67
@@ -59,10 +63,6 @@ class PretrainConfig:
     epochs: int = 6
     batch_size: int = 10
     lr: float = 3e-3
-    # fraction of pretraining passes that see a prefix prepended to the
-    # encoder input, so the frozen model treats continuous prompts as
-    # consumable context instead of corruption (see HINT_FRACTION)
-    prompt_exposure: float = 0.6
     model: LMConfig = field(default_factory=LMConfig)
     extra_vocab_texts: list[str] = field(default_factory=list)
 
@@ -340,8 +340,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
     lm = FrozenLM(vocab, config.model, seed)
     encoded = [(td.tokenize(inp, vocab), td.tokenize(tgt, vocab)) for inp, tgt in corpus]
     for i, (inp, tgt) in enumerate(encoded):
-        prefix = max(len(tgt), MAX_NOISE_PREFIX) if config.prompt_exposure > 0 else 0
-        lm.check_fits(f"corpus pair {i}", prefix, inp, [tgt])
+        lm.check_fits(f"corpus pair {i}", max(len(tgt), MAX_NOISE_PREFIX), inp, [tgt])
 
     def packed_loss(batch, prefixes) -> Tensor:
         return lm.loss_with_prompt(prefixes, [inp for inp, _ in batch],
@@ -369,9 +368,9 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
 
     def draw_prefix(tgt: list[int]) -> Tensor | None:
         roll = exposure.random()
-        if roll >= config.prompt_exposure:
+        if roll >= PROMPT_EXPOSURE:
             return None
-        if roll < config.prompt_exposure * HINT_FRACTION and tgt:
+        if roll < PROMPT_EXPOSURE * HINT_FRACTION and tgt:
             return lm.embed_tokens(tgt)
         n = int(exposure.integers(2, MAX_NOISE_PREFIX + 1))
         ids = exposure.integers(len(td.RESERVED_TOKENS), vocab_size, size=n)
@@ -395,3 +394,11 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
                           "epoch_means": epoch_means, "epochs": config.epochs,
                           "batch_size": config.batch_size, "lr": config.lr}
     return lm
+
+
+def pretrain_examples(train_set: list[td.QAExample], config: PretrainConfig,
+                      seed: int) -> FrozenLM:
+    """pretrain() on each example's (input, gold answer) pair, the corpus
+    every experiment freezes its LM on."""
+    return pretrain([(td.format_input(ex), td.format_target(ex)) for ex in train_set],
+                    config, seed)

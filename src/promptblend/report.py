@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .composer import PromptBasis, orthogonality_score, top_contributors
-from .train import RunRecord, stability_metric
+from .train import RunRecord
 
 _ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 
@@ -147,29 +147,6 @@ def render_curve_csv(record: RunRecord) -> str:
     for s in record.steps:
         lines.append(f"{s.epoch},{s.step},{s.batch_size},{s.loss!r}")
     return "\n".join(lines) + "\n"
-
-
-def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
-    """One CSV per record plus a volatility comparison summary."""
-    if not records:
-        raise ValueError("need at least one record")
-    epoch_counts = {len(r.epoch_means) for r in records}
-    if len(epoch_counts) != 1:
-        raise ValueError(f"records disagree on epoch count: {sorted(epoch_counts)}")
-    csvs = [render_curve_csv(r) for r in records]
-    lines = ["loss-curve comparison", "---------------------"]
-    metrics = []
-    for r in records:
-        m = stability_metric(r)
-        metrics.append(m)
-        lines.append(f"batch_size={r.config['batch_size']} epochs={len(r.epoch_means)} "
-                     f"stability={m!r}")
-    if len(records) == 2 and metrics[0] != metrics[1]:
-        if min(metrics) > 0:
-            lines.append(f"volatility ratio: {max(metrics) / min(metrics):.3f}")
-        noisier = records[int(np.argmax(metrics))]
-        lines.append(f"higher volatility: batch_size={noisier.config['batch_size']}")
-    return csvs, "\n".join(lines) + "\n"
 
 
 def render_ortho(basis: PromptBasis) -> tuple[str, dict]:

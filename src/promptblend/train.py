@@ -33,7 +33,6 @@ class TrainConfig:
     batch_size: int = 10
     lr: float = 1e-3
     weight_decay: float = 0.01
-    dropout_p: float = 0.1
     seed: int = 0
     eval_every: int = 0  # steps between eval passes; 0 = final only
 
@@ -46,8 +45,6 @@ class TrainConfig:
             raise ValueError(f"lr must be non-negative, got {self.lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be non-negative, got {self.eval_every}")
 
@@ -274,7 +271,12 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     opt = AdamW(predictor.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
     drop_rng = rngmod.stream(config.seed, "train-dropout")
-    record = RunRecord(config={**asdict(config), "prompt_length": basis.length},
+    # the predictor's dropout rate goes between weight_decay and seed, so
+    # record.json keeps its key order
+    settings = asdict(config)
+    tail = {name: settings.pop(name) for name in ("seed", "eval_every")}
+    record = RunRecord(config={**settings, "dropout_p": predictor.dropout_p, **tail,
+                               "prompt_length": basis.length},
                        basis_prompts=list(basis.prompts))
 
     def batch_loss(indices) -> Tensor:

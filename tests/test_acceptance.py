@@ -18,7 +18,7 @@ from promptblend.cli import run_cli
 from promptblend.composer import (DEFAULT_BASIS_PROMPTS, WeightPredictor, WeightVector,
                                   build_basis, combine, orthogonality_score,
                                   project_to_vocab, question_repr, top_contributors)
-from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain
+from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain, pretrain_examples
 from promptblend.optim import AdamW
 from promptblend.report import render_report
 from promptblend.tensor import Tensor, cross_entropy
@@ -42,12 +42,11 @@ def criterion(num: int, desc: str):
 def small_lm():
     """A modest pretrained model shared by the cheap criteria."""
     examples = td.make_fixture(seed=3, n=80)
-    train_set, _ = td.train_eval_split(examples, 0.2, seed=0)
-    corpus = [(td.format_input(e), td.format_target(e)) for e in train_set]
+    train_set, _ = td.train_eval_split(examples, 0.2)
     cfg = PretrainConfig(epochs=3, model=LMConfig(embed_dim=32, num_heads=2,
                                                   ffn_dim=64, max_positions=128),
                          extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS))
-    lm = pretrain(corpus, cfg, seed=7)
+    lm = pretrain_examples(train_set, cfg, seed=7)
     return lm, examples
 
 
@@ -98,7 +97,7 @@ def test_criterion_2_control_equivalence(small_lm):
     with criterion(2, "zero-initialized final layer gives prompted == control to "
                       "1e-12; all-zero prompts of length 1..8 leave loss unchanged"):
         lm, examples = small_lm
-        _, eval_set = td.train_eval_split(examples, 0.2, seed=0)
+        _, eval_set = td.train_eval_split(examples, 0.2)
         basis = build_basis(DEFAULT_BASIS_PROMPTS, lm)
         pred = WeightPredictor.create(seed=4, in_dim=lm.config.embed_dim,
                                       out_dim=basis.size, final_scale=0.0)
@@ -120,11 +119,9 @@ def reduction_runs():
     then three 20-epoch predictor runs."""
     t_start = time.perf_counter()
     examples = td.make_fixture(seed=3, n=1000)
-    train_set, eval_set = td.train_eval_split(examples, 0.2, seed=0)
-    corpus = [(td.format_input(e), td.format_target(e)) for e in train_set]
-    lm = pretrain(corpus, PretrainConfig(epochs=6,
-                                         extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS)),
-                  seed=100)
+    train_set, eval_set = td.train_eval_split(examples, 0.2)
+    lm = pretrain_examples(train_set, PretrainConfig(
+        epochs=6, extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS)), seed=100)
     basis = build_basis(DEFAULT_BASIS_PROMPTS, lm)
     control = control_eval(lm, eval_set)
     records = []
@@ -157,12 +154,9 @@ def test_criterion_4_batch_size_stability():
     with criterion(4, "batch-2 loss curve is more volatile than batch-10, "
                       "median over 5 paired seeds, same epochs"):
         examples = td.make_fixture(seed=3, n=300)
-        train_set, eval_set = td.train_eval_split(examples, 0.2, seed=0)
-        corpus = [(td.format_input(e), td.format_target(e)) for e in train_set]
-        lm = pretrain(corpus,
-                      PretrainConfig(epochs=6,
-                                     extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS)),
-                      seed=200)
+        train_set, eval_set = td.train_eval_split(examples, 0.2)
+        lm = pretrain_examples(train_set, PretrainConfig(
+            epochs=6, extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS)), seed=200)
         basis = build_basis(DEFAULT_BASIS_PROMPTS, lm)
         diffs = []
         for seed in (1, 2, 3, 4, 5):

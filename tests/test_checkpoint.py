@@ -109,3 +109,12 @@ def test_predictor_width_must_match_basis(scratch):
 
     with pytest.raises(CheckpointError, match="predictor.b3"):
         _load(scratch, _retensor(edit))
+
+
+def test_predictor_dropout_rate_is_required(scratch):
+    # bundle_bytes always writes the rate, so a bundle without it is malformed
+    def edit(tensors, meta):
+        del meta["predictor"]["dropout_p"]
+
+    with pytest.raises(CheckpointError, match="dropout_p"):
+        _load(scratch, _retensor(edit))

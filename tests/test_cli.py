@@ -195,7 +195,7 @@ class TestFlagsCheckedBeforeCompute:
                                       ["--weight-decay", "-1"], ["--eval-every", "-1"]])
     def test_bad_train_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
                                                      capsys):
-        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
         assert "error:" in capsys.readouterr().err
 
@@ -209,12 +209,20 @@ class TestFlagsCheckedBeforeCompute:
     # the longest basis prompt has 20 tokens, the longest input 49, and
     # max_positions is 256
     @pytest.mark.parametrize("flag", [["--final-init-scale", "-1"], ["--prompt-length", "3"],
-                                      ["--prompt-length", "240"], ["--prompt-length", "257"]])
+                                      ["--prompt-length", "240"], ["--prompt-length", "257"],
+                                      ["--prompt-length", "-1"]])
     def test_bad_basis_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
                                                      capsys):
-        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
         assert flag[0] in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "ortho"])
+    def test_negative_prompt_length_is_rejected(self, command, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert run_cli([command, "--prompt-length", "-5", "--out", str(out)]) == 1
+        assert "--prompt-length must be non-negative, got -5" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_pretrain_lr_exits_before_any_forward(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(FrozenLM, "loss_with_prompt", _never_called)
@@ -227,7 +235,7 @@ class TestFlagsCheckedBeforeCompute:
                                                     capsys):
         data = tmp_path / "empty.jsonl"
         data.write_text("")
-        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
         assert run_cli([*command, "--data", str(data), "--out", str(tmp_path / "run")]) == 1
         assert f"dataset {data} contains no examples" in capsys.readouterr().err
@@ -238,7 +246,7 @@ class TestFlagsCheckedBeforeCompute:
                                          ["train"], ["pretrain"]])
     def test_empty_training_split_exits_before_any_compute(self, command, tmp_path,
                                                            monkeypatch, capsys):
-        monkeypatch.setattr("promptblend.cli.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
         assert run_cli([*command, "--fixture-size", "1", "--out", str(tmp_path / "run")]) == 1
         assert ("--val-fraction 0.2 leaves no training examples out of 1"

@@ -9,7 +9,7 @@ from promptblend.composer import (DEFAULT_BASIS_PROMPTS, BasisError, WeightPredi
                                   WeightVector, build_basis, combine, load_basis_file,
                                   orthogonality_score, project_to_vocab,
                                   question_repr, top_contributors)
-from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain
+from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain_examples
 from promptblend.tensor import Tensor
 
 from fdcheck import finite_difference, max_rel_error
@@ -21,10 +21,9 @@ SMALL = LMConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_positions=96)
 @pytest.fixture(scope="module")
 def lm():
     examples = td.make_fixture(seed=3, n=10)
-    corpus = [(td.format_input(e), td.format_target(e)) for e in examples]
     cfg = PretrainConfig(epochs=1, model=SMALL,
                          extra_vocab_texts=list(DEFAULT_BASIS_PROMPTS))
-    return pretrain(corpus, cfg, seed=0)
+    return pretrain_examples(examples, cfg, seed=0)
 
 
 @pytest.fixture(scope="module")

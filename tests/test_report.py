@@ -5,7 +5,7 @@ import pytest
 from promptblend import textdata as td
 from promptblend.composer import build_basis
 from promptblend.model import FrozenLM, LMConfig
-from promptblend.report import render_curve_csv, render_curves, render_ortho, render_report
+from promptblend.report import render_curve_csv, render_ortho, render_report
 from promptblend.train import ExampleEval, RunRecord, StepRecord
 
 SMALL = LMConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_positions=64)
@@ -117,24 +117,6 @@ class TestRenderCurves:
             assert int(idx) == step.step
             assert int(bs) == step.batch_size
             assert float(loss) == step.loss  # bit-exact via repr round-trip
-
-    def test_flags_the_noisier_record(self, basis):
-        smooth = _record(basis)
-        smooth.config = dict(smooth.config, batch_size=10)
-        smooth.epoch_means = [4.0, 3.0, 2.0, 1.0]
-        noisy = _record(basis)
-        noisy.config = dict(noisy.config, batch_size=2)
-        noisy.epoch_means = [4.0, 1.0, 3.5, 0.5]
-        csvs, summary = render_curves([smooth, noisy])
-        assert len(csvs) == 2
-        assert "higher volatility: batch_size=2" in summary
-
-    def test_epoch_count_mismatch_rejected(self, basis):
-        a = _record(basis)
-        b = _record(basis)
-        b.epoch_means = [1.0, 2.0, 3.0]
-        with pytest.raises(ValueError, match="epoch count"):
-            render_curves([a, b])
 
 
 class TestRenderOrtho:

@@ -6,11 +6,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import promptblend
+from promptblend.train import RunRecord
 
 ROOT = Path(__file__).resolve().parents[1]
 STABILITY = ROOT / "scripts" / "run_stability.py"
 SMALL = ["--fixture-size", "40", "--pretrain-epochs", "1", "--epochs", "3", "--seeds", "1"]
+
+
+def _never_called(*args, **kwargs):
+    raise AssertionError("compute started before the flags were checked")
 
 
 def test_run_stability_writes_both_curves_and_the_summary(tmp_path):
@@ -31,3 +38,40 @@ def test_run_stability_calls_equal_volatility_a_tie(tmp_path, monkeypatch, capsy
     runpy.run_path(str(STABILITY), run_name="__main__")
     row = capsys.readouterr().out.splitlines()[1].split()
     assert row == ["1", "0.50000", "0.50000", "tie"]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--epochs", "1"], "--epochs must be at least 2, got 1"),
+    (["--pretrain-epochs", "0"], "--pretrain-epochs must be at least 1, got 0"),
+    (["--fixture-size", "0"], "--fixture-size must be between 1 and 7392, got 0"),
+    (["--fixture-size", "7393"], "--fixture-size must be between 1 and 7392, got 7393"),
+    (["--fixture-size", "1"], "--fixture-size 1 leaves no training example"),
+])
+def test_run_stability_rejects_bad_flags_before_any_compute(flags, message, tmp_path,
+                                                            monkeypatch, capsys):
+    monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+    monkeypatch.setattr(sys, "argv", [str(STABILITY), *SMALL, *flags, "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(STABILITY), run_name="__main__")
+    assert exit_info.value.code == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def _record(batch_size, epoch_means):
+    return RunRecord(config={"batch_size": batch_size}, basis_prompts=[],
+                     epoch_means=epoch_means)
+
+
+def test_render_curves_flags_the_noisier_record():
+    render_curves = runpy.run_path(str(STABILITY))["render_curves"]
+    csvs, summary = render_curves([_record(10, [4.0, 3.0, 2.0, 1.0]),
+                                   _record(2, [4.0, 1.0, 3.5, 0.5])])
+    assert len(csvs) == 2
+    assert "higher volatility: batch_size=2" in summary
+
+
+def test_render_curves_rejects_an_epoch_count_mismatch():
+    render_curves = runpy.run_path(str(STABILITY))["render_curves"]
+    with pytest.raises(ValueError, match="epoch count"):
+        render_curves([_record(10, [1.5, 0.9]), _record(2, [1.0, 2.0, 3.0])])

@@ -226,20 +226,20 @@ class TestFixture:
 
 class TestSplit:
     def test_split_partitions(self, fixture_1000):
-        train, evals = td.train_eval_split(fixture_1000, 0.2, seed=0)
+        train, evals = td.train_eval_split(fixture_1000, 0.2)
         assert len(train) + len(evals) == len(fixture_1000)
         assert len(evals) == 200
         ids = {e.id for e in train} | {e.id for e in evals}
         assert len(ids) == len(fixture_1000)
 
     def test_split_deterministic(self, fixture_1000):
-        a = td.train_eval_split(fixture_1000, 0.25, seed=4)
-        b = td.train_eval_split(fixture_1000, 0.25, seed=4)
+        a = td.train_eval_split(fixture_1000, 0.25)
+        b = td.train_eval_split(fixture_1000, 0.25)
         assert a == b
 
     def test_bad_fraction(self, fixture_1000):
         with pytest.raises(ValueError):
-            td.train_eval_split(fixture_1000, 1.5, seed=0)
+            td.train_eval_split(fixture_1000, 1.5)
 
 
 @settings(max_examples=50, deadline=None)

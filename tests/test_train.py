@@ -11,7 +11,8 @@ from promptblend import rng as rngmod
 from promptblend import textdata as td
 from promptblend.composer import WeightPredictor, build_basis, combine, question_repr
 from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
-                               PretrainConfig, pretrain)
+                               PretrainConfig, pretrain_examples)
+from promptblend.report import render_report
 from promptblend.tensor import Tensor
 from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
                                _batch_loss, _scored_entries, _training_entries,
@@ -36,10 +37,9 @@ def test_package_train_attribute_is_the_module():
 @pytest.fixture(scope="module")
 def setup():
     examples = td.make_fixture(seed=13, n=60)
-    train_set, eval_set = td.train_eval_split(examples, 0.25, seed=0)
-    corpus = [(td.format_input(e), td.format_target(e)) for e in train_set]
+    train_set, eval_set = td.train_eval_split(examples, 0.25)
     cfg = PretrainConfig(epochs=2, model=SMALL, extra_vocab_texts=BASIS_PROMPTS)
-    lm = pretrain(corpus, cfg, seed=21)
+    lm = pretrain_examples(train_set, cfg, seed=21)
     basis = build_basis(BASIS_PROMPTS, lm)
     return lm, basis, train_set, eval_set
 
@@ -75,6 +75,14 @@ class TestTrain:
         for epoch, mean in enumerate(record.epoch_means, start=1):
             losses = [s.loss for s in record.steps if s.epoch == epoch]
             assert mean == pytest.approx(np.mean(losses), abs=1e-15)
+
+    def test_record_and_report_carry_the_predictors_dropout_rate(self, setup):
+        lm, basis, train_set, eval_set = setup
+        record = train(lm, _predictor(lm, basis, dropout_p=0.3), basis, train_set, eval_set,
+                       TrainConfig())
+        assert list(record.config.items())[3:6] == [("weight_decay", 0.01),
+                                                    ("dropout_p", 0.3), ("seed", 0)]
+        assert " dropout=0.3 " in render_report(record, basis, n_top=3).text
 
     def test_same_seed_reproduces_the_record(self, setup):
         lm, basis, train_set, eval_set = setup
@@ -256,7 +264,7 @@ class TestPromptedEval:
         pred = _predictor(lm, basis, dropout_p=0.0)
         before = prompted_eval(lm, pred, basis, eval_set).mean_loss
         cfg = TrainConfig(epochs=2, batch_size=len(train_set), lr=0.0,
-                          weight_decay=0.0, dropout_p=0.0, seed=12)
+                          weight_decay=0.0, seed=12)
         train(lm, pred, basis, train_set, eval_set, cfg)
         after = prompted_eval(lm, pred, basis, eval_set).mean_loss
         assert before == after
