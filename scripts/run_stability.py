@@ -13,6 +13,7 @@ import promptblend  # noqa: F401  (sets the one-thread BLAS default before numpy
 import numpy as np
 
 from promptblend import textdata as td
+from promptblend.cli import FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
 from promptblend.model import PretrainConfig, pretrain_examples
 from promptblend.report import render_curve_csv
@@ -45,22 +46,14 @@ def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/stability")
-    ap.add_argument("--fixture-size", type=int, default=300)
-    ap.add_argument("--fixture-seed", type=int, default=3)
-    ap.add_argument("--pretrain-epochs", type=int, default=6)
-    ap.add_argument("--epochs", type=int, default=8)
-    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
-    ap.add_argument("--lr", type=float, default=3e-3)
-    args = ap.parse_args()
+    ap.add_argument("--fixture-size", type=FIXTURE_SIZE, default=300)
+    ap.add_argument("--fixture-seed", type=SEED, default=3)
+    ap.add_argument("--pretrain-epochs", type=at_least(1), default=6)
     # the stability metric differences epoch means, so it needs two of them
-    if args.epochs < 2:
-        ap.error(f"--epochs must be at least 2, got {args.epochs}")
-    if args.pretrain_epochs < 1:
-        ap.error(f"--pretrain-epochs must be at least 1, got {args.pretrain_epochs}")
-    capacity = td.fixture_capacity()
-    if not 1 <= args.fixture_size <= capacity:
-        ap.error(f"--fixture-size must be between 1 and {capacity}, got {args.fixture_size}")
-
+    ap.add_argument("--epochs", type=at_least(2), default=8)
+    ap.add_argument("--seeds", type=SEED, nargs="+", default=[1, 2, 3, 4, 5])
+    ap.add_argument("--lr", type=NON_NEGATIVE, default=3e-3)
+    args = ap.parse_args()
     examples = td.make_fixture(args.fixture_seed, args.fixture_size)
     train_set, eval_set = td.train_eval_split(examples, 0.2)
     if not train_set:

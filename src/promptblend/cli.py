@@ -30,6 +30,33 @@ from .train import train as _train
 DEFAULT_FIXTURE_SEED = 3
 
 
+def _domain(convert, accepts, domain: str):
+    """An argparse type keeping the values `accepts` allows; argparse names the flag."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accepts(value):
+            raise argparse.ArgumentTypeError(f"must be {domain}, got {text!r}")
+        return value
+    return parse
+
+
+def at_least(low: int):
+    return _domain(int, lambda v: v >= low, f"an integer of at least {low}")
+
+
+SEED = at_least(0)
+# NaN fails every comparison; inf passes, so a divergent rate fails at run time
+NON_NEGATIVE = _domain(float, lambda v: v >= 0, "a non-negative number")
+FINITE_NON_NEGATIVE = _domain(float, lambda v: 0 <= v < math.inf, "a finite non-negative number")
+PROBABILITY = _domain(float, lambda v: 0 <= v < 1, "a probability in [0, 1)")
+FRACTION = _domain(float, lambda v: 0 < v < 1, "a fraction in (0, 1)")
+FIXTURE_SIZE = _domain(int, lambda v: 1 <= v <= td.fixture_capacity(),
+                       f"an integer from 1 to {td.fixture_capacity()}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="promptblend",
@@ -40,22 +67,23 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_data_flags(p):
         p.add_argument("--data", default="fixture",
                        help="dataset path, or 'fixture' for the bundled synthetic set")
-        p.add_argument("--fixture-size", type=int, default=1000)
-        p.add_argument("--fixture-seed", type=int, default=DEFAULT_FIXTURE_SEED)
-        p.add_argument("--val-fraction", type=float, default=0.2)
+        p.add_argument("--fixture-size", type=FIXTURE_SIZE, default=1000)
+        p.add_argument("--fixture-seed", type=SEED, default=DEFAULT_FIXTURE_SEED)
+        p.add_argument("--val-fraction", type=FRACTION, default=0.2)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=None,
-                       help="run seed; falls back to PROMPTBLEND_SEED, then 0")
+    def add_common(p, seed=True):
+        if seed:
+            p.add_argument("--seed", type=SEED, default=None,
+                           help="run seed; falls back to PROMPTBLEND_SEED, then 0")
         p.add_argument("--basis", default="default",
                        help="basis file path, or 'default' for the built-in prompts")
 
     p = sub.add_parser("pretrain", help="pretrain and freeze the base model")
     add_data_flags(p)
     add_common(p)
-    p.add_argument("--epochs", type=int, default=6)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--lr", type=float, default=3e-3)
+    p.add_argument("--epochs", type=at_least(1), default=6)
+    p.add_argument("--batch-size", type=at_least(1), default=10)
+    p.add_argument("--lr", type=NON_NEGATIVE, default=3e-3)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("train", help="train the weight predictor against a frozen model")
@@ -63,22 +91,22 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--checkpoint", default=None,
                    help="frozen model checkpoint; omitted means pretrain in-process")
-    p.add_argument("--pretrain-epochs", type=int, default=6)
-    p.add_argument("--epochs", type=int, default=20)
-    p.add_argument("--batch-size", type=int, default=10)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--dropout", type=float, default=0.1)
-    p.add_argument("--weight-decay", type=float, default=0.01)
-    p.add_argument("--prompt-length", type=int, default=0,
+    p.add_argument("--pretrain-epochs", type=at_least(1), default=6)
+    p.add_argument("--epochs", type=at_least(1), default=20)
+    p.add_argument("--batch-size", type=at_least(1), default=10)
+    p.add_argument("--lr", type=NON_NEGATIVE, default=1e-3)
+    p.add_argument("--dropout", type=PROBABILITY, default=0.1)
+    p.add_argument("--weight-decay", type=NON_NEGATIVE, default=0.01)
+    p.add_argument("--prompt-length", type=at_least(0), default=0,
                    help="padded prompt length; 0 uses the longest basis prompt")
-    p.add_argument("--final-init-scale", type=float, default=0.01)
-    p.add_argument("--eval-every", type=int, default=0)
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--final-init-scale", type=FINITE_NON_NEGATIVE, default=0.01)
+    p.add_argument("--eval-every", type=at_least(0), default=0)
+    p.add_argument("--top", type=at_least(1), default=3)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("eval", help="control and prompted evaluation from a checkpoint")
     add_data_flags(p)
-    add_common(p)
+    add_common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None)
 
@@ -86,42 +114,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record", required=True)
     p.add_argument("--checkpoint", default=None,
                    help="checkpoint for basis embeddings; defaults to the record's sibling")
-    p.add_argument("--top", type=int, default=3)
+    p.add_argument("--top", type=at_least(1), default=3)
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("ortho", help="orthogonality report for a prompt basis")
     add_common(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--prompt-length", type=int, default=0)
+    p.add_argument("--prompt-length", type=at_least(0), default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("embed", help="embed a basis and summarize it")
     add_common(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--prompt-length", type=int, default=0)
+    p.add_argument("--prompt-length", type=at_least(0), default=0)
     p.add_argument("--out", default=None)
 
     return parser
 
 
 def _resolve_seed(args) -> int:
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         return args.seed
-    return int(os.environ.get("PROMPTBLEND_SEED", "0"))
-
-
-def _positive(value: int, flag: str) -> int:
-    if value < 1:
-        raise ValueError(f"{flag} must be at least 1, got {value}")
-    return value
-
-
-def _prompt_length(value: int) -> int | None:
-    """build_basis's padded length for a --prompt-length; 0 gives None, the
-    longest basis prompt."""
-    if value < 0:
-        raise ValueError(f"--prompt-length must be non-negative, got {value}")
-    return value or None
+    try:
+        return SEED(os.environ.get("PROMPTBLEND_SEED", "0"))
+    except argparse.ArgumentTypeError as e:
+        raise ValueError(f"PROMPTBLEND_SEED {e}") from None
 
 
 def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAExample],
@@ -140,12 +157,14 @@ def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAEx
                          f"tokens) exceeds max_positions {max_positions}")
 
 
+def _check_top(top: int, prompts: list[str]) -> None:
+    """Reject a --top the report cannot fill, before any compute."""
+    if top > len(prompts):
+        raise ValueError(f"--top {top} exceeds the basis size {len(prompts)}")
+
+
 def _resolve_examples(args) -> list[td.QAExample]:
     if args.data == "fixture":
-        capacity = td.fixture_capacity()
-        if not 1 <= args.fixture_size <= capacity:
-            raise ValueError(f"--fixture-size must be between 1 and {capacity}, the "
-                             f"distinct examples the fixture renders; got {args.fixture_size}")
         return td.make_fixture(args.fixture_seed, args.fixture_size)
     examples = td.load_dataset(args.data)
     if not examples:
@@ -195,8 +214,6 @@ def _fresh_lm(basis_prompts, seed) -> FrozenLM:
 
 def _cmd_pretrain(args) -> int:
     seed = _resolve_seed(args)
-    _positive(args.epochs, "--epochs")
-    _positive(args.batch_size, "--batch-size")
     examples = _resolve_examples(args)
     train_set, _ = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
@@ -213,35 +230,25 @@ def _cmd_pretrain(args) -> int:
 
 def _cmd_train(args) -> int:
     seed = _resolve_seed(args)
-    _positive(args.epochs, "--epochs")
-    _positive(args.batch_size, "--batch-size")
-    _positive(args.top, "--top")
-    if not (math.isfinite(args.final_init_scale) and args.final_init_scale >= 0):
-        raise ValueError(f"--final-init-scale must be a finite non-negative number, "
-                         f"got {args.final_init_scale}")
-    if not 0.0 <= args.dropout < 1.0:
-        raise ValueError(f"--dropout must be in [0, 1), got {args.dropout}")
-    length = _prompt_length(args.prompt_length)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                          weight_decay=args.weight_decay, seed=seed,
                          eval_every=args.eval_every)
     examples = _resolve_examples(args)
     train_set, eval_set = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
+    lm = None
     if args.checkpoint:
         lm, _, ck_prompts = load_bundle(args.checkpoint)
         lm.set_frozen(True)
         if ck_prompts and args.basis == "default":
             basis_prompts = ck_prompts
-        _check_prompt_length(args.prompt_length, basis_prompts, examples,
-                             lm.config.max_positions)
-    else:
-        _positive(args.pretrain_epochs, "--pretrain-epochs")
-        _check_prompt_length(args.prompt_length, basis_prompts, examples,
-                             LMConfig().max_positions)
+    _check_top(args.top, basis_prompts)
+    _check_prompt_length(args.prompt_length, basis_prompts, examples,
+                         (LMConfig() if lm is None else lm.config).max_positions)
+    if lm is None:
         lm = pretrain_examples(train_set, PretrainConfig(
             epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), seed)
-    basis = composer.build_basis(basis_prompts, lm, length)
+    basis = composer.build_basis(basis_prompts, lm, args.prompt_length or None)
     predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
@@ -264,7 +271,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _resolve_seed(args)
     examples = _resolve_examples(args)
     lm, predictor, ck_prompts = load_bundle(args.checkpoint)
     _, eval_set = td.train_eval_split(examples, args.val_fraction)
@@ -290,9 +296,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    _positive(args.top, "--top")
     record_path = Path(args.record)
     record = RunRecord.from_json(record_path.read_text(encoding="utf-8"))
+    _check_top(args.top, record.basis_prompts)
     ck = args.checkpoint or str(record_path.parent / "checkpoint.pbld")
     if not Path(ck).exists():
         raise ValueError(f"checkpoint {ck} not found; pass --checkpoint")
@@ -312,13 +318,12 @@ def _cmd_report(args) -> int:
 
 def _basis_for_inspection(args):
     seed = _resolve_seed(args)
-    length = _prompt_length(args.prompt_length)
     prompts = _resolve_basis_prompts(args)
     if args.checkpoint:
         lm, _, _ = load_bundle(args.checkpoint)
     else:
         lm = _fresh_lm(prompts, seed)
-    return composer.build_basis(prompts, lm, length)
+    return composer.build_basis(prompts, lm, args.prompt_length or None)
 
 
 def _cmd_ortho(args) -> int:

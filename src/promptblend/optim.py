@@ -8,6 +8,10 @@ import numpy as np
 
 from .tensor import Tensor
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class OptimizerStateError(RuntimeError):
     """Raised when a parameter is missing required optimizer state."""
@@ -29,21 +33,13 @@ class AdamW:
     zero_grad() between steps.
     """
 
-    def __init__(self, params: list[Tensor], lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
+    def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
         if lr < 0:
             raise ValueError(f"lr must be non-negative, got {lr}")
-        if not (0.0 <= beta1 < 1.0 and 0.0 <= beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got ({beta1}, {beta2})")
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
         if weight_decay < 0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.state = AdamWState(
             m=[np.zeros_like(p.data) for p in self.params],
@@ -56,17 +52,17 @@ class AdamW:
                 raise OptimizerStateError(f"parameter {i} has no gradient; run backward() first")
         self.state.step_count += 1
         t = self.state.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
         for p, m, v in zip(self.params, self.state.m, self.state.v):
             g = p.grad
             if self.weight_decay != 0.0:
                 p.data *= 1.0 - self.lr * self.weight_decay
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params:

@@ -239,7 +239,7 @@ def test_criterion_7_oracle_equivalences(small_lm):
             assert abs(float(loss.data) - math.log(v)) < 1e-9
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1)
-        AdamW([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0).step()
+        AdamW([p], lr=0.1, weight_decay=0.0).step()
         closed_form = 1.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert abs(float(p.data[0]) - closed_form) < 1e-9
 

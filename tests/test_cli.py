@@ -1,12 +1,20 @@
+import argparse
+import contextlib
+import io
 import json
+import runpy
+import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from promptblend.cli import run_cli
+from promptblend.cli import _build_parser, run_cli
+from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
+from promptblend.train import RunRecord
 
 TINY = ["--fixture-size", "30", "--fixture-seed", "5", "--val-fraction", "0.2"]
 FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10"]
@@ -192,7 +200,8 @@ def _never_called(*args, **kwargs):
 
 class TestFlagsCheckedBeforeCompute:
     @pytest.mark.parametrize("flag", [["--lr", "-1"], ["--dropout", "1.5"],
-                                      ["--weight-decay", "-1"], ["--eval-every", "-1"]])
+                                      ["--weight-decay", "-1"], ["--eval-every", "-1"],
+                                      ["--lr", "nan"], ["--weight-decay", "nan"]])
     def test_bad_train_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
                                                      capsys):
         monkeypatch.setattr("promptblend.model.pretrain", _never_called)
@@ -204,7 +213,8 @@ class TestFlagsCheckedBeforeCompute:
         start = time.perf_counter()
         assert run_cli([command, "--fixture-size", "8000", "--out", str(tmp_path / "run")]) == 1
         assert time.perf_counter() - start < 1.0
-        assert "--fixture-size must be between 1 and 7392" in capsys.readouterr().err
+        assert ("argument --fixture-size: must be an integer from 1 to 7392, got '8000'"
+                in capsys.readouterr().err)
 
     # the longest basis prompt has 20 tokens, the longest input 49, and
     # max_positions is 256
@@ -221,13 +231,58 @@ class TestFlagsCheckedBeforeCompute:
     def test_negative_prompt_length_is_rejected(self, command, tmp_path, capsys):
         out = tmp_path / "out"
         assert run_cli([command, "--prompt-length", "-5", "--out", str(out)]) == 1
-        assert "--prompt-length must be non-negative, got -5" in capsys.readouterr().err
+        assert ("argument --prompt-length: must be an integer of at least 0, got '-5'"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_bad_pretrain_lr_exits_before_any_forward(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(FrozenLM, "loss_with_prompt", _never_called)
-        assert run_cli(["pretrain", *TINY, "--lr", "-1", "--out", str(tmp_path / "pre")]) == 1
-        assert "lr must be non-negative" in capsys.readouterr().err
+        for lr in ("-1", "nan"):
+            assert run_cli(["pretrain", *TINY, "--lr", lr, "--out", str(tmp_path / "pre")]) == 1
+            assert (f"argument --lr: must be a non-negative number, got '{lr}'"
+                    in capsys.readouterr().err)
+        assert not (tmp_path / "pre").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "abc"])
+    def test_bad_seed_names_the_flag_or_the_variable(self, value, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        argv = ["train", *TINY, "--out", str(tmp_path / "run")]
+        assert run_cli([*argv, "--seed", value]) == 1
+        assert (f"argument --seed: must be an integer of at least 0, got '{value}'"
+                in capsys.readouterr().err)
+        monkeypatch.setenv("PROMPTBLEND_SEED", value)
+        assert run_cli(argv) == 1
+        assert (f"PROMPTBLEND_SEED must be an integer of at least 0, got '{value}'"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    def test_top_above_the_basis_size_exits_before_pretraining(self, tmp_path, monkeypatch,
+                                                               capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
+        basis_file = tmp_path / "two.txt"
+        basis_file.write_text("think step by step\ndraw a diagram\n")
+        assert run_cli(["train", *TINY, "--basis", str(basis_file),
+                        "--out", str(tmp_path / "run")]) == 1
+        assert "--top 3 exceeds the basis size 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_report_top_above_the_basis_size_exits_before_loading(self, run_dir, tmp_path,
+                                                                  monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
+        assert run_cli(["report", "--record", str(run_dir / "record.json"), "--top", "8",
+                        "--out", str(tmp_path / "out")]) == 1
+        assert "--top 8 exceeds the basis size 7" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_takes_no_seed(self, run_dir, monkeypatch, capsys):
+        argv = ["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld")]
+        assert run_cli([*argv, "--seed", "1"]) == 1
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        monkeypatch.setenv("PROMPTBLEND_SEED", "abc")
+        assert run_cli(argv) == 0
+        assert "prompted eval loss" in capsys.readouterr().out
 
     @pytest.mark.parametrize("command", [["train"], ["pretrain"],
                                          ["eval", "--checkpoint", "missing.pbld"]])
@@ -278,3 +333,125 @@ class TestNeverTraceback:
     def test_eval_of_arbitrary_checkpoint_bytes(self, scratch_file, blob):
         scratch_file.write_bytes(blob)
         assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)
+
+
+STABILITY = Path(__file__).resolve().parents[1] / "scripts" / "run_stability.py"
+
+
+def _accepts(convert, ok):
+    def check(text):
+        try:
+            return ok(convert(text))
+        except ValueError:
+            return False
+    return check
+
+
+# Each numeric flag's domain, written out apart from cli.py's declarations.
+COUNT = _accepts(int, lambda v: v >= 1)
+NON_NEGATIVE_INT = _accepts(int, lambda v: v >= 0)
+RATE = _accepts(float, lambda v: v >= 0)
+DOMAINS = {
+    "--fixture-size": _accepts(int, lambda v: 1 <= v <= 7392),
+    "--fixture-seed": NON_NEGATIVE_INT, "--seed": NON_NEGATIVE_INT,
+    "--val-fraction": _accepts(float, lambda v: 0 < v < 1),
+    "--epochs": COUNT, "--pretrain-epochs": COUNT, "--batch-size": COUNT, "--top": COUNT,
+    "--eval-every": NON_NEGATIVE_INT, "--prompt-length": NON_NEGATIVE_INT,
+    "--lr": RATE, "--weight-decay": RATE,
+    "--dropout": _accepts(float, lambda v: 0 <= v < 1),
+    "--final-init-scale": _accepts(float, lambda v: 0 <= v < float("inf")),
+}
+SCRIPT_DOMAINS = {**DOMAINS, "--epochs": _accepts(int, lambda v: v >= 2),
+                  "--seeds": NON_NEGATIVE_INT}
+
+
+def _subparsers():
+    parser = _build_parser()
+    action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_no_flag_has_a_bare_numeric_type():
+    bare = [f"{name} {a.option_strings[0]}" for name, sub in _subparsers().items()
+            for a in sub._actions if a.type in (int, float)]
+    assert not bare, f"flags without a declared domain: {bare}"
+
+
+class _ComputeReached(RuntimeError):
+    pass
+
+
+def _reach(*args, **kwargs):
+    raise _ComputeReached("compute reached")
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    """Argv prefixes that reach model.pretrain or load_bundle when every flag is valid."""
+    root = tmp_path_factory.mktemp("flags")
+    record, ck = root / "record.json", root / "checkpoint.pbld"
+    record.write_text(RunRecord(config={}, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json())
+    ck.write_bytes(b"")
+    out = ["--out", str(root / "out")]
+    return {
+        "pretrain": ["pretrain", *TINY, *out],
+        "train": ["train", *TINY, *out],
+        "eval": ["eval", *TINY, "--checkpoint", str(ck)],
+        "report": ["report", "--record", str(record), "--checkpoint", str(ck), *out],
+        "ortho": ["ortho", "--checkpoint", str(ck)],
+        "embed": ["embed", "--checkpoint", str(ck)],
+        "run_stability.py": [str(STABILITY), *TINY[:4], "--pretrain-epochs", "1",
+                             "--epochs", "2", "--seeds", "1", *out],
+    }
+
+
+def _numeric_flags():
+    flags = [(name, a.option_strings[0]) for name, sub in _subparsers().items()
+             for a in sub._actions if a.type is not None]
+    return flags + [("run_stability.py", flag) for flag in
+                    ("--fixture-size", "--fixture-seed", "--pretrain-epochs", "--epochs",
+                     "--seeds", "--lr")]
+
+
+# small in-domain sizes keep make_fixture cheap; the edges sit beside them
+FLAG_TEXT = (st.integers(-3, 40).map(str) | st.floats().map(repr) | st.text(max_size=8)
+             | st.sampled_from(["nan", "inf", "-inf", "-0", "1e-3", "0.999", "1_0", " 7 ",
+                                "7393", "10" * 20, "0x10"]))
+
+
+class TestFlagDomains:
+    """Every numeric flag of every subcommand and of scripts/run_stability.py
+    takes arbitrary text without a traceback, and rejects each value outside
+    its domain before any compute."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(flag=st.sampled_from(_numeric_flags()), text=FLAG_TEXT)
+    def test_out_of_domain_values_exit_before_compute(self, flag_inputs, flag, text):
+        program, name = flag
+        argv = [*flag_inputs[program], f"{name}={text}"]
+        stderr = io.StringIO()
+        with (pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(stderr),
+              contextlib.redirect_stdout(io.StringIO())):
+            mp.setattr("promptblend.model.pretrain", _reach)
+            mp.setattr("promptblend.cli.load_bundle", _reach)
+            if program == "run_stability.py":
+                in_domain = SCRIPT_DOMAINS[name](text)
+                mp.setattr(sys, "argv", argv)
+                try:
+                    runpy.run_path(str(STABILITY), run_name="__main__")
+                    code = 0
+                except SystemExit as e:
+                    code = e.code
+                except _ComputeReached:
+                    code = "reached"
+            else:
+                in_domain = DOMAINS[name](text)
+                code = run_cli(argv)
+        err = stderr.getvalue()
+        assert "Traceback" not in err
+        if in_domain:
+            assert code in (0, 1, 2, "reached")
+        else:
+            assert code == (2 if program == "run_stability.py" else 1)
+            assert "compute reached" not in err
+            assert f"argument {name}: must be" in err and repr(text) in err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from promptblend import rng as rngmod
-from promptblend.optim import AdamW, OptimizerStateError
+from promptblend.optim import BETA1, BETA2, EPS, AdamW, OptimizerStateError
 from promptblend.tensor import Tensor
 
 
@@ -38,7 +38,7 @@ def test_pure_decoupled_decay():
 def test_first_step_matches_scalar_oracle():
     p = Tensor(np.array([1.0]), requires_grad=True)
     p.grad = np.ones(1)
-    opt = AdamW([p], lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0)
+    opt = AdamW([p], lr=0.1, weight_decay=0.0)
     opt.step()
     expected = _scalar_adamw_oracle(1.0, 1.0, 1, 0.1, 0.9, 0.999, 1e-8, 0.0)
     assert abs(expected - 0.9) < 1e-6  # closed form: 1 - lr * 1/(1 + eps)
@@ -47,11 +47,11 @@ def test_first_step_matches_scalar_oracle():
 
 def test_many_steps_match_scalar_oracle():
     p = Tensor(np.array([0.5]), requires_grad=True)
-    opt = AdamW([p], lr=0.05, beta1=0.8, beta2=0.95, eps=1e-8, weight_decay=0.02)
+    opt = AdamW([p], lr=0.05, weight_decay=0.02)
     for _ in range(25):
         p.grad = np.array([0.3])
         opt.step()
-    expected = _scalar_adamw_oracle(0.5, 0.3, 25, 0.05, 0.8, 0.95, 1e-8, 0.02)
+    expected = _scalar_adamw_oracle(0.5, 0.3, 25, 0.05, BETA1, BETA2, EPS, 0.02)
     assert abs(float(p.data[0]) - expected) < 1e-12
 
 
@@ -83,9 +83,7 @@ def test_moment_buffers_are_shape_congruent():
         assert v.shape == p.data.shape
 
 
-@pytest.mark.parametrize("kwargs", [
-    {"lr": -0.1}, {"beta1": 1.0}, {"beta2": -0.1}, {"eps": 0.0}, {"weight_decay": -1.0},
-])
+@pytest.mark.parametrize("kwargs", [{"lr": -0.1}, {"weight_decay": -1.0}])
 def test_invalid_hyperparameters(kwargs):
     p = Tensor(np.zeros(1), requires_grad=True)
     with pytest.raises(ValueError):

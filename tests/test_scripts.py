@@ -41,11 +41,17 @@ def test_run_stability_calls_equal_volatility_a_tie(tmp_path, monkeypatch, capsy
 
 
 @pytest.mark.parametrize("flags, message", [
-    (["--epochs", "1"], "--epochs must be at least 2, got 1"),
-    (["--pretrain-epochs", "0"], "--pretrain-epochs must be at least 1, got 0"),
-    (["--fixture-size", "0"], "--fixture-size must be between 1 and 7392, got 0"),
-    (["--fixture-size", "7393"], "--fixture-size must be between 1 and 7392, got 7393"),
+    (["--epochs", "1"], "argument --epochs: must be an integer of at least 2, got '1'"),
+    (["--pretrain-epochs", "0"],
+     "argument --pretrain-epochs: must be an integer of at least 1, got '0'"),
+    (["--fixture-size", "0"],
+     "argument --fixture-size: must be an integer from 1 to 7392, got '0'"),
+    (["--fixture-size", "7393"],
+     "argument --fixture-size: must be an integer from 1 to 7392, got '7393'"),
     (["--fixture-size", "1"], "--fixture-size 1 leaves no training example"),
+    (["--lr", "-1"], "argument --lr: must be a non-negative number, got '-1'"),
+    (["--lr", "nan"], "argument --lr: must be a non-negative number, got 'nan'"),
+    (["--seeds", "-1"], "argument --seeds: must be an integer of at least 0, got '-1'"),
 ])
 def test_run_stability_rejects_bad_flags_before_any_compute(flags, message, tmp_path,
                                                             monkeypatch, capsys):
