@@ -83,7 +83,10 @@ def test_moment_buffers_are_shape_congruent():
         assert v.shape == p.data.shape
 
 
-@pytest.mark.parametrize("kwargs", [{"lr": -0.1}, {"weight_decay": -1.0}])
+# Ids follow the row numbers of the table when it also held beta1, beta2 and eps
+# (rows 1-3); those are module constants now, so only lr and weight_decay remain.
+@pytest.mark.parametrize("kwargs", [{"lr": -0.1}, {"weight_decay": -1.0}],
+                         ids=["kwargs0", "kwargs4"])
 def test_invalid_hyperparameters(kwargs):
     p = Tensor(np.zeros(1), requires_grad=True)
     with pytest.raises(ValueError):
