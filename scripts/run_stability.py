@@ -7,13 +7,14 @@ the per-epoch mean loss curves. Writes one loss-curve CSV per run.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 import promptblend  # noqa: F401  (sets the one-thread BLAS default before numpy loads)
 import numpy as np
 
 from promptblend import textdata as td
-from promptblend.cli import FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least
+from promptblend.cli import FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, exit_code
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
 from promptblend.model import PretrainConfig, pretrain_examples
 from promptblend.report import render_curve_csv
@@ -43,7 +44,7 @@ def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
     return csvs, "\n".join(lines) + "\n"
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/stability")
     ap.add_argument("--fixture-size", type=FIXTURE_SIZE, default=300)
@@ -87,7 +88,8 @@ def main() -> None:
         print(f"{seed:>4} {m2:>10.5f} {m10:>10.5f} {noisier}")
     print(f"median volatility difference (batch2 - batch10): {np.median(diffs):+.5f}")
     print(f"curves written to {out}/")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(exit_code(main))

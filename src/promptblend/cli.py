@@ -1,9 +1,11 @@
 """Command-line entry point.
 
 Subcommands: pretrain, embed, train, eval, report, ortho. Exit codes:
-0 success, 1 validation error, 2 runtime failure. Output directories are
-staged in a temp dir and moved on success, so failures never leave
-partial outputs.
+0 success, 1 validation error, 2 runtime failure. A command writes all of
+its output files into a temp dir beside the output dir, then moves them
+into the output dir one by one, each replacing its namesake; a failure
+before then leaves the output dir as it was. Files of an earlier run that
+the command does not write stay.
 """
 
 from __future__ import annotations
@@ -97,8 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lr", type=NON_NEGATIVE, default=1e-3)
     p.add_argument("--dropout", type=PROBABILITY, default=0.1)
     p.add_argument("--weight-decay", type=NON_NEGATIVE, default=0.01)
-    p.add_argument("--prompt-length", type=at_least(0), default=0,
-                   help="padded prompt length; 0 uses the longest basis prompt")
     p.add_argument("--final-init-scale", type=FINITE_NON_NEGATIVE, default=0.01)
     p.add_argument("--eval-every", type=at_least(0), default=0)
     p.add_argument("--top", type=at_least(1), default=3)
@@ -120,13 +120,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ortho", help="orthogonality report for a prompt basis")
     add_common(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--prompt-length", type=at_least(0), default=0)
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("embed", help="embed a basis and summarize it")
     add_common(p)
     p.add_argument("--checkpoint", default=None)
-    p.add_argument("--prompt-length", type=at_least(0), default=0)
     p.add_argument("--out", default=None)
 
     return parser
@@ -141,20 +139,16 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"PROMPTBLEND_SEED {e}") from None
 
 
-def _check_prompt_length(length: int, prompts: list[str], examples: list[td.QAExample],
+def _check_prompt_length(prompts: list[str], examples: list[td.QAExample],
                          max_positions: int) -> None:
-    """Reject a --prompt-length (0: the longest basis prompt) that cannot hold
-    every basis prompt, or whose prompt and longest input together exceed
-    max_positions; token counts need no vocabulary."""
+    """Reject a basis whose longest prompt and the longest input together
+    exceed max_positions; token counts need no vocabulary."""
     longest = max((len(td.split_tokens(p)) for p in prompts), default=0)
-    if 0 < length < longest:
-        raise ValueError(f"--prompt-length {length} is shorter than the longest basis "
-                         f"prompt ({longest} tokens)")
-    rows = length if length > 0 else longest
     longest_input = max(len(td.split_tokens(td.format_input(ex))) for ex in examples)
-    if rows + longest_input > max_positions:
-        raise ValueError(f"--prompt-length {rows} plus the longest input ({longest_input} "
-                         f"tokens) exceeds max_positions {max_positions}")
+    if longest + longest_input > max_positions:
+        raise ValueError(f"the longest basis prompt ({longest} tokens) plus the longest "
+                         f"input ({longest_input} tokens) exceeds max_positions "
+                         f"{max_positions}")
 
 
 def _check_top(top: int, prompts: list[str]) -> None:
@@ -243,12 +237,12 @@ def _cmd_train(args) -> int:
         if ck_prompts and args.basis == "default":
             basis_prompts = ck_prompts
     _check_top(args.top, basis_prompts)
-    _check_prompt_length(args.prompt_length, basis_prompts, examples,
+    _check_prompt_length(basis_prompts, examples,
                          (LMConfig() if lm is None else lm.config).max_positions)
     if lm is None:
         lm = pretrain_examples(train_set, PretrainConfig(
             epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), seed)
-    basis = composer.build_basis(basis_prompts, lm, args.prompt_length or None)
+    basis = composer.build_basis(basis_prompts, lm)
     predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
@@ -303,8 +297,7 @@ def _cmd_report(args) -> int:
     if not Path(ck).exists():
         raise ValueError(f"checkpoint {ck} not found; pass --checkpoint")
     lm, _, _ = load_bundle(ck)
-    basis = composer.build_basis(record.basis_prompts, lm,
-                                 record.config.get("prompt_length") or None)
+    basis = composer.build_basis(record.basis_prompts, lm)
     bundle = report.render_report(record, basis, n_top=args.top)
     files = {
         "curve.csv": report.render_curve_csv(record),
@@ -323,7 +316,7 @@ def _basis_for_inspection(args):
         lm, _, _ = load_bundle(args.checkpoint)
     else:
         lm = _fresh_lm(prompts, seed)
-    return composer.build_basis(prompts, lm, args.prompt_length or None)
+    return composer.build_basis(prompts, lm)
 
 
 def _cmd_ortho(args) -> int:
@@ -361,6 +354,19 @@ _COMMANDS = {
 }
 
 
+def exit_code(run) -> int:
+    """run()'s exit code; a validation error becomes exit 1 and a runtime
+    failure exit 2, each reported as one line on stderr."""
+    try:
+        return run()
+    except (ValueError, KeyError, IndexError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    except (RuntimeError, OSError) as e:
+        print(f"runtime failure: {e}", file=sys.stderr)
+        return 2
+
+
 def run_cli(argv=None) -> int:
     parser = _build_parser()
     if argv is None:
@@ -372,14 +378,7 @@ def run_cli(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    try:
-        return _COMMANDS[args.command](args)
-    except (ValueError, KeyError, IndexError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except (RuntimeError, OSError) as e:
-        print(f"runtime failure: {e}", file=sys.stderr)
-        return 2
+    return exit_code(lambda: _COMMANDS[args.command](args))
 
 
 def main() -> None:

@@ -85,11 +85,11 @@ def _gram_matrix(stack: np.ndarray) -> np.ndarray:
     return gram
 
 
-def build_basis(prompts: list[str], lm: FrozenLM, length: int | None = None) -> PromptBasis:
-    """Embed each prompt (no positional terms) and zero-pad to `length`.
+def build_basis(prompts: list[str], lm: FrozenLM) -> PromptBasis:
+    """Embed each prompt (no positional terms) and zero-pad to the longest.
 
-    Over-long prompts are an error rather than being truncated, and so is
-    a padded length the model's max_positions cannot hold.
+    A prompt longer than the model's max_positions is an error rather than
+    being truncated.
     """
     if not prompts:
         raise BasisError("basis must contain at least one prompt")
@@ -97,16 +97,11 @@ def build_basis(prompts: list[str], lm: FrozenLM, length: int | None = None) -> 
     for p, ids in zip(prompts, token_ids):
         if not ids:
             raise BasisError(f"prompt {p!r} is empty after tokenization")
-    max_len = max(len(ids) for ids in token_ids)
-    if length is None:
-        length = max_len
-    if max_len > length:
-        long = next(p for p, ids in zip(prompts, token_ids) if len(ids) > length)
-        raise BasisError(f"prompt {long!r} has {max_len} tokens, exceeding padded "
-                         f"length {length}")
+    lengths = [len(ids) for ids in token_ids]
+    length = max(lengths)
     if length > lm.config.max_positions:
-        raise BasisError(f"padded length {length} exceeds max_positions "
-                         f"{lm.config.max_positions}")
+        raise BasisError(f"basis prompt {lengths.index(length) + 1} has {length} tokens, "
+                         f"exceeding max_positions {lm.config.max_positions}")
     d = lm.config.embed_dim
     stack = np.zeros((len(prompts), length, d))
     for k, ids in enumerate(token_ids):

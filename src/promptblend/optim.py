@@ -34,9 +34,9 @@ class AdamW:
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
-        if lr < 0:
+        if not lr >= 0:  # NaN fails too
             raise ValueError(f"lr must be non-negative, got {lr}")
-        if weight_decay < 0:
+        if not weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {weight_decay}")
         self.params = list(params)
         self.lr = lr

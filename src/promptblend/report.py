@@ -69,6 +69,10 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
         raise ValueError(f"n_top {n_top} exceeds basis size {basis.size}")
     if list(record.basis_prompts) != list(basis.prompts):
         raise ValueError("basis does not match the prompts recorded for this run")
+    recorded = record.config.get("prompt_length", basis.length)
+    if recorded != basis.length:
+        raise ValueError(f"basis pads prompts to {basis.length} rows, but the run "
+                         f"recorded prompt length {recorded}")
     metadata = {
         "config": dict(record.config),
         "basis_size": basis.size,

@@ -12,13 +12,11 @@ import hashlib
 import numpy as np
 
 
-def _key_int(key) -> int:
-    if isinstance(key, int):
-        return key
-    return int.from_bytes(hashlib.sha256(str(key).encode("utf-8")).digest()[:8], "little")
+def _key_int(key: str) -> int:
+    return int.from_bytes(hashlib.sha256(key.encode("utf-8")).digest()[:8], "little")
 
 
-def stream(seed: int, *keys) -> np.random.Generator:
+def stream(seed: int, *keys: str) -> np.random.Generator:
     """A PCG64 generator for (seed, *keys); same arguments, same stream."""
     entropy = [int(seed)] + [_key_int(k) for k in keys]
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))

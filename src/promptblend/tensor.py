@@ -1,6 +1,6 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Covers exactly what the pipeline needs: fused linear, row-wise bias add,
+Covers exactly what the pipeline needs: fused linear, same-shape add,
 elementwise ops, fused multi-head attention, layer norm, GELU, inverted
 dropout, embedding lookup, row placement, and a per-sequence cross-entropy
 with pad masking. Graphs are built eagerly and backpropagated
@@ -99,32 +99,17 @@ class Tensor:
     # -- arithmetic ------------------------------------------------------
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g)
+        if not isinstance(other, Tensor) or self.data.shape != other.data.shape:
+            raise ShapeError(f"cannot add {self!r} and {other!r}")
 
-            return Tensor(self.data + other, self.requires_grad, (self,), _bw)
-        if self.data.shape == other.data.shape:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g)
-                if other.requires_grad:
-                    other._accum(g)
+        def _bw(g):
+            if self.requires_grad:
+                self._accum(g)
+            if other.requires_grad:
+                other._accum(g)
 
-            return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
-                          (self, other), _bw)
-        # row-wise bias: [T, d] + [d]
-        if self.data.ndim == 2 and other.data.ndim == 1 and self.data.shape[1] == other.data.shape[0]:
-            def _bw(g):
-                if self.requires_grad:
-                    self._accum(g)
-                if other.requires_grad:
-                    other._accum(g.sum(axis=0))
-
-            return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
-                          (self, other), _bw)
-        raise ShapeError(f"cannot add shapes {self.data.shape} and {other.data.shape}")
+        return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
+                      (self, other), _bw)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -146,7 +131,6 @@ class Tensor:
                       (self, other), _bw)
 
     __rmul__ = __mul__
-    __radd__ = __add__
 
 # -- functional ops ------------------------------------------------------
 
@@ -172,7 +156,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
-                   scale: float, batch: int = 1, heads: int = 1) -> Tensor:
+                   scale: float, batch: int, heads: int) -> Tensor:
     """softmax(q k^T * scale + mask) v for every example and head, as one
     fused graph node.
 
@@ -180,8 +164,8 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
     example's rows are contiguous, and so are each head's columns. The
     output has q's layout. `add_mask` is a constant additive mask (0 or a
     large negative number) that broadcasts against [batch, heads, Sq, Sk],
-    so a 2-D [Sq, Sk] mask serves a single example; masked keys end up with
-    exactly zero attention weight.
+    so a 2-D [Sq, Sk] mask serves every example alike; masked keys end up
+    with exactly zero attention weight.
     """
     width = q.data.shape[1]
     if width % heads or any(x.data.ndim != 2 or x.data.shape[1] != width
@@ -273,11 +257,12 @@ def _gelu_grad_rows(v, th, g, dx, du, t) -> None:
 
 
 def gelu(x: Tensor) -> Tensor:
-    """Smooth ramp nonlinearity (tanh-form GELU), evaluated in row blocks
-    with the op order of the whole-array expressions, so every output and
-    gradient element is bit-identical to them."""
-    shape = x.data.shape
-    v = x.data.reshape(-1, shape[-1]) if x.data.ndim > 1 else x.data.reshape(1, -1)
+    """Smooth ramp nonlinearity (tanh-form GELU) of a 2-D tensor, evaluated
+    in row blocks with the op order of the whole-array expressions, so every
+    output and gradient element is bit-identical to them."""
+    v = x.data
+    if v.ndim != 2:
+        raise ShapeError(f"gelu expects a 2-D tensor, got {v.shape}")
     block = (min(v.shape[0], GELU_BLOCK_ROWS), v.shape[1])
     th, y = np.empty(v.shape), np.empty(v.shape)
     _in_row_blocks(_gelu_rows, (v, y, th), (np.empty(block),))
@@ -285,28 +270,31 @@ def gelu(x: Tensor) -> Tensor:
     def _bw(g):
         if x.requires_grad:
             dx = np.empty(v.shape)
-            _in_row_blocks(_gelu_grad_rows, (v, th, g.reshape(v.shape), dx),
-                           (np.empty(block), np.empty(block)))
-            x._accum(dx.reshape(shape))
+            _in_row_blocks(_gelu_grad_rows, (v, th, g, dx), (np.empty(block), np.empty(block)))
+            x._accum(dx)
 
-    return Tensor(y.reshape(shape), x.requires_grad, (x,), _bw)
+    return Tensor(y, x.requires_grad, (x,), _bw)
 
 
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize over the last axis, then scale and shift per feature."""
+LAYER_NORM_EPS = 1e-5
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Normalize each row of a 2-D tensor, then scale and shift per feature."""
     v = x.data
+    if v.ndim != 2:
+        raise ShapeError(f"layer_norm expects a 2-D tensor, got {v.shape}")
     mu = v.mean(axis=-1, keepdims=True)
     centered = v - mu
     var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
-    d = v.shape[-1]
 
     def _bw(g):
         if gain.requires_grad:
-            gain._accum((g * xhat).reshape(-1, d).sum(axis=0))
+            gain._accum((g * xhat).sum(axis=0))
         if bias.requires_grad:
-            bias._accum(g.reshape(-1, d).sum(axis=0))
+            bias._accum(g.sum(axis=0))
         if x.requires_grad:
             dxhat = g * gain.data
             dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
@@ -342,10 +330,8 @@ def _sequence_terms(v: np.ndarray, targets, pad_id: int):
     if v.ndim != 2:
         raise ShapeError(f"cross_entropy expects [T, V] logits, got {v.shape}")
     ids = np.asarray(targets, dtype=np.int64)
-    if ids.ndim not in (1, 2) or ids.size != v.shape[0]:
-        raise ShapeError(f"targets length {ids.shape} does not match logits rows {v.shape}")
-    if ids.ndim == 1:
-        ids = ids[None]
+    if ids.ndim != 2 or ids.size != v.shape[0]:
+        raise ShapeError(f"targets grid {ids.shape} does not match logits rows {v.shape}")
     vocab = v.shape[1]
     if np.any((ids < 0) | (ids >= vocab)):
         bad = ids[(ids < 0) | (ids >= vocab)][0]
@@ -370,9 +356,9 @@ def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
     """Mean over sequences of each sequence's mean -log softmax(logits_t)[target_t]
     over its non-pad positions.
 
-    `targets` is one sequence of len(logits) ids, or a [B, T] grid whose
-    row b labels logits rows b*T..b*T+T-1. Positions whose target equals
-    pad_id contribute nothing to the value or the gradient.
+    `targets` is a [B, T] grid whose row b labels logits rows b*T..b*T+T-1.
+    Positions whose target equals pad_id contribute nothing to the value or
+    the gradient.
     """
     ids, keep, n, shifted, per_sequence = _sequence_terms(logits.data, targets, pad_id)
 

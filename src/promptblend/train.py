@@ -41,9 +41,9 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr < 0:
+        if not self.lr >= 0:  # NaN fails too
             raise ValueError(f"lr must be non-negative, got {self.lr}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight_decay must be non-negative, got {self.weight_decay}")
         if self.eval_every < 0:
             raise ValueError(f"eval_every must be non-negative, got {self.eval_every}")

@@ -235,7 +235,7 @@ def test_criterion_7_oracle_equivalences(small_lm):
     with criterion(7, "uniform cross-entropy = ln V to 1e-9; AdamW first step matches "
                       "the closed form to 1e-9; projection matches exhaustive scan"):
         for v in (8, 50, 171):
-            loss = cross_entropy(Tensor(np.zeros((3, v))), [1, 2, 3 % v], pad_id=0)
+            loss = cross_entropy(Tensor(np.zeros((3, v))), [[1, 2, 3 % v]], pad_id=0)
             assert abs(float(loss.data) - math.log(v)) < 1e-9
         p = Tensor(np.array([1.0]), requires_grad=True)
         p.grad = np.ones(1)

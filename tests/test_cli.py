@@ -216,23 +216,33 @@ class TestFlagsCheckedBeforeCompute:
         assert ("argument --fixture-size: must be an integer from 1 to 7392, got '8000'"
                 in capsys.readouterr().err)
 
-    # the longest basis prompt has 20 tokens, the longest input 49, and
-    # max_positions is 256
-    @pytest.mark.parametrize("flag", [["--final-init-scale", "-1"], ["--prompt-length", "3"],
-                                      ["--prompt-length", "240"], ["--prompt-length", "257"],
-                                      ["--prompt-length", "-1"]])
+    @pytest.mark.parametrize("flag", [["--final-init-scale", "-1"]])
     def test_bad_basis_flag_exits_before_pretraining(self, flag, tmp_path, monkeypatch,
                                                      capsys):
         monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         assert run_cli(["train", *TINY, *flag, "--out", str(tmp_path / "run")]) == 1
         assert flag[0] in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["embed", "ortho"])
-    def test_negative_prompt_length_is_rejected(self, command, tmp_path, capsys):
+    def test_overlong_basis_prompt_exits_before_pretraining(self, tmp_path, monkeypatch,
+                                                            capsys):
+        # 240 prompt rows fit max_positions 256 alone, but not beside the
+        # longest input's 49 tokens
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        basis_file = tmp_path / "long.txt"
+        basis_file.write_text("think step by step\n" + " ".join(["word"] * 240) + "\n")
+        assert run_cli(["train", *TINY, "--basis", str(basis_file), "--top", "2",
+                        "--out", str(tmp_path / "run")]) == 1
+        assert ("the longest basis prompt (240 tokens) plus the longest input (49 tokens) "
+                "exceeds max_positions 256" in capsys.readouterr().err)
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "embed", "ortho"])
+    def test_prompt_length_is_not_a_flag(self, command, tmp_path, monkeypatch, capsys):
+        # prompts always pad to the longest basis prompt
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         out = tmp_path / "out"
-        assert run_cli([command, "--prompt-length", "-5", "--out", str(out)]) == 1
-        assert ("argument --prompt-length: must be an integer of at least 0, got '-5'"
-                in capsys.readouterr().err)
+        assert run_cli([command, "--prompt-length", "30", "--out", str(out)]) == 1
+        assert "unrecognized arguments: --prompt-length 30" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_pretrain_lr_exits_before_any_forward(self, tmp_path, monkeypatch, capsys):
@@ -318,11 +328,11 @@ class TestNeverTraceback:
     """Whatever the input, the CLI returns an exit code instead of raising."""
 
     @settings(max_examples=40, deadline=None)
-    @given(command=st.sampled_from(["embed", "ortho"]), length=st.integers(),
+    @given(command=st.sampled_from(["embed", "ortho"]),
            basis_text=st.none() | st.text(max_size=300))
-    @example(command="embed", length=10**9, basis_text=None)
-    def test_basis_inspection(self, scratch_file, command, length, basis_text):
-        argv = [command, "--seed", "1", f"--prompt-length={length}"]
+    @example(command="embed", basis_text="word " * 10_000)
+    def test_basis_inspection(self, scratch_file, command, basis_text):
+        argv = [command, "--seed", "1"]
         if basis_text is not None:
             scratch_file.write_text(basis_text, encoding="utf-8")
             argv += ["--basis", str(scratch_file)]
@@ -356,7 +366,7 @@ DOMAINS = {
     "--fixture-seed": NON_NEGATIVE_INT, "--seed": NON_NEGATIVE_INT,
     "--val-fraction": _accepts(float, lambda v: 0 < v < 1),
     "--epochs": COUNT, "--pretrain-epochs": COUNT, "--batch-size": COUNT, "--top": COUNT,
-    "--eval-every": NON_NEGATIVE_INT, "--prompt-length": NON_NEGATIVE_INT,
+    "--eval-every": NON_NEGATIVE_INT,
     "--lr": RATE, "--weight-decay": RATE,
     "--dropout": _accepts(float, lambda v: 0 <= v < 1),
     "--final-init-scale": _accepts(float, lambda v: 0 <= v < float("inf")),

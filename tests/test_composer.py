@@ -48,13 +48,16 @@ class TestBuildBasis:
         assert basis.gram[0, 1] == 1.0
 
     def test_padding_rows_are_zero(self, lm):
-        basis = build_basis(["one two three"], lm, length=10)
+        basis = build_basis(["one two three", "one two three four five six"], lm)
+        assert basis.length == 6
         assert np.all(basis.embeddings[0, 3:] == 0.0)
-        assert np.any(basis.embeddings[0, :3] != 0.0)
+        assert np.all(np.any(basis.embeddings[0, :3] != 0.0, axis=1))
+        assert np.all(np.any(basis.embeddings[1] != 0.0, axis=1))
 
     def test_overlong_prompt_is_an_error(self, lm):
-        with pytest.raises(BasisError, match="exceeding"):
-            build_basis(["one two three four five"], lm, length=3)
+        words = " ".join(["one"] * (SMALL.max_positions + 1))
+        with pytest.raises(BasisError, match="prompt 2 has 97 tokens, exceeding max_positions 96"):
+            build_basis(["one two", words], lm)
 
     def test_empty_basis_rejected(self, lm):
         with pytest.raises(BasisError):
@@ -70,7 +73,7 @@ class TestBuildBasis:
         prompts = DEFAULT_BASIS_PROMPTS[:4]
         basis = build_basis(prompts, lm)
         perm = [2, 0, 3, 1]
-        permuted = build_basis([prompts[i] for i in perm], lm, length=basis.length)
+        permuted = build_basis([prompts[i] for i in perm], lm)
         assert np.allclose(permuted.gram, basis.gram[np.ix_(perm, perm)], atol=1e-12)
 
     def test_basis_file_loader(self, tmp_path):

@@ -87,6 +87,15 @@ class TestPretrain:
                               PretrainConfig(epochs=2, batch_size=2, lr=math.inf,
                                              model=SMALL), seed=0)
 
+    def test_nan_lr_is_rejected_before_any_forward(self, monkeypatch):
+        def never_called(*args, **kwargs):
+            raise AssertionError("a forward ran before the learning rate was checked")
+
+        monkeypatch.setattr(FrozenLM, "loss_with_prompt", never_called)
+        with pytest.raises(ValueError, match="lr must be non-negative, got nan"):
+            pretrain_examples(td.make_fixture(seed=6, n=4),
+                              PretrainConfig(epochs=1, lr=math.nan, model=SMALL), seed=0)
+
     def test_overlong_pair_rejected_before_any_step(self):
         # the second pair fits alone but not behind the longest prefix it
         # could draw (a copy of its 20-token target)

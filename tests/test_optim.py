@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,9 @@ def test_moment_buffers_are_shape_congruent():
 
 # Ids follow the row numbers of the table when it also held beta1, beta2 and eps
 # (rows 1-3); those are module constants now, so only lr and weight_decay remain.
-@pytest.mark.parametrize("kwargs", [{"lr": -0.1}, {"weight_decay": -1.0}],
-                         ids=["kwargs0", "kwargs4"])
+@pytest.mark.parametrize("kwargs", [{"lr": -0.1}, {"weight_decay": -1.0},
+                                    {"lr": math.nan}, {"weight_decay": math.nan}],
+                         ids=["kwargs0", "kwargs4", "lr-nan", "weight_decay-nan"])
 def test_invalid_hyperparameters(kwargs):
     p = Tensor(np.zeros(1), requires_grad=True)
     with pytest.raises(ValueError):

@@ -103,6 +103,14 @@ class TestRenderReport:
         with pytest.raises(ValueError, match="does not match"):
             render_report(rec, basis, n_top=2)
 
+    def test_recorded_prompt_length_must_be_the_basis_length(self, basis):
+        # a record from a run that padded its prompts past the longest one
+        rec = _record(basis)
+        rec.config["prompt_length"] = basis.length + 5
+        with pytest.raises(ValueError, match=f"pads prompts to {basis.length} rows, but the "
+                                             f"run recorded prompt length {basis.length + 5}"):
+            render_report(rec, basis, n_top=2)
+
 
 class TestRenderCurves:
     def test_csv_round_trips_losses_exactly(self, basis):

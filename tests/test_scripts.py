@@ -20,12 +20,15 @@ def _never_called(*args, **kwargs):
     raise AssertionError("compute started before the flags were checked")
 
 
-def test_run_stability_writes_both_curves_and_the_summary(tmp_path):
+def _run_stability(*argv):
     src = str(Path(promptblend.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, str(STABILITY), *SMALL, "--out", str(tmp_path)],
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, str(STABILITY), *argv], capture_output=True,
+                          text=True, timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def test_run_stability_writes_both_curves_and_the_summary(tmp_path):
+    proc = _run_stability(*SMALL, "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "curve_seed1_batch10.csv", "curve_seed1_batch2.csv", "summary_seed1.txt"]
@@ -35,9 +38,21 @@ def test_run_stability_writes_both_curves_and_the_summary(tmp_path):
 def test_run_stability_calls_equal_volatility_a_tie(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr("promptblend.train.stability_metric", lambda record: 0.5)
     monkeypatch.setattr(sys, "argv", [str(STABILITY), *SMALL, "--out", str(tmp_path)])
-    runpy.run_path(str(STABILITY), run_name="__main__")
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(STABILITY), run_name="__main__")
+    assert exit_info.value.code == 0
     row = capsys.readouterr().out.splitlines()[1].split()
     assert row == ["1", "0.50000", "0.50000", "tie"]
+
+
+def test_run_stability_reports_a_runtime_failure_in_one_line(tmp_path):
+    # an infinite rate passes --lr's domain and diverges at the second step
+    proc = _run_stability("--fixture-size", "40", "--pretrain-epochs", "1", "--epochs", "2",
+                          "--seeds", "1", "--lr", "inf", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    failures = [ln for ln in proc.stderr.splitlines() if ln.startswith("runtime failure:")]
+    assert failures == ["runtime failure: non-finite loss at step 2 (epoch 1)"]
+    assert "Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize("flags, message", [

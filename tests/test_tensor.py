@@ -65,34 +65,34 @@ def _softmax_oracle(row):
 class TestCrossEntropy:
     def test_uniform_logits(self):
         logits = Tensor(np.zeros((1, 8)))
-        loss = cross_entropy(logits, [5], pad_id=0)
+        loss = cross_entropy(logits, [[5]], pad_id=0)
         assert abs(float(loss.data) - math.log(8)) < 1e-12
 
     def test_saturated_target(self):
         row = np.zeros((1, 6))
         row[0, 2] = 1e4
-        assert float(cross_entropy(Tensor(row), [2], pad_id=0).data) < 1e-6
+        assert float(cross_entropy(Tensor(row), [[2]], pad_id=0).data) < 1e-6
 
     def test_matches_softmax_oracle(self):
         # independent route: explicit softmax then -log of the picked prob
         row = [2.0, 0.0, 0.0]
         expected = -math.log(_softmax_oracle(row)[0])
-        got = float(cross_entropy(Tensor(np.array([row])), [0], pad_id=1).data)
+        got = float(cross_entropy(Tensor(np.array([row])), [[0]], pad_id=1).data)
         assert abs(expected - 0.2395) < 1e-3  # sanity anchor for the oracle itself
         assert abs(got - expected) < 1e-12
 
     def test_all_pad_is_degenerate(self):
         with pytest.raises(DegenerateLossError):
-            cross_entropy(Tensor(np.zeros((2, 4))), [0, 0], pad_id=0)
+            cross_entropy(Tensor(np.zeros((2, 4))), [[0, 0]], pad_id=0)
 
     def test_target_out_of_range(self):
         with pytest.raises(IndexError):
-            cross_entropy(Tensor(np.zeros((1, 4))), [4], pad_id=0)
+            cross_entropy(Tensor(np.zeros((1, 4))), [[4]], pad_id=0)
 
     def test_pad_positions_do_not_affect_value_or_grad(self):
         gen = rngmod.stream(2, "ce-pad")
         base = gen.normal(size=(4, 5))
-        targets = [2, 0, 3, 0]  # positions 1 and 3 are padding
+        targets = [[2, 0, 3, 0]]  # positions 1 and 3 are padding
         x1 = Tensor(base.copy(), requires_grad=True)
         l1 = cross_entropy(x1, targets, pad_id=0)
         l1.backward()
@@ -111,13 +111,18 @@ class TestCrossEntropy:
         for _ in range(50):
             logits = Tensor(gen.normal(scale=3.0, size=(3, 7)))
             ids = gen.integers(1, 7, size=3)
-            assert float(cross_entropy(logits, ids, pad_id=0).data) >= 0.0
+            assert float(cross_entropy(logits, [ids], pad_id=0).data) >= 0.0
+
+    @pytest.mark.parametrize("targets", [[1, 2, 3], [[1, 2], [3, 1]], [[[1, 2, 3]]]])
+    def test_targets_must_be_a_grid_over_the_logit_rows(self, targets):
+        with pytest.raises(ShapeError, match="targets grid"):
+            cross_entropy(Tensor(np.zeros((3, 4))), targets, pad_id=0)
 
     def test_non_uniform_logits_leave_log_vocab(self):
         gen = rngmod.stream(12, "ce-uni")
         for _ in range(20):
             logits = gen.normal(scale=2.0, size=(2, 6))
-            got = float(cross_entropy(Tensor(logits), [1, 4], pad_id=0).data)
+            got = float(cross_entropy(Tensor(logits), [[1, 4]], pad_id=0).data)
             assert abs(got - math.log(6)) > 1e-12
 
 
@@ -195,6 +200,13 @@ class TestBackward:
         assert np.array_equal(a.grad, [2.0]) and np.array_equal(b.grad, [2.0])
         assert not np.shares_memory(a.grad, b.grad)
 
+    @pytest.mark.parametrize("other", [1.0, Tensor(np.ones(3)), "x"],
+                             ids=["scalar", "row-bias", "non-tensor"])
+    def test_add_takes_only_a_same_shape_tensor(self, other):
+        x = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match=r"cannot add Tensor\(shape=\(2, 3\).* and "):
+            x + other
+
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2)), requires_grad=True).backward()
@@ -207,7 +219,7 @@ class TestBackward:
 
 
 def _composite(x, w, b, gain, bias, targets):
-    h = gelu(matmul(x, w) + b)
+    h = gelu(linear(x, w, b))
     h = layer_norm(h, gain, bias)
     s = softmax(h)
     return cross_entropy(matmul(s, transpose(w)), targets, pad_id=0)
@@ -221,7 +233,7 @@ class TestGradcheckComposite:
         b = Tensor(gen.normal(size=5), requires_grad=True)
         gain = Tensor(np.ones(5), requires_grad=True)
         bias = Tensor(np.zeros(5), requires_grad=True)
-        targets = [1, 3, 2]
+        targets = [[1, 3, 2]]
         params = [x, w, b, gain, bias]
         _composite(x, w, b, gain, bias, targets).backward()
         analytic = [p.grad for p in params]
@@ -258,7 +270,7 @@ class TestFusedOps:
         x = Tensor(gen.normal(size=(3, 4)))
         w = Tensor(gen.normal(size=(4, 5)))
         b = Tensor(gen.normal(size=5))
-        assert np.array_equal(linear(x, w, b).data, (matmul(x, w) + b).data)
+        assert np.array_equal(linear(x, w, b).data, matmul(x, w).data + b.data)
 
     def test_linear_gradcheck(self):
         gen = rngmod.stream(21, "lin-grad")
@@ -277,7 +289,7 @@ class TestFusedOps:
         v = Tensor(gen.normal(size=(5, 3)))
         mask = np.zeros((4, 5))
         mask[:, 2] = -1e30
-        fused = attention_core(q, k, v, mask, 0.5)
+        fused = attention_core(q, k, v, mask, 0.5, 1, 1)
         unfused = matmul(softmax(matmul(q, transpose(k)) * 0.5 + Tensor(mask)), v)
         assert np.max(np.abs(fused.data - unfused.data)) < 1e-14
         assert np.all(np.exp((q.data @ k.data.T * 0.5 + mask)
@@ -291,9 +303,9 @@ class TestFusedOps:
         mask = np.zeros((3, 5))
         mask[:, 4] = -1e30
         params = [q, k, v]
-        total(attention_core(q, k, v, mask, 0.7)).backward()
+        total(attention_core(q, k, v, mask, 0.7, 1, 1)).backward()
         fd = finite_difference(
-            lambda: float(total(attention_core(q, k, v, mask, 0.7)).data), params)
+            lambda: float(total(attention_core(q, k, v, mask, 0.7, 1, 1)).data), params)
         assert max_rel_error([p.grad for p in params], fd) < 1e-4
         assert np.all(k.grad[4] == 0) and np.all(v.grad[4] == 0)
 
@@ -308,7 +320,7 @@ def test_gradcheck_property_small_tensors(rows, inner, cols, seed):
     w = Tensor(gen.normal(size=(inner, cols)), requires_grad=True)
     g = Tensor(np.ones(cols), requires_grad=True)
     bias = Tensor(np.zeros(cols), requires_grad=True)
-    targets = list(gen.integers(0, cols, size=rows))
+    targets = [list(gen.integers(0, cols, size=rows))]
 
     def forward():
         return cross_entropy(layer_norm(gelu(matmul(x, w)), g, bias), targets, pad_id=-1)
@@ -318,6 +330,15 @@ def test_gradcheck_property_small_tensors(rows, inner, cols, seed):
     analytic = [p.grad for p in params]
     fd = finite_difference(lambda: float(forward().data), params)
     assert max_rel_error(analytic, fd) < 1e-4
+
+
+@pytest.mark.parametrize("op", [gelu, lambda x: layer_norm(x, Tensor(np.ones(3)),
+                                                           Tensor(np.zeros(3)))],
+                         ids=["gelu", "layer_norm"])
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 3)])
+def test_row_ops_take_only_2d_input(op, shape):
+    with pytest.raises(ShapeError, match="2-D"):
+        op(Tensor(np.ones(shape)))
 
 
 def test_softmax_rows_sum_to_one():

@@ -59,6 +59,12 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="batch_size"):
             TrainConfig(batch_size=0)
 
+    @pytest.mark.parametrize("field", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [-1.0, math.nan])
+    def test_negative_or_nan_rate_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            TrainConfig(**{field: value})
+
     def test_defaults_match_protocol(self):
         cfg = TrainConfig()
         assert cfg.epochs == 20
