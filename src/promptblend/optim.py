@@ -81,8 +81,9 @@ def descend(opt: AdamW, n: int, batch_size: int, epochs: int, shuffle: np.random
     batches of `batch_size`. Per batch, `batch_loss(indices)` builds the
     scalar loss; a non-finite loss raises DivergenceError naming `what`,
     the step and the epoch, before any update. Otherwise the loss is
-    backpropagated, `opt` steps and gradients are reset. Yields
-    (epoch, step, indices, loss) after each step; both count from 1.
+    backpropagated and dropped, so one step's graph is freed before the
+    next is built, `opt` steps and gradients are reset. Yields
+    (epoch, step, indices, loss value) after each step; both count from 1.
     """
     step = 0
     for epoch in range(1, epochs + 1):
@@ -95,6 +96,7 @@ def descend(opt: AdamW, n: int, batch_size: int, epochs: int, shuffle: np.random
             if not np.isfinite(value):
                 raise DivergenceError(f"non-finite {what} at step {step} (epoch {epoch})")
             loss.backward()
+            del loss  # frees the graph before the next batch_loss builds one
             opt.step()
             opt.zero_grad()
             yield epoch, step, indices, value

@@ -68,8 +68,10 @@ class Tensor:
     def backward(self) -> None:
         """Backpropagate from a scalar root.
 
-        Repeated calls without resetting leaf grads accumulate into them;
-        non-leaf grad buffers are cleared at the start of every call.
+        Repeated calls without resetting leaf grads accumulate into them.
+        A non-leaf gradient is released as soon as it has been propagated
+        to the node's inputs, so after backward() returns only leaves hold
+        gradients.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.data.shape}")
@@ -88,13 +90,15 @@ class Tensor:
             for p in node._prev:
                 if id(p) not in seen:
                     stack.append((p, False))
-        for node in topo:
+        for node in topo:  # a pass cut short may have left some behind
             if not node.is_leaf:
                 node.grad = None
         self._accum(np.ones_like(self.data))
         for node in reversed(topo):
             if node._backward is not None and node.requires_grad:
                 node._backward(node.grad)
+            if not node.is_leaf:  # every consumer has run: nothing reads it again
+                node.grad = None
 
     # -- arithmetic ------------------------------------------------------
 

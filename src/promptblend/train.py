@@ -122,11 +122,11 @@ class PromptedEvalResult:
 
 # The eval pass encodes and decodes this many examples at a time. Two
 # inputs share one activation matrix at the cost of the padding between
-# them. From three up, each [rows, ffn_dim] temporary passes about 400 KB,
-# and glibc hands it fresh pages on every op. On a 2-core box, 40 prompted
-# encodes took 72-81 ms of CPU two at a time and 82-95 ms one at a time,
-# with no minor page faults, but 118-142 ms and 7,900-8,500 faults at
-# three, four or ten per encode.
+# them. Two was chosen under glibc's default heap, which from three inputs
+# up hands each [rows, ffn_dim] temporary fresh pages. Under the heap setting
+# of cli.keep_freed_pages (2-core box, 40 examples, no page faults), prompted
+# encodes took 18-25/17-21/17-22 ms of CPU at 2/4/10 and a whole prompted_eval
+# 60-73/52-58/50-54 ms. Changing the size moves eval losses by round-off.
 EVAL_CHUNK = 2
 
 

@@ -2,7 +2,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -11,7 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from promptblend.cli import _build_parser, run_cli
+import promptblend
+from promptblend import cli
+from promptblend.cli import _build_parser, keep_freed_pages, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
 from promptblend.train import RunRecord
@@ -343,6 +347,64 @@ class TestNeverTraceback:
     def test_eval_of_arbitrary_checkpoint_bytes(self, scratch_file, blob):
         scratch_file.write_bytes(blob)
         assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)
+
+
+def _promptblend(*argv, cwd):
+    """The promptblend command as a separate process, through cli.main."""
+    src = str(Path(promptblend.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "promptblend.cli", *argv], cwd=cwd,
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+
+
+class TestProcessEntryPoint:
+    def test_a_divergence_prints_one_line(self, tmp_path):
+        # an infinite rate passes --lr's domain and diverges at the second step
+        proc = _promptblend("train", "--fixture-size", "40", "--pretrain-epochs", "1",
+                            "--epochs", "2", "--lr", "inf", "--out", "run", cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr == "runtime failure: non-finite loss at step 2 (epoch 1)\n"
+
+    def test_main_writes_the_files_run_cli_writes(self, tmp_path, monkeypatch):
+        chain = [["pretrain", *TINY, "--epochs", "1", "--seed", "3", "--out", "pre"],
+                 ["train", *FAST_TRAIN, "--seed", "3", "--checkpoint", "pre/checkpoint.pbld",
+                  "--out", "run"]]
+        by_main, by_run_cli = tmp_path / "main", tmp_path / "run_cli"
+        by_main.mkdir()
+        by_run_cli.mkdir()
+        for argv in chain:
+            proc = _promptblend(*argv, cwd=by_main)
+            assert proc.returncode == 0, proc.stderr
+        monkeypatch.chdir(by_run_cli)
+        for argv in chain:
+            assert run_cli(argv) == 0
+        names = ["pre/checkpoint.pbld", "run/checkpoint.pbld", "run/curve.csv",
+                 "run/report.json", "run/report.txt"]
+        for name in names:
+            assert (by_main / name).read_bytes() == (by_run_cli / name).read_bytes(), name
+        records = [json.loads((d / "run" / "record.json").read_text())
+                   for d in (by_main, by_run_cli)]
+        for record in records:
+            del record["wall_clock_seconds"]
+        assert records[0] == records[1]
+
+    def test_heap_settings(self, monkeypatch):
+        calls = []
+
+        class Libc:
+            @staticmethod
+            def mallopt(param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
+        keep_freed_pages()
+        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
+
+    def test_heap_settings_are_a_no_op_without_mallopt(self, monkeypatch):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        keep_freed_pages()
 
 
 STABILITY = Path(__file__).resolve().parents[1] / "scripts" / "run_stability.py"

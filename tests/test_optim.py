@@ -1,11 +1,14 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from promptblend import rng as rngmod
-from promptblend.optim import BETA1, BETA2, EPS, AdamW, OptimizerStateError
+from promptblend.optim import BETA1, BETA2, EPS, AdamW, OptimizerStateError, descend
 from promptblend.tensor import Tensor
+
+from oracles import total
 
 
 def _scalar_adamw_oracle(p, g, steps, lr, beta1, beta2, eps, wd):
@@ -105,3 +108,28 @@ def test_zero_lr_leaves_params_bitwise_unchanged():
         p.grad = gen.normal(size=(4, 4))
         opt.step()
     assert p.data.tobytes() == before
+
+
+class _Loss(Tensor):
+    __slots__ = ("__weakref__",)  # Tensor itself takes no weak references
+
+
+def test_descend_holds_one_step_graph_at_a_time():
+    p = Tensor(np.ones(3), requires_grad=True)
+    losses = []
+
+    def all_dead():
+        return all(ref() is None for ref in losses)
+
+    def batch_loss(indices):
+        assert all_dead(), f"step {len(losses)}'s graph is alive as step {len(losses) + 1} starts"
+        inner = total(p * p)
+        loss = _Loss(inner.data, True, (inner,), inner._accum)
+        losses.append(weakref.ref(loss))
+        return loss
+
+    steps = descend(AdamW([p], lr=0.01), 6, 2, 2, rngmod.stream(0, "descend"), batch_loss,
+                    "loss")
+    for epoch, step, indices, value in steps:
+        assert all_dead(), f"step {step}'s graph is alive at its yield"
+    assert len(losses) == 6

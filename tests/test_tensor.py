@@ -172,6 +172,28 @@ class TestDropout:
         assert max_rel_error([x.grad], fd) < 1e-6
 
 
+def _postorder(root: Tensor) -> list[Tensor]:
+    order, seen = [], set()
+
+    def visit(node):
+        if id(node) not in seen:
+            seen.add(id(node))
+            for p in node._prev:
+                visit(p)
+            order.append(node)
+
+    visit(root)
+    return order
+
+
+def _backward_releasing_nothing(root: Tensor) -> None:
+    """Reverse-mode pass that leaves every node's gradient in place."""
+    root.grad = np.ones_like(root.data)
+    for node in reversed(_postorder(root)):
+        if node._backward is not None:
+            node._backward(node.grad)
+
+
 class TestBackward:
     def test_sum_gives_ones(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
@@ -206,6 +228,26 @@ class TestBackward:
         x = Tensor(np.ones((2, 3)))
         with pytest.raises(ShapeError, match=r"cannot add Tensor\(shape=\(2, 3\).* and "):
             x + other
+
+    def test_only_leaves_keep_gradients(self):
+        gen = rngmod.stream(4, "release")
+        data = [gen.normal(size=s) for s in [(5, 4), (4, 3), (3,), (3,), (3,)]]
+
+        def graph():
+            leaves = [Tensor(d, requires_grad=True) for d in data]
+            x, w, b, gain, bias = leaves
+            h = gelu(linear(x, w, b))
+            y = layer_norm(h, gain, bias)
+            return leaves, total((y + h) * y)  # h and y each feed two nodes
+
+        leaves, root = graph()
+        root.backward()
+        inner = [n for n in _postorder(root) if not n.is_leaf]
+        assert len(inner) == 6 and all(n.grad is None for n in inner)
+        kept_leaves, kept_root = graph()
+        _backward_releasing_nothing(kept_root)
+        for got, want in zip(leaves, kept_leaves):
+            assert got.grad.tobytes() == want.grad.tobytes()
 
     def test_non_scalar_root_rejected(self):
         with pytest.raises(ShapeError):
