@@ -10,12 +10,11 @@ import argparse
 import sys
 from pathlib import Path
 
-import promptblend  # noqa: F401  (sets the one-thread BLAS default before numpy loads)
+import promptblend  # noqa: F401  (sets the numeric runtime before numpy loads)
 import numpy as np
 
 from promptblend import textdata as td
-from promptblend.cli import (FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, exit_code,
-                             keep_freed_pages)
+from promptblend.cli import FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, exit_code
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
 from promptblend.model import PretrainConfig, pretrain_examples
 from promptblend.report import render_curve_csv
@@ -46,7 +45,6 @@ def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
 
 
 def main() -> int:
-    keep_freed_pages()  # the same heap policy as the promptblend command
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--out", default="runs/stability")
     ap.add_argument("--fixture-size", type=FIXTURE_SIZE, default=300)

@@ -142,7 +142,8 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
     """Inverse of bundle_bytes: (lm, predictor or None, basis prompts or None).
 
     Every tensor's name and shape must be the one the stored config,
-    vocabulary and basis imply; anything else raises CheckpointError.
+    vocabulary and basis imply, and every entry finite; anything else
+    raises CheckpointError.
     """
     tensors, meta = load_checkpoint(path)
     pred_meta, prompts = meta.get("predictor"), meta.get("basis_prompts")
@@ -164,6 +165,7 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
         got = tensors[name].shape if name in tensors else None
         _check(got == expected.get(name), f"tensor {name!r} has shape {got}, expected "
                                           f"{expected.get(name)}")
+        _check(np.isfinite(tensors[name]).all(), f"tensor {name!r} has non-finite entries")
     _check(type(dropout_p) in (int, float) and 0.0 <= dropout_p < 1.0,
            f"predictor dropout_p {dropout_p!r}")
     _check(prompts is None or isinstance(prompts, list)

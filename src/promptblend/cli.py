@@ -11,7 +11,6 @@ the command does not write stay.
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import math
 import os
@@ -386,25 +385,7 @@ def run_cli(argv=None) -> int:
     return exit_code(lambda: _COMMANDS[args.command](args))
 
 
-def keep_freed_pages() -> None:
-    """Have glibc keep freed memory for reuse instead of returning it.
-
-    A training step frees its graph before the next step allocates arrays
-    of the same sizes. By default glibc maps each large array afresh and
-    unmaps it on free, so every step would fault in zeroed pages again.
-    Arrays up to 32 MiB come from the heap instead, and the heap is trimmed
-    only when 256 MiB sit free at its top. Call from a process entry point
-    only; a no-op where the C library has no mallopt.
-    """
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-        mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
-        mallopt(-1, 256 << 20)  # M_TRIM_THRESHOLD
-
-
 def main() -> None:
-    keep_freed_pages()
     sys.exit(run_cli())
 
 

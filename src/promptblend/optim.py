@@ -84,6 +84,7 @@ def descend(opt: AdamW, n: int, batch_size: int, epochs: int, shuffle: np.random
     backpropagated and dropped, so one step's graph is freed before the
     next is built, `opt` steps and gradients are reset. Yields
     (epoch, step, indices, loss value) after each step; both count from 1.
+    A non-finite parameter after the last step raises DivergenceError too.
     """
     step = 0
     for epoch in range(1, epochs + 1):
@@ -100,3 +101,6 @@ def descend(opt: AdamW, n: int, batch_size: int, epochs: int, shuffle: np.random
             opt.step()
             opt.zero_grad()
             yield epoch, step, indices, value
+    # the last update has no later loss to show a divergence
+    if not all(np.isfinite(p.data).all() for p in opt.params):
+        raise DivergenceError(f"non-finite parameters after step {step} (epoch {epoch})")

@@ -120,13 +120,8 @@ class PromptedEvalResult:
     accuracy: float  # share of examples whose lowest-loss choice is the gold one
 
 
-# The eval pass encodes and decodes this many examples at a time. Two
-# inputs share one activation matrix at the cost of the padding between
-# them. Two was chosen under glibc's default heap, which from three inputs
-# up hands each [rows, ffn_dim] temporary fresh pages. Under the heap setting
-# of cli.keep_freed_pages (2-core box, 40 examples, no page faults), prompted
-# encodes took 18-25/17-21/17-22 ms of CPU at 2/4/10 and a whole prompted_eval
-# 60-73/52-58/50-54 ms. Changing the size moves eval losses by round-off.
+# The eval pass encodes and decodes this many examples at a time. It stays
+# at 2 because another size moves eval losses by round-off.
 EVAL_CHUNK = 2
 
 
@@ -149,15 +144,15 @@ def _chunks(inputs: list[list[int]], ids: list[str]) -> list[list[int]]:
 
 def _tokens(lm: FrozenLM, ex: td.QAExample, prompt_rows: int, choices: bool = False):
     """The example's input, gold target and, with `choices`, every choice's
-    tokens (the gold one is the target), checked against max_positions with
-    `prompt_rows` prompt rows."""
+    tokens (the gold one is the target); the input is checked against
+    max_positions with `prompt_rows` prompt rows."""
     ids = td.tokenize(td.format_input(ex), lm.vocab)
     if choices:
         every = [td.tokenize(td.format_choice(c), lm.vocab) for c in ex.choices]
         target = every[ex.answer_index()]
     else:
         every, target = None, td.tokenize(td.format_target(ex), lm.vocab)
-    lm.check_fits(f"example {ex.id!r}", prompt_rows, ids, every or [target])
+    lm.check_fits(f"example {ex.id!r}", prompt_rows, ids)
     return ids, target, every
 
 
@@ -225,8 +220,10 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     for chunk in _chunks([e.ids for e in entries], [ex.id for ex in eval_set]):
         for i in chunk:
             w_out = predictor.forward(Tensor(entries[i].q.reshape(1, -1)), training=False,
-                                      rng=None)
-            weights[i] = WeightVector(w_out.data[0].copy())
+                                      rng=None).data[0]
+            if not np.isfinite(w_out).all():
+                raise DivergenceError(f"non-finite weights predicted for {eval_set[i].id!r}")
+            weights[i] = WeightVector(w_out.copy())
         scores = lm.score_choices([combine(basis, Tensor(weights[i].values)) for i in chunk],
                                   [entries[i].ids for i in chunk],
                                   [entries[i].choices for i in chunk])

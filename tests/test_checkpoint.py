@@ -118,3 +118,12 @@ def test_predictor_dropout_rate_is_required(scratch):
 
     with pytest.raises(CheckpointError, match="dropout_p"):
         _load(scratch, _retensor(edit))
+
+
+@pytest.mark.parametrize("value", [np.nan, -np.inf])
+def test_non_finite_tensor_rejected(scratch, value):
+    def edit(tensors, meta):
+        tensors["lm.out.b"][0] = value
+
+    with pytest.raises(CheckpointError, match="'lm.out.b' has non-finite entries"):
+        _load(scratch, _retensor(edit))

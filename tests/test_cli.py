@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import ctypes
 import io
 import json
 import os
@@ -9,13 +11,14 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import promptblend
-from promptblend import cli
-from promptblend.cli import _build_parser, keep_freed_pages, run_cli
+from promptblend.checkpoint import checkpoint_bytes, load_checkpoint
+from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
 from promptblend.train import RunRecord
@@ -134,6 +137,32 @@ class TestPipelineCommands:
         assert code == 2
         assert "non-finite pretraining loss at step 2" in capsys.readouterr().err
         assert not out.exists()
+
+    # an infinite rate makes the updated parameters non-finite where no later
+    # loss shows it: the run ends after one step, or an eval pass follows it
+    @pytest.mark.parametrize("argv, message", [
+        (["pretrain", "--fixture-size", "12", "--epochs", "1", "--batch-size", "10"],
+         "non-finite parameters after step 1 (epoch 1)"),
+        (["train", "--fixture-size", "12", "--pretrain-epochs", "1", "--epochs", "1",
+          "--batch-size", "10"], "non-finite parameters after step 1 (epoch 1)"),
+        (["train", "--fixture-size", "40", "--pretrain-epochs", "1", "--epochs", "2",
+          "--eval-every", "1"], "non-finite weights predicted for 'fx00033'"),
+    ], ids=["pretrain", "train", "train-eval-every"])
+    def test_a_last_step_divergence_is_runtime_failure(self, argv, message, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--lr", "inf", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"runtime failure: {message}\n"
+        assert not out.exists()
+
+    def test_eval_of_a_non_finite_bundle_is_validation_error(self, run_dir, tmp_path,
+                                                             capsys):
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        tensors["lm.out.b"][0] = np.nan
+        bad = tmp_path / "bad.pbld"
+        bad.write_bytes(checkpoint_bytes(tensors, meta))
+        assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
+        assert "'lm.out.b' has non-finite entries" in capsys.readouterr().err
 
     def test_eval_from_checkpoint(self, run_dir, capsys):
         code = run_cli(["eval", *TINY, "--checkpoint",
@@ -349,13 +378,26 @@ class TestNeverTraceback:
         assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)
 
 
-def _promptblend(*argv, cwd):
-    """The promptblend command as a separate process, through cli.main."""
+def _python(*args, cwd=None):
+    """A fresh interpreter run with `args`, with this promptblend importable."""
     src = str(Path(promptblend.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "promptblend.cli", *argv], cwd=cwd,
-                          capture_output=True, text=True, timeout=300,
-                          env={**os.environ, "PYTHONPATH": path})
+    return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+
+
+def _promptblend(*argv, cwd):
+    """The promptblend command as a separate process, through cli.main."""
+    return _python("-m", "promptblend.cli", *argv, cwd=cwd)
+
+
+def _mallopt_calls(libc: str) -> list:
+    """The mallopt calls a bare `import promptblend` makes when ctypes.CDLL
+    returns the class Libc defined in `libc`."""
+    proc = _python("-c", f"import ctypes\ncalls = []\n{libc}\n"
+                         "ctypes.CDLL = lambda name: Libc()\nimport promptblend\nprint(calls)")
+    assert proc.returncode == 0, proc.stderr
+    return ast.literal_eval(proc.stdout)
 
 
 class TestProcessEntryPoint:
@@ -389,22 +431,31 @@ class TestProcessEntryPoint:
             del record["wall_clock_seconds"]
         assert records[0] == records[1]
 
-    def test_heap_settings(self, monkeypatch):
-        calls = []
+    def test_heap_settings(self):
+        libc = ("class Libc:\n    @staticmethod\n    def mallopt(param, value):\n"
+                "        calls.append((param, value))\n        return 1")
+        assert _mallopt_calls(libc) == [(-3, 32 << 20), (-1, 256 << 20)]
 
-        class Libc:
-            @staticmethod
-            def mallopt(param, value):
-                calls.append((param, value))
-                return 1
+    def test_heap_settings_are_a_no_op_without_mallopt(self):
+        assert _mallopt_calls("class Libc:\n    pass") == []
 
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: Libc())
-        keep_freed_pages()
-        assert calls == [(-3, 32 << 20), (-1, 256 << 20)]
-
-    def test_heap_settings_are_a_no_op_without_mallopt(self, monkeypatch):
-        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
-        keep_freed_pages()
+    @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"),
+                        reason="the C library has no mallopt")
+    def test_in_process_training_reuses_freed_pages(self, tmp_path):
+        # glibc's default heap unmaps each freed FFN-sized array, so the next
+        # step faults its pages in again: this run took 22k-39k minor faults
+        # there, and about 5k under the heap policy importing promptblend sets
+        probe = ("import resource, sys\nfrom promptblend.cli import run_cli\n"
+                 "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+                 "code = run_cli(sys.argv[1:])\n"
+                 "print(code, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)")
+        proc = _python("-c", probe, "train", "--fixture-size", "60", "--fixture-seed", "5",
+                       "--pretrain-epochs", "2", "--epochs", "2", "--out", "run",
+                       cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        code, faults = proc.stdout.splitlines()[-1].split()
+        assert code == "0", proc.stderr
+        assert int(faults) < 10_000
 
 
 STABILITY = Path(__file__).resolve().parents[1] / "scripts" / "run_stability.py"
