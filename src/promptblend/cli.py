@@ -80,7 +80,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=SEED, default=None,
                            help="run seed; falls back to PROMPTBLEND_SEED, then 0")
         p.add_argument("--basis", default="default",
-                       help="basis file path, or 'default' for the built-in prompts")
+                       help="basis file, or 'default': the checkpoint's prompts or the built-ins")
 
     p = sub.add_parser("pretrain", help="pretrain and freeze the base model")
     add_data_flags(p)
@@ -141,18 +141,6 @@ def _resolve_seed(args) -> int:
         raise ValueError(f"PROMPTBLEND_SEED {e}") from None
 
 
-def _check_prompt_length(prompts: list[str], examples: list[td.QAExample],
-                         max_positions: int) -> None:
-    """Reject a basis whose longest prompt and the longest input together
-    exceed max_positions; token counts need no vocabulary."""
-    longest = max((len(td.split_tokens(p)) for p in prompts), default=0)
-    longest_input = max(len(td.split_tokens(td.format_input(ex))) for ex in examples)
-    if longest + longest_input > max_positions:
-        raise ValueError(f"the longest basis prompt ({longest} tokens) plus the longest "
-                         f"input ({longest_input} tokens) exceeds max_positions "
-                         f"{max_positions}")
-
-
 def _check_top(top: int, prompts: list[str]) -> None:
     """Reject a --top the report cannot fill, before any compute."""
     if top > len(prompts):
@@ -176,10 +164,12 @@ def _split(examples: list[td.QAExample], val_fraction: float):
     return train_set, eval_set
 
 
-def _resolve_basis_prompts(args) -> list[str]:
-    if args.basis == "default":
-        return list(composer.DEFAULT_BASIS_PROMPTS)
-    return composer.load_basis_file(args.basis)
+def _resolve_basis_prompts(args, stored=None) -> list[str]:
+    """The --basis file's prompts; 'default' means the bundle's `stored`
+    prompts when it has some, else the built-in ones."""
+    if args.basis != "default":
+        return composer.load_basis_file(args.basis)
+    return list(stored or composer.DEFAULT_BASIS_PROMPTS)
 
 
 def _write_outputs(out_dir, files: dict) -> None:
@@ -231,19 +221,18 @@ def _cmd_train(args) -> int:
                          eval_every=args.eval_every)
     examples = _resolve_examples(args)
     train_set, eval_set = _split(examples, args.val_fraction)
-    basis_prompts = _resolve_basis_prompts(args)
-    lm = None
-    if args.checkpoint:
-        lm, _, ck_prompts = load_bundle(args.checkpoint)
-        lm.set_frozen(True)
-        if ck_prompts and args.basis == "default":
-            basis_prompts = ck_prompts
+    lm, _, stored = load_bundle(args.checkpoint) if args.checkpoint else (None, None, None)
+    basis_prompts = _resolve_basis_prompts(args, stored)
     _check_top(args.top, basis_prompts)
-    _check_prompt_length(basis_prompts, examples,
-                         (LMConfig() if lm is None else lm.config).max_positions)
+    # split_tokens counts need no vocabulary, so this runs before pretraining
+    longest = max(examples, key=lambda ex: len(td.split_tokens(td.format_input(ex))))
+    (LMConfig() if lm is None else lm.config).check_fits(
+        f"example {longest.id!r}", max(len(td.split_tokens(p)) for p in basis_prompts),
+        td.split_tokens(td.format_input(longest)))
     if lm is None:
         lm = pretrain_examples(train_set, PretrainConfig(
             epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), seed)
+    lm.set_frozen(True)
     basis = composer.build_basis(basis_prompts, lm)
     predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
@@ -274,8 +263,9 @@ def _cmd_eval(args) -> int:
     if predictor is None:
         payload["control_eval_loss"] = _control_eval(lm, eval_set)
     else:
-        prompts = ck_prompts if args.basis == "default" and ck_prompts \
-            else _resolve_basis_prompts(args)
+        prompts = _resolve_basis_prompts(args, ck_prompts)
+        if len(prompts) != predictor.out_dim:
+            raise ValueError(f"{len(prompts)} prompts for a {predictor.out_dim}-weight predictor")
         result = _prompted_eval(lm, predictor, composer.build_basis(prompts, lm), eval_set)
         payload.update(control_eval_loss=result.control_loss,
                        prompted_eval_loss=result.mean_loss, prompted_accuracy=result.accuracy)
@@ -313,12 +303,9 @@ def _cmd_report(args) -> int:
 
 def _basis_for_inspection(args):
     seed = _resolve_seed(args)
-    prompts = _resolve_basis_prompts(args)
-    if args.checkpoint:
-        lm, _, _ = load_bundle(args.checkpoint)
-    else:
-        lm = _fresh_lm(prompts, seed)
-    return composer.build_basis(prompts, lm)
+    lm, _, stored = load_bundle(args.checkpoint) if args.checkpoint else (None, None, None)
+    prompts = _resolve_basis_prompts(args, stored)
+    return composer.build_basis(prompts, lm or _fresh_lm(prompts, seed))
 
 
 def _cmd_ortho(args) -> int:

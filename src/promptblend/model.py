@@ -57,6 +57,18 @@ class LMConfig:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
                              f"num_heads {self.num_heads}")
 
+    def check_fits(self, name: str, prompt_rows: int, input_ids) -> None:
+        """Raise ValueError naming example `name` unless its input is non-empty
+        and its prompt+input fits max_positions. Then its target fits too: a
+        QA input holds every choice, and pretraining counts the target as
+        prompt rows. FrozenLM.decode checks targets for direct callers."""
+        if len(input_ids) == 0:
+            raise ValueError(f"{name}: encoder input must be non-empty")
+        n = prompt_rows + len(input_ids)
+        if n > self.max_positions:
+            raise ValueError(f"{name}: prompt+input length {n} exceeds "
+                             f"max_positions {self.max_positions}")
+
 
 @dataclass
 class PretrainConfig:
@@ -204,7 +216,7 @@ class FrozenLM:
                 raise ShapeError(f"prompt shape {p.data.shape} incompatible with "
                                  f"embed_dim {d}")
             prompt_rows.append(0 if p is None else p.data.shape[0])
-            self.check_fits(f"batch row {b}", prompt_rows[-1], idx)
+            self.config.check_fits(f"batch row {b}", prompt_rows[-1], idx)
         width = max(n + idx.shape[0] for n, idx in zip(prompt_rows, ids))
         valid = np.zeros((len(ids), width), dtype=bool)
         prompt_slots, token_slots = [], []
@@ -280,18 +292,6 @@ class FrozenLM:
         logits = self.decode(*self.encode(inputs, prompts), targets)
         return cross_entropy(logits, _labels(targets), td.PAD_ID)
 
-    def check_fits(self, name: str, prompt_rows: int, input_ids) -> None:
-        """Raise ValueError naming example `name` unless its input is non-empty
-        and its prompt+input fits max_positions. Then its target fits too: a
-        QA input holds every choice, and pretraining counts the target as
-        prompt rows. decode checks targets for direct callers."""
-        if len(input_ids) == 0:
-            raise ValueError(f"{name}: encoder input must be non-empty")
-        n = prompt_rows + len(input_ids)
-        if n > self.config.max_positions:
-            raise ValueError(f"{name}: prompt+input length {n} exceeds "
-                             f"max_positions {self.config.max_positions}")
-
     def score_choices(self, prompts, inputs, choices) -> list:
         """Target loss of each choice of each example, as one list of floats
         per example.
@@ -340,7 +340,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
     lm = FrozenLM(vocab, config.model, seed)
     encoded = [(td.tokenize(inp, vocab), td.tokenize(tgt, vocab)) for inp, tgt in corpus]
     for i, (inp, tgt) in enumerate(encoded):
-        lm.check_fits(f"corpus pair {i}", max(len(tgt), MAX_NOISE_PREFIX), inp)
+        config.model.check_fits(f"corpus pair {i}", max(len(tgt), MAX_NOISE_PREFIX), inp)
 
     def packed_loss(batch, prefixes) -> Tensor:
         return lm.loss_with_prompt(prefixes, [inp for inp, _ in batch],

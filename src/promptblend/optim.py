@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .tensor import Tensor
@@ -17,20 +15,12 @@ class OptimizerStateError(RuntimeError):
     """Raised when a parameter is missing required optimizer state."""
 
 
-@dataclass
-class AdamWState:
-    """Per-run moment buffers, shape-congruent with each parameter."""
-
-    step_count: int = 0
-    m: list = field(default_factory=list)
-    v: list = field(default_factory=list)
-
-
 class AdamW:
     """Decoupled-weight-decay Adam with bias correction.
 
     step() leaves gradients untouched; the caller resets them via
-    zero_grad() between steps.
+    zero_grad() between steps. `m` and `v` hold the moment buffers, one per
+    parameter and shaped like it; `step_count` counts the steps taken.
     """
 
     def __init__(self, params: list[Tensor], lr: float = 1e-3, weight_decay: float = 0.01):
@@ -41,20 +31,19 @@ class AdamW:
         self.params = list(params)
         self.lr = lr
         self.weight_decay = weight_decay
-        self.state = AdamWState(
-            m=[np.zeros_like(p.data) for p in self.params],
-            v=[np.zeros_like(p.data) for p in self.params],
-        )
+        self.step_count = 0
+        self.m = [np.zeros_like(p.data) for p in self.params]
+        self.v = [np.zeros_like(p.data) for p in self.params]
 
     def step(self) -> None:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 raise OptimizerStateError(f"parameter {i} has no gradient; run backward() first")
-        self.state.step_count += 1
-        t = self.state.step_count
+        self.step_count += 1
+        t = self.step_count
         bc1 = 1.0 - BETA1 ** t
         bc2 = 1.0 - BETA2 ** t
-        for p, m, v in zip(self.params, self.state.m, self.state.v):
+        for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             if self.weight_decay != 0.0:
                 p.data *= 1.0 - self.lr * self.weight_decay

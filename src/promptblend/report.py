@@ -65,8 +65,6 @@ def _ortho_text_lines(section: dict) -> list[str]:
 
 def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> ReportBundle:
     """Build the human table and the structured file for one run."""
-    if n_top > basis.size:
-        raise ValueError(f"n_top {n_top} exceeds basis size {basis.size}")
     if list(record.basis_prompts) != list(basis.prompts):
         raise ValueError("basis does not match the prompts recorded for this run")
     recorded = record.config.get("prompt_length", basis.length)

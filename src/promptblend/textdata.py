@@ -109,13 +109,24 @@ class QAExample:
         raise DatasetError(f"example {self.id}: no choice for key {self.answer_key!r}")
 
 
-def _example_from_record(rec: dict, where: str) -> QAExample:
-    try:
-        choices = [Choice(label=c["label"], text=c["text"]) for c in rec["choices"]]
-        ex = QAExample(id=rec["id"], question=rec["question"], choices=choices,
-                       answer_key=rec["answerKey"])
-    except (KeyError, TypeError) as e:
-        raise DatasetError(f"{where}: missing or malformed field ({e})") from e
+def _field(obj: dict, key: str, where: str = "") -> str:
+    """obj[key], which must be a string; errors name the field `where + key`."""
+    if not isinstance(obj.get(key), str):
+        raise DatasetError(f"field '{where}{key}' must be a string, got {obj[key]!r}"
+                           if key in obj else f"missing field '{where}{key}'")
+    return obj[key]
+
+
+def _example_from_record(rec) -> QAExample:
+    """The example one record holds, typed as the module docstring shows."""
+    if not isinstance(rec, dict):
+        raise DatasetError(f"record must be an object, got {rec!r}")
+    raw = rec.get("choices")
+    if not isinstance(raw, list) or not all(isinstance(c, dict) for c in raw):
+        raise DatasetError(f"field 'choices' must be a list of objects, got {raw!r}")
+    choices = [Choice(*(_field(c, key, f"choices[{i}].") for key in ("label", "text")))
+               for i, c in enumerate(raw)]
+    ex = QAExample(_field(rec, "id"), _field(rec, "question"), choices, _field(rec, "answerKey"))
     ex.validate()
     return ex
 
@@ -134,7 +145,7 @@ def load_dataset(path) -> list[QAExample]:
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
             try:
-                ex = _example_from_record(rec, f"line {lineno}")
+                ex = _example_from_record(rec)
             except DatasetError as e:
                 raise DatasetError(f"line {lineno}: {e}") from e
             if ex.id in id_lines:

@@ -65,19 +65,33 @@ class ExampleEval:
     weights: list[float]
 
 
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value has the annotated type: a float field takes an int,
+    no field a bool, and list items are checked (dataclass ones by _from_dict)."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin is list:
+        return isinstance(value, list) and all(_conforms(x, args[0]) for x in value)
+    if args:  # a union such as `list[list] | None`
+        return any(_conforms(value, a) for a in args)
+    kind = object if is_dataclass(hint) else (int, float) if hint is float else hint
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def _from_dict(cls, d: dict):
-    """Dataclass `cls` from its asdict() form, rebuilding fields typed as
-    lists of dataclasses; a missing or unknown field raises ValueError."""
+    """Dataclass `cls` from its asdict() form, rebuilding lists of dataclasses;
+    a missing, unknown or wrongly typed field raises ValueError."""
     names = [f.name for f in fields(cls)]
     if not isinstance(d, dict) or set(d) != set(names):
         raise ValueError(f"malformed {cls.__name__}: expected fields {names}, got "
                          f"{sorted(d) if isinstance(d, dict) else repr(d)}")
     kwargs = dict(d)
     for name, hint in typing.get_type_hints(cls).items():
+        if not _conforms(d[name], hint):
+            kind = hint if typing.get_origin(hint) else hint.__name__
+            raise ValueError(f"malformed {cls.__name__}: {name} must be {kind}, "
+                             f"got {d[name]!r}")
         item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
         if is_dataclass(item):
-            if not isinstance(d[name], list):
-                raise ValueError(f"malformed {cls.__name__}: {name} must be a list")
             kwargs[name] = [_from_dict(item, x) for x in d[name]]
     return cls(**kwargs)
 
@@ -152,7 +166,7 @@ def _tokens(lm: FrozenLM, ex: td.QAExample, prompt_rows: int, choices: bool = Fa
         target = every[ex.answer_index()]
     else:
         every, target = None, td.tokenize(td.format_target(ex), lm.vocab)
-    lm.check_fits(f"example {ex.id!r}", prompt_rows, ids)
+    lm.config.check_fits(f"example {ex.id!r}", prompt_rows, ids)
     return ids, target, every
 
 

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import promptblend
+from promptblend import composer
 from promptblend.checkpoint import checkpoint_bytes, load_checkpoint
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
@@ -116,6 +117,20 @@ def run_dir(tmp_path_factory):
     return out
 
 
+CUSTOM_PROMPTS = ["think step by step", "draw a diagram", "list the facts"]
+
+
+@pytest.fixture(scope="module")
+def custom_bundle(tmp_path_factory):
+    """An LM-only bundle pretrained with a 3-prompt basis file."""
+    where = tmp_path_factory.mktemp("custom")
+    basis_file = where / "custom.txt"
+    basis_file.write_text("\n".join(CUSTOM_PROMPTS) + "\n")
+    assert run_cli(["pretrain", *TINY, "--epochs", "1", "--seed", "3",
+                    "--basis", str(basis_file), "--out", str(where / "pre")]) == 0
+    return where / "pre" / "checkpoint.pbld"
+
+
 class TestPipelineCommands:
     def test_pretrain_then_train_from_checkpoint(self, tmp_path, capsys):
         pre = tmp_path / "pre"
@@ -198,6 +213,22 @@ class TestPipelineCommands:
         assert code == 1
         assert "StepRecord" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["examples"][0].update(loss="x"), "ExampleEval: loss must be float, got 'x'"),
+        (lambda r: r.update(config=[]), "RunRecord: config must be dict, got []"),
+        (lambda r: r.update(basis_prompts=5), "RunRecord: basis_prompts must be list[str], got 5"),
+    ], ids=["loss", "config", "basis_prompts"])
+    def test_mistyped_record_field_is_validation_error(self, edit, message, run_dir, tmp_path,
+                                                        capsys):
+        record = json.loads((run_dir / "record.json").read_text())
+        edit(record)
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        code = run_cli(["report", "--record", str(path), "--checkpoint",
+                        str(run_dir / "checkpoint.pbld"), "--out", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: malformed {message}\n"
+
     def test_ortho_prints_score(self, capsys):
         assert run_cli(["ortho", "--seed", "1"]) == 0
         stdout = capsys.readouterr().out
@@ -225,6 +256,38 @@ class TestPipelineCommands:
         stdout = capsys.readouterr().out
         assert "score: 0.0000" in stdout
         assert "similarity 1.0000" in stdout
+
+    # --basis default means the bundle's own prompts, for every command
+    def test_ortho_of_a_bundle_lists_its_prompts(self, custom_bundle, capsys):
+        assert run_cli(["ortho", "--checkpoint", str(custom_bundle)]) == 0
+        listed = capsys.readouterr().out.split("prompts:\n")[1].splitlines()
+        assert listed == [f"  {i}. {p}" for i, p in enumerate(CUSTOM_PROMPTS, start=1)]
+
+    def test_embed_of_a_bundle_lists_its_prompts(self, custom_bundle, capsys):
+        assert run_cli(["embed", "--checkpoint", str(custom_bundle)]) == 0
+        assert json.loads(capsys.readouterr().out)["prompts"] == CUSTOM_PROMPTS
+
+    def test_train_from_a_bundle_keeps_its_prompts(self, custom_bundle, tmp_path):
+        out = tmp_path / "run"
+        assert run_cli(["train", *FAST_TRAIN, "--checkpoint", str(custom_bundle),
+                        "--out", str(out)]) == 0
+        assert json.loads((out / "record.json").read_text())["basis_prompts"] == CUSTOM_PROMPTS
+
+    def test_eval_basis_file_overrides_the_bundle_prompts(self, run_dir, tmp_path,
+                                                          monkeypatch):
+        reordered = list(reversed(DEFAULT_BASIS_PROMPTS))
+        basis_file = tmp_path / "basis.txt"
+        basis_file.write_text("\n".join(reordered) + "\n")
+        built, build_basis = [], composer.build_basis
+
+        def spy(prompts, lm):
+            built.append(prompts)
+            return build_basis(prompts, lm)
+
+        monkeypatch.setattr(composer, "build_basis", spy)
+        assert run_cli(["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld"),
+                        "--basis", str(basis_file)]) == 0
+        assert built == [reordered]
 
 
 def _never_called(*args, **kwargs):
@@ -265,8 +328,8 @@ class TestFlagsCheckedBeforeCompute:
         basis_file.write_text("think step by step\n" + " ".join(["word"] * 240) + "\n")
         assert run_cli(["train", *TINY, "--basis", str(basis_file), "--top", "2",
                         "--out", str(tmp_path / "run")]) == 1
-        assert ("the longest basis prompt (240 tokens) plus the longest input (49 tokens) "
-                "exceeds max_positions 256" in capsys.readouterr().err)
+        assert (capsys.readouterr().err
+                == "error: example 'fx00002': prompt+input length 289 exceeds max_positions 256\n")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("command", ["train", "embed", "ortho"])
@@ -318,6 +381,40 @@ class TestFlagsCheckedBeforeCompute:
                         "--out", str(tmp_path / "out")]) == 1
         assert "--top 8 exceeds the basis size 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_eval_basis_of_another_size_exits_before_any_compute(self, run_dir, tmp_path,
+                                                                 monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.train.control_eval", _never_called)
+        basis_file = tmp_path / "two.txt"
+        basis_file.write_text("think step by step\ndraw a diagram\n")
+        assert run_cli(["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld"),
+                        "--basis", str(basis_file)]) == 1
+        assert capsys.readouterr().err == "error: 2 prompts for a 7-weight predictor\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["choices"][0].update(label=1),
+         "field 'choices[0].label' must be a string, got 1"),
+        (lambda r: r.update(id=7), "field 'id' must be a string, got 7"),
+        (lambda r: r.update(question=5), "field 'question' must be a string, got 5"),
+        (lambda r: r["choices"][1].update(text=None),
+         "field 'choices[1].text' must be a string, got None"),
+        (lambda r: r.update(choices="ABC"),
+         "field 'choices' must be a list of objects, got 'ABC'"),
+        (lambda r: r.update(answerKey=["A"]), "field 'answerKey' must be a string, got ['A']"),
+    ], ids=["label", "id", "question", "text", "choices", "answerKey"])
+    def test_mistyped_dataset_field_exits_before_any_compute(self, edit, message, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        records = [{"id": f"q{i}", "question": "Which one?", "answerKey": "A",
+                    "choices": [{"label": lab, "text": f"option {lab}"} for lab in "ABC"]}
+                   for i in range(2)]
+        edit(records[0])
+        data = tmp_path / "data.jsonl"
+        data.write_text("".join(json.dumps(r) + "\n" for r in records))
+        assert run_cli(["train", "--data", str(data), "--val-fraction", "0.5",
+                        "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == f"error: line 1: {message}\n"
+        assert not (tmp_path / "run").exists()
 
     def test_eval_takes_no_seed(self, run_dir, monkeypatch, capsys):
         argv = ["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld")]

@@ -81,8 +81,9 @@ class TestPretrain:
 
     def test_non_finite_loss_aborts_with_step_index(self):
         # an infinite learning rate makes every parameter non-finite after
-        # the first step, so the second step's loss is NaN
-        with pytest.raises(DivergenceError, match="step 2"):
+        # the first step, so the second step's loss is NaN; numpy's warnings
+        # are silenced as the CLI silences them
+        with pytest.raises(DivergenceError, match="step 2"), np.errstate(invalid="ignore"):
             pretrain_examples(td.make_fixture(seed=6, n=4),
                               PretrainConfig(epochs=2, batch_size=2, lr=math.inf,
                                              model=SMALL), seed=0)

@@ -66,7 +66,7 @@ def test_step_count_and_grads_untouched():
     opt = AdamW([p], lr=0.1)
     opt.step()
     opt.step()
-    assert opt.state.step_count == 2
+    assert opt.step_count == 2
     assert np.array_equal(p.grad, np.array([2.0]))
     opt.zero_grad()
     assert p.grad is None
@@ -83,7 +83,7 @@ def test_moment_buffers_are_shape_congruent():
     shapes = [(3, 4), (7,), (2, 2)]
     params = [Tensor(np.zeros(s), requires_grad=True) for s in shapes]
     opt = AdamW(params)
-    for p, m, v in zip(params, opt.state.m, opt.state.v):
+    for p, m, v in zip(params, opt.m, opt.v):
         assert m.shape == p.data.shape
         assert v.shape == p.data.shape
 

@@ -144,7 +144,8 @@ class TestTrain:
         lm, basis, train_set, eval_set = setup
         pred = _predictor(lm, basis)
         pred.w1.data[0, 0] = np.inf
-        with pytest.raises(DivergenceError, match="step 1"):
+        # numpy's warnings are silenced as the CLI silences them
+        with pytest.raises(DivergenceError, match="step 1"), np.errstate(invalid="ignore"):
             train(lm, pred, basis, train_set, eval_set, TrainConfig(epochs=1, seed=0))
 
     def test_overlong_example_rejected_before_any_step(self, setup):
