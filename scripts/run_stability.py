@@ -14,7 +14,8 @@ import promptblend  # noqa: F401  (sets the numeric runtime before numpy loads)
 import numpy as np
 
 from promptblend import textdata as td
-from promptblend.cli import FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, exit_code
+from promptblend.cli import (FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, check_out_dir,
+                             exit_code)
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
 from promptblend.model import PretrainConfig, pretrain_examples
 from promptblend.report import render_curve_csv
@@ -55,6 +56,7 @@ def main() -> int:
     ap.add_argument("--seeds", type=SEED, nargs="+", default=[1, 2, 3, 4, 5])
     ap.add_argument("--lr", type=NON_NEGATIVE, default=3e-3)
     args = ap.parse_args()
+    check_out_dir(args.out)
     examples = td.make_fixture(args.fixture_seed, args.fixture_size)
     train_set, eval_set = td.train_eval_split(examples, 0.2)
     if not train_set:

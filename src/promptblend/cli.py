@@ -1,11 +1,11 @@
 """Command-line entry point.
 
 Subcommands: pretrain, embed, train, eval, report, ortho. Exit codes:
-0 success, 1 validation error, 2 runtime failure. A command writes all of
-its output files into a temp dir beside the output dir, then moves them
-into the output dir one by one, each replacing its namesake; a failure
-before then leaves the output dir as it was. Files of an earlier run that
-the command does not write stay.
+0 success, 1 validation error, 2 runtime failure. eval, ortho and embed
+always print, and write files only with --out. A command writes its files
+into a temp dir beside --out, then moves each into --out, replacing its
+namesake; a failure before then leaves --out as it was, and files of an
+earlier run that the command does not write stay.
 """
 
 from __future__ import annotations
@@ -172,7 +172,19 @@ def _resolve_basis_prompts(args, stored=None) -> list[str]:
     return list(stored or composer.DEFAULT_BASIS_PROMPTS)
 
 
+def check_out_dir(out) -> None:
+    """Reject an --out that cannot become a directory; None asks for none."""
+    if out is None:
+        return
+    path = Path(out).absolute()
+    existing = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
+
+
 def _write_outputs(out_dir, files: dict) -> None:
+    if out_dir is None:
+        return
     out = Path(out_dir)
     out.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".promptblend-", dir=out.parent))
@@ -188,6 +200,12 @@ def _write_outputs(out_dir, files: dict) -> None:
             os.replace(tmp / name, out / name)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _report_files(record: RunRecord, basis, top: int) -> dict:
+    bundle = report.render_report(record, basis, n_top=top)
+    return {"curve.csv": report.render_curve_csv(record), "report.txt": bundle.text,
+            "report.json": bundle.json_text}
 
 
 def _fresh_lm(basis_prompts, seed) -> FrozenLM:
@@ -238,16 +256,9 @@ def _cmd_train(args) -> int:
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
     record = _train(lm, predictor, basis, train_set, eval_set, config)
-    bundle = report.render_report(record, basis, n_top=args.top)
-    curve = report.render_curve_csv(record)
     pred_meta = {"seed": seed, "final_init_scale": args.final_init_scale}
-    files = {
-        "curve.csv": curve,
-        "report.txt": bundle.text,
-        "report.json": bundle.json_text,
-        "record.json": record.to_json() + "\n",
-        "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts, pred_meta),
-    }
+    files = {**_report_files(record, basis, args.top), "record.json": record.to_json() + "\n",
+             "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts, pred_meta)}
     _write_outputs(args.out, files)
     print(f"control eval loss:  {record.control_eval_loss:.4f}")
     print(f"prompted eval loss: {record.prompted_eval_loss:.4f}")
@@ -258,14 +269,14 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     examples = _resolve_examples(args)
     lm, predictor, ck_prompts = load_bundle(args.checkpoint)
+    prompts = _resolve_basis_prompts(args, ck_prompts)
+    if predictor is not None and len(prompts) != predictor.out_dim:
+        raise ValueError(f"{len(prompts)} prompts for a {predictor.out_dim}-weight predictor")
     _, eval_set = td.train_eval_split(examples, args.val_fraction)
     payload = {"eval_examples": len(eval_set)}
     if predictor is None:
         payload["control_eval_loss"] = _control_eval(lm, eval_set)
     else:
-        prompts = _resolve_basis_prompts(args, ck_prompts)
-        if len(prompts) != predictor.out_dim:
-            raise ValueError(f"{len(prompts)} prompts for a {predictor.out_dim}-weight predictor")
         result = _prompted_eval(lm, predictor, composer.build_basis(prompts, lm), eval_set)
         payload.update(control_eval_loss=result.control_loss,
                        prompted_eval_loss=result.mean_loss, prompted_accuracy=result.accuracy)
@@ -274,9 +285,7 @@ def _cmd_eval(args) -> int:
         f"{key.replace('_', ' ') + ':':<19} {value:.4f}" for key, value in payload.items()
         if key != "eval_examples"]
     text = "\n".join(lines) + "\n"
-    if args.out:
-        _write_outputs(args.out, {"eval.txt": text,
-                                  "eval.json": json.dumps(payload, indent=2) + "\n"})
+    _write_outputs(args.out, {"eval.txt": text, "eval.json": json.dumps(payload, indent=2) + "\n"})
     print(text, end="")
     return 0
 
@@ -285,17 +294,8 @@ def _cmd_report(args) -> int:
     record_path = Path(args.record)
     record = RunRecord.from_json(record_path.read_text(encoding="utf-8"))
     _check_top(args.top, record.basis_prompts)
-    ck = args.checkpoint or str(record_path.parent / "checkpoint.pbld")
-    if not Path(ck).exists():
-        raise ValueError(f"checkpoint {ck} not found; pass --checkpoint")
-    lm, _, _ = load_bundle(ck)
-    basis = composer.build_basis(record.basis_prompts, lm)
-    bundle = report.render_report(record, basis, n_top=args.top)
-    files = {
-        "curve.csv": report.render_curve_csv(record),
-        "report.txt": bundle.text,
-        "report.json": bundle.json_text,
-    }
+    lm, _, _ = load_bundle(args.checkpoint or record_path.parent / "checkpoint.pbld")
+    files = _report_files(record, composer.build_basis(record.basis_prompts, lm), args.top)
     _write_outputs(args.out, files)
     print(f"wrote {', '.join(sorted(files))} to {args.out}")
     return 0
@@ -311,8 +311,7 @@ def _basis_for_inspection(args):
 def _cmd_ortho(args) -> int:
     basis = _basis_for_inspection(args)
     text, _ = report.render_ortho(basis)
-    if args.out:
-        _write_outputs(args.out, {"ortho.txt": text})
+    _write_outputs(args.out, {"ortho.txt": text})
     print(text, end="")
     return 0
 
@@ -327,8 +326,7 @@ def _cmd_embed(args) -> int:
         "orthogonality_score": composer.orthogonality_score(basis),
     }
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    if args.out:
-        _write_outputs(args.out, {"basis.json": text})
+    _write_outputs(args.out, {"basis.json": text})
     print(text, end="")
     return 0
 
@@ -344,13 +342,13 @@ _COMMANDS = {
 
 
 def exit_code(run) -> int:
-    """run()'s exit code; a validation error becomes exit 1 and a runtime
-    failure exit 2, each reported as one line on stderr. Floating-point
-    warnings are silenced: a diverging run is reported by its loss check."""
+    """run()'s exit code; a validation error or a missing input path becomes
+    exit 1 and a runtime failure exit 2, each reported as one line on stderr.
+    Floating-point warnings are silenced: a diverging run is reported by its loss check."""
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return run()
-    except (ValueError, KeyError, IndexError) as e:
+    except (ValueError, KeyError, IndexError, FileNotFoundError, IsADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as e:
@@ -360,8 +358,6 @@ def exit_code(run) -> int:
 
 def run_cli(argv=None) -> int:
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
@@ -369,7 +365,7 @@ def run_cli(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 1
-    return exit_code(lambda: _COMMANDS[args.command](args))
+    return exit_code(lambda: check_out_dir(args.out) or _COMMANDS[args.command](args))
 
 
 def main() -> None:

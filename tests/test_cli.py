@@ -56,10 +56,31 @@ class TestDispatch:
         assert "--batch-size" in capsys.readouterr().err
 
     def test_missing_data_file_is_validation_error(self, tmp_path, capsys):
-        code = run_cli(["train", "--data", str(tmp_path / "nope.jsonl"),
-                        "--out", str(tmp_path / "run")])
-        assert code in (1, 2)
-        assert capsys.readouterr().err
+        missing = tmp_path / "nope.jsonl"
+        code = run_cli(["train", "--data", str(missing), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+
+    # a path a command reads that is missing, or is a directory, is bad input
+    @pytest.mark.parametrize("argv, path", [
+        (["eval", "--checkpoint", "{tmp}/missing.pbld"], "{tmp}/missing.pbld"),
+        (["train", "--data", "{tmp}", "--out", "{tmp}/run"], "{tmp}"),
+        (["ortho", "--basis", "{tmp}/missing.txt"], "{tmp}/missing.txt"),
+        (["report", "--record", "{tmp}/missing.json", "--out", "{tmp}/run"],
+         "{tmp}/missing.json"),
+        (["report", "--record", "{tmp}/record.json", "--out", "{tmp}/run"],
+         "{tmp}/checkpoint.pbld"),
+    ], ids=["eval-checkpoint", "train-data-dir", "ortho-basis", "report-record",
+            "report-sibling-checkpoint"])
+    def test_missing_input_path_is_validation_error(self, argv, path, tmp_path, capsys):
+        (tmp_path / "record.json").write_text(
+            RunRecord(config={}, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json())
+        assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"'{path.format(tmp=tmp_path)}'" in err
+        assert not (tmp_path / "run").exists()
 
 
 class TestTrainCommand:
@@ -240,6 +261,33 @@ class TestPipelineCommands:
         assert run_cli(["ortho", "--seed", "1", "--out", str(out)]) == 0
         assert (out / "ortho.txt").exists()
 
+    # eval, ortho and embed always print; --out writes the printed text to a file
+    @pytest.mark.parametrize("command, name", [("eval", "eval.txt"), ("ortho", "ortho.txt"),
+                                               ("embed", "basis.json")])
+    @pytest.mark.parametrize("out", ["sub/out", ""], ids=["dir", "empty-is-cwd"])
+    def test_out_file_equals_stdout(self, command, name, out, run_dir, tmp_path, monkeypatch,
+                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--checkpoint", str(run_dir / "checkpoint.pbld")]
+        argv += TINY if command == "eval" else []
+        assert run_cli(argv) == 0
+        printed = capsys.readouterr().out
+        assert list(tmp_path.iterdir()) == []
+        assert run_cli([*argv, "--out", out]) == 0
+        assert capsys.readouterr().out == printed
+        assert sorted(p.name for p in (tmp_path / out).iterdir()) == (
+            sorted([name, "eval.json"]) if command == "eval" else [name])
+        assert (tmp_path / out / name).read_text(encoding="utf-8") == printed
+
+    def test_lm_only_eval_resolves_the_basis(self, custom_bundle, tmp_path, monkeypatch,
+                                             capsys):
+        monkeypatch.setattr("promptblend.cli._control_eval", _never_called)
+        missing = tmp_path / "missing.txt"
+        assert run_cli(["eval", *TINY, "--checkpoint", str(custom_bundle),
+                        "--basis", str(missing)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
     def test_embed_summarizes_basis(self, tmp_path, capsys):
         basis_file = tmp_path / "basis.txt"
         basis_file.write_text("# two prompts\nthink step by step\ndraw a diagram\n")
@@ -416,6 +464,29 @@ class TestFlagsCheckedBeforeCompute:
         assert capsys.readouterr().err == f"error: line 1: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("command", ["train", "pretrain"])
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_out_that_cannot_be_a_directory_exits_before_any_compute(
+            self, command, under, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        blocker = tmp_path / "file"
+        blocker.write_text("kept\n")
+        out = blocker / "sub" if under else blocker
+        assert run_cli([command, *TINY, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+        assert blocker.read_text() == "kept\n"
+        assert sorted(tmp_path.iterdir()) == [blocker]
+
+    def test_out_that_is_a_dangling_link_exits_before_any_compute(self, tmp_path, monkeypatch,
+                                                                  capsys):
+        # mkdir cannot make a directory where a dangling link stands
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        link = tmp_path / "link"
+        link.symlink_to(tmp_path / "nowhere" / "run")
+        assert run_cli(["train", *TINY, "--out", str(link)]) == 1
+        assert capsys.readouterr().err == f"error: --out {link}: {link} is not a directory\n"
+        assert sorted(tmp_path.iterdir()) == [link]
+
     def test_eval_takes_no_seed(self, run_dir, monkeypatch, capsys):
         argv = ["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld")]
         assert run_cli([*argv, "--seed", "1"]) == 1
@@ -527,6 +598,14 @@ class TestProcessEntryPoint:
         for record in records:
             del record["wall_clock_seconds"]
         assert records[0] == records[1]
+
+    def test_a_bare_import_loads_no_submodule(self):
+        # the package root only sets the runtime: importing it loads neither
+        # a submodule nor numpy
+        proc = _python("-c", "import sys, promptblend\nprint(sorted(m for m in sys.modules "
+                             "if m.startswith(('promptblend.', 'numpy'))))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_heap_settings(self):
         libc = ("class Libc:\n    @staticmethod\n    def mallopt(param, value):\n"

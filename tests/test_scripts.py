@@ -77,6 +77,21 @@ def test_run_stability_rejects_bad_flags_before_any_compute(flags, message, tmp_
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+def test_run_stability_rejects_an_out_that_cannot_be_a_directory(under, tmp_path, monkeypatch,
+                                                                   capsys):
+    monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if under else blocker
+    monkeypatch.setattr(sys, "argv", [str(STABILITY), *SMALL, "--out", str(out)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(STABILITY), run_name="__main__")
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+
+
 def _record(batch_size, epoch_means):
     return RunRecord(config={"batch_size": batch_size}, basis_prompts=[],
                      epoch_means=epoch_means)

@@ -31,7 +31,6 @@ def test_package_train_attribute_is_the_module():
     # itself from the module
     assert promptblend.train.prompted_eval is prompted_eval
     assert promptblend.train.train is train
-    assert "train" not in promptblend.__all__
 
 
 @pytest.fixture(scope="module")
