@@ -8,14 +8,13 @@ the per-epoch mean loss curves. Writes one loss-curve CSV per run.
 
 import argparse
 import sys
-from pathlib import Path
 
 import promptblend  # noqa: F401  (sets the numeric runtime before numpy loads)
 import numpy as np
 
 from promptblend import textdata as td
-from promptblend.cli import (FIXTURE_SIZE, NON_NEGATIVE, SEED, at_least, check_out_dir,
-                             exit_code)
+from promptblend.cli import (FIXTURE_SIZE, NON_NEGATIVE, SEED, _write_outputs, at_least,
+                             check_out_dir, exit_code)
 from promptblend.composer import DEFAULT_BASIS_PROMPTS, WeightPredictor, build_basis
 from promptblend.model import PretrainConfig, pretrain_examples
 from promptblend.report import render_curve_csv
@@ -60,15 +59,13 @@ def main() -> int:
     examples = td.make_fixture(args.fixture_seed, args.fixture_size)
     train_set, eval_set = td.train_eval_split(examples, 0.2)
     if not train_set:
-        ap.error(f"--fixture-size {args.fixture_size} leaves no training example "
-                 f"after the 0.2 eval split")
+        raise ValueError(f"--fixture-size {args.fixture_size} leaves no training example "
+                         f"after the 0.2 eval split")
     lm = pretrain_examples(train_set, PretrainConfig(epochs=args.pretrain_epochs,
                                                      extra_vocab_texts=DEFAULT_BASIS_PROMPTS),
                            seed=args.fixture_seed)
     basis = build_basis(DEFAULT_BASIS_PROMPTS, lm)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     diffs = []
     print(f"{'seed':>4} {'batch2':>10} {'batch10':>10} {'noisier'}")
     for seed in args.seeds:
@@ -80,16 +77,15 @@ def main() -> int:
                               seed=seed)
             records.append(train(lm, pred, basis, train_set, eval_set, cfg))
         csvs, summary = render_curves(records)
-        for rec, csv_text in zip(records, csvs):
-            name = f"curve_seed{seed}_batch{rec.config['batch_size']}.csv"
-            (out / name).write_text(csv_text)
-        (out / f"summary_seed{seed}.txt").write_text(summary)
+        files = {f"curve_seed{seed}_batch{rec.config['batch_size']}.csv": csv_text
+                 for rec, csv_text in zip(records, csvs)}
+        _write_outputs(args.out, {**files, f"summary_seed{seed}.txt": summary})
         m2, m10 = stability_metric(records[0]), stability_metric(records[1])
         diffs.append(m2 - m10)
         noisier = "batch 2" if m2 > m10 else "batch 10" if m10 > m2 else "tie"
         print(f"{seed:>4} {m2:>10.5f} {m10:>10.5f} {noisier}")
     print(f"median volatility difference (batch2 - batch10): {np.median(diffs):+.5f}")
-    print(f"curves written to {out}/")
+    print(f"curves written to {args.out}/")
     return 0
 
 

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="promptblend",
         description="Continuous prompts as learned combinations of discrete prompt embeddings.",
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     def add_data_flags(p):
         p.add_argument("--data", default="fixture",
@@ -142,9 +142,11 @@ def _resolve_seed(args) -> int:
 
 
 def _check_top(top: int, prompts: list[str]) -> None:
-    """Reject a --top the report cannot fill, before any compute."""
+    """Reject a --top the report cannot fill or number, before any compute."""
     if top > len(prompts):
         raise ValueError(f"--top {top} exceeds the basis size {len(prompts)}")
+    if top > len(report.NUMERALS):
+        raise ValueError(f"--top {top} exceeds the report's {len(report.NUMERALS)} numerals")
 
 
 def _resolve_examples(args) -> list[td.QAExample]:
@@ -295,6 +297,9 @@ def _cmd_report(args) -> int:
     record = RunRecord.from_json(record_path.read_text(encoding="utf-8"))
     _check_top(args.top, record.basis_prompts)
     lm, _, _ = load_bundle(args.checkpoint or record_path.parent / "checkpoint.pbld")
+    if (lm_hash := lm.param_hash()) != record.lm_param_hash:
+        raise ValueError(f"the checkpoint's LM hash {lm_hash} is not the record's "
+                         f"{record.lm_param_hash}")
     files = _report_files(record, composer.build_basis(record.basis_prompts, lm), args.top)
     _write_outputs(args.out, files)
     print(f"wrote {', '.join(sorted(files))} to {args.out}")
@@ -348,7 +353,8 @@ def exit_code(run) -> int:
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return run()
-    except (ValueError, KeyError, IndexError, FileNotFoundError, IsADirectoryError) as e:
+    except (ValueError, KeyError, IndexError, FileNotFoundError, IsADirectoryError,
+            NotADirectoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except (RuntimeError, OSError) as e:
@@ -357,14 +363,10 @@ def exit_code(run) -> int:
 
 
 def run_cli(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as e:
         return 0 if e.code == 0 else 1
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return 1
     return exit_code(lambda: check_out_dir(args.out) or _COMMANDS[args.command](args))
 
 

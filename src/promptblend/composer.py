@@ -164,9 +164,6 @@ class WeightPredictor:
         return self.w3.data.shape[1]
 
     def forward(self, q: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
-        if q.data.ndim != 2 or q.data.shape[1] != self.w1.data.shape[0]:
-            raise ShapeError(f"predictor input shape {q.data.shape} does not match "
-                             f"width {self.w1.data.shape[0]}")
         if training and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
         h = dropout(linear(q, self.w1, self.b1), self.dropout_p, training, rng)

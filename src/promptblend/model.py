@@ -21,7 +21,7 @@ import numpy as np
 
 from . import rng as rngmod
 from . import textdata as td
-from .optim import AdamW, DivergenceError, descend  # DivergenceError: re-exported
+from .optim import AdamW, descend
 from .tensor import (ShapeError, Tensor, attention_core, concat_rows, cross_entropy,
                      embedding_lookup, gelu, layer_norm, linear, scatter_rows,
                      sequence_losses)
@@ -51,7 +51,7 @@ class LMConfig:
 
     def __post_init__(self):
         for name, value in asdict(self).items():
-            if not isinstance(value, int) or value < 1:
+            if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.embed_dim % self.num_heads != 0:
             raise ValueError(f"embed_dim {self.embed_dim} not divisible by "
@@ -191,11 +191,11 @@ class FrozenLM:
     #
     # A batch is packed: example b owns rows b*S..b*S+S-1 of every encoder
     # matrix, laid out [prompt rows | token rows | padding], and rows
-    # b*Ty..b*Ty+Ty-1 of every decoder matrix, laid out [BOS + target |
-    # padding]. Padding is masked out of attention as keys and labelled as
-    # pad, so no example sees another's rows or its padding. Every entry
-    # point takes only this packed shape: lists with one entry per example,
-    # so a single example is a list of one.
+    # b*Ty..b*Ty+Ty-1 of every decoder matrix, read from row b of the
+    # teacher-forcing grid. Encoder padding is masked out as keys; decoder rows
+    # past a target follow its real queries and are labelled pad. So no example
+    # sees another's rows or its padding. Every entry point takes only this
+    # packed shape: one list entry per example, so a single example is a list of one.
 
     def encode(self, inputs, prompts) -> tuple[Tensor, np.ndarray]:
         """Packed encoder states over each example's [prompt rows || token
@@ -253,17 +253,12 @@ class FrozenLM:
         batch = enc_valid.shape[0]
         if len(target_ids) != batch:
             raise ValueError(f"a batch of {batch} encodes got {len(target_ids)} targets")
-        lengths = [len(t) + 1 for t in target_ids]
-        for n in lengths:
-            if n > self.config.max_positions:
-                raise ValueError(f"target length {n} exceeds "
-                                 f"max_positions {self.config.max_positions}")
-        ty = max(lengths)
-        dec_in = np.full((batch, ty), td.PAD_ID, dtype=np.int64)
-        dec_in[:, 0] = td.BOS_ID
-        for b, t in enumerate(target_ids):
-            dec_in[b, 1:lengths[b]] = t
-        y = self._embed_positioned(dec_in)
+        grid = _teacher_forcing(target_ids)
+        ty = grid.shape[1] - 1
+        if ty > self.config.max_positions:
+            raise ValueError(f"target length {ty} exceeds "
+                             f"max_positions {self.config.max_positions}")
+        y = self._embed_positioned(grid[:, :-1])
         causal = np.triu(np.full((ty, ty), MASK_VALUE), k=1)
         a = self._ln("dec.ln1", y)
         y = y + self._mha("dec.self", a, a, causal, batch)
@@ -279,7 +274,7 @@ class FrozenLM:
         """Each target's cross-entropy over a packed encode, as decode lays
         the targets out; a float array, with no graph kept."""
         logits = self.decode(enc_out, enc_valid, target_ids, blocks)
-        return sequence_losses(logits.data, _labels(target_ids), td.PAD_ID)
+        return sequence_losses(logits.data, _teacher_forcing(target_ids)[:, 1:], td.PAD_ID)
 
     def loss_with_prompt(self, prompts, inputs, targets) -> Tensor:
         """Cross-entropy of each target (then EOS) given its (optionally
@@ -290,7 +285,7 @@ class FrozenLM:
         model is frozen.
         """
         logits = self.decode(*self.encode(inputs, prompts), targets)
-        return cross_entropy(logits, _labels(targets), td.PAD_ID)
+        return cross_entropy(logits, _teacher_forcing(targets)[:, 1:], td.PAD_ID)
 
     def score_choices(self, prompts, inputs, choices) -> list:
         """Target loss of each choice of each example, as one list of floats
@@ -311,13 +306,14 @@ class FrozenLM:
         return [losses[end - len(cs):end] for cs, end in zip(choices, ends)]
 
 
-def _labels(target_ids) -> np.ndarray:
-    """A [N, Ty] grid of each target then EOS, pad-filled; Ty matches decode's."""
-    labels = np.full((len(target_ids), max(len(t) for t in target_ids) + 1), td.PAD_ID,
-                     dtype=np.int64)
-    for b, t in enumerate(target_ids):
-        labels[b, :len(t) + 1] = list(t) + [td.EOS_ID]
-    return labels
+def _teacher_forcing(target_ids) -> np.ndarray:
+    """A [N, Ty+1] grid, row n holding BOS, target n, EOS, then padding: the
+    decoder reads grid[:, :-1] and is scored against grid[:, 1:]."""
+    grid = np.full((len(target_ids), max(len(t) for t in target_ids) + 2), td.PAD_ID,
+                   dtype=np.int64)
+    for n, t in enumerate(target_ids):
+        grid[n, :len(t) + 2] = [td.BOS_ID, *t, td.EOS_ID]
+    return grid
 
 
 def corpus_digest(corpus: list[tuple[str, str]]) -> str:
@@ -358,7 +354,7 @@ def pretrain(corpus: list[tuple[str, str]], config: PretrainConfig, seed: int) -
     def fresh_loss(batch) -> float:
         # the output projection starts at zero, so the fresh model's logits
         # are exactly 0 and its loss needs no forward pass
-        labels = _labels([tgt for _, tgt in batch])
+        labels = _teacher_forcing([tgt for _, tgt in batch])[:, 1:]
         return sequence_losses(np.zeros((labels.size, vocab_size)), labels, td.PAD_ID).mean()
 
     opt = AdamW(list(lm.params.values()), lr=config.lr)

@@ -16,7 +16,7 @@ import numpy as np
 from .composer import PromptBasis, orthogonality_score, top_contributors
 from .train import RunRecord
 
-_ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
+NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
 
 
 @dataclass
@@ -117,7 +117,7 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
     lines.append("-" * 64)
     for row in rows:
         contribs = " ".join(
-            f"{_ROMAN[i]}. {c['prompt']} ({c['rendered']})"
+            f"{NUMERALS[i]}. {c['prompt']} ({c['rendered']})"
             for i, c in enumerate(row["contributors"])
         )
         lines.append(f"{row['loss']:.2f}  {row['question']}")

@@ -23,7 +23,7 @@ from . import textdata as td
 from .composer import (PromptBasis, WeightPredictor, WeightVector, combine,
                        project_to_vocab, question_repr)
 from .model import FrozenContractError, FrozenLM
-from .optim import AdamW, DivergenceError, descend  # DivergenceError: re-exported
+from .optim import AdamW, DivergenceError, descend
 from .tensor import Tensor
 
 

@@ -127,3 +127,13 @@ def test_non_finite_tensor_rejected(scratch, value):
 
     with pytest.raises(CheckpointError, match="'lm.out.b' has non-finite entries"):
         _load(scratch, _retensor(edit))
+
+
+@pytest.mark.parametrize("field", ["embed_dim", "num_heads", "ffn_dim", "max_positions"])
+def test_boolean_config_value_rejected(scratch, field):
+    # True passes an int check and equals 1; the config must not take it
+    def edit(tensors, meta):
+        meta["lm"]["config"][field] = True
+
+    with pytest.raises(CheckpointError, match=f"metadata.*{field} must be a positive integer"):
+        _load(scratch, _retensor(edit))

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import promptblend
 from promptblend import composer
-from promptblend.checkpoint import checkpoint_bytes, load_checkpoint
+from promptblend.checkpoint import checkpoint_bytes, load_bundle, load_checkpoint
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
@@ -71,8 +71,10 @@ class TestDispatch:
          "{tmp}/missing.json"),
         (["report", "--record", "{tmp}/record.json", "--out", "{tmp}/run"],
          "{tmp}/checkpoint.pbld"),
+        (["eval", "--checkpoint", "{tmp}/missing.pbld", "--data", "{tmp}/record.json/x"],
+         "{tmp}/record.json/x"),
     ], ids=["eval-checkpoint", "train-data-dir", "ortho-basis", "report-record",
-            "report-sibling-checkpoint"])
+            "report-sibling-checkpoint", "under-a-file"])
     def test_missing_input_path_is_validation_error(self, argv, path, tmp_path, capsys):
         (tmp_path / "record.json").write_text(
             RunRecord(config={}, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json())
@@ -200,6 +202,17 @@ class TestPipelineCommands:
         assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
         assert "'lm.out.b' has non-finite entries" in capsys.readouterr().err
 
+    def test_eval_of_a_boolean_config_bundle_is_validation_error(self, run_dir, tmp_path,
+                                                                 capsys):
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        meta["lm"]["config"]["num_heads"] = True
+        bad = tmp_path / "bad.pbld"
+        bad.write_bytes(checkpoint_bytes(tensors, meta))
+        assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
+        assert "num_heads must be a positive integer, got True" in err
+
     def test_eval_from_checkpoint(self, run_dir, capsys):
         code = run_cli(["eval", *TINY, "--checkpoint",
                         str(run_dir / "checkpoint.pbld")])
@@ -216,6 +229,21 @@ class TestPipelineCommands:
         assert code == 0
         for name in ("report.txt", "report.json", "curve.csv"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    def test_report_rejects_another_lms_checkpoint(self, run_dir, tmp_path, capsys):
+        other = tmp_path / "other"
+        assert run_cli(["pretrain", *TINY, "--epochs", "1", "--seed", "4",
+                        "--out", str(other)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run_cli(["report", "--record", str(run_dir / "record.json"), "--checkpoint",
+                        str(other / "checkpoint.pbld"), "--out", str(out)]) == 1
+        record = json.loads((run_dir / "record.json").read_text())
+        other_hash = load_bundle(other / "checkpoint.pbld")[0].param_hash()
+        assert other_hash != record["lm_param_hash"]
+        assert capsys.readouterr().err == (f"error: the checkpoint's LM hash {other_hash} is "
+                                           f"not the record's {record['lm_param_hash']}\n")
+        assert not out.exists()
 
     def test_truncated_checkpoint_is_validation_error(self, run_dir, tmp_path, capsys):
         cut = tmp_path / "cut.pbld"
@@ -420,6 +448,16 @@ class TestFlagsCheckedBeforeCompute:
         assert run_cli(["train", *TINY, "--basis", str(basis_file),
                         "--out", str(tmp_path / "run")]) == 1
         assert "--top 3 exceeds the basis size 2" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    def test_top_above_the_report_numerals_exits_before_pretraining(self, tmp_path,
+                                                                    monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        basis_file = tmp_path / "eleven.txt"
+        basis_file.write_text("".join(f"prompt {word}\n" for word in "abcdefghijk"))
+        assert run_cli(["train", *TINY, "--basis", str(basis_file), "--top", "11",
+                        "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: --top 11 exceeds the report's 10 numerals\n"
         assert not (tmp_path / "run").exists()
 
     def test_report_top_above_the_basis_size_exits_before_loading(self, run_dir, tmp_path,

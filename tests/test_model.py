@@ -11,8 +11,8 @@ from promptblend import textdata as td
 from promptblend.checkpoint import (bundle_bytes, checkpoint_bytes, load_bundle,
                                     load_checkpoint)
 from promptblend.composer import WeightPredictor, build_basis
-from promptblend.model import (DivergenceError, FrozenLM, LMConfig, PretrainConfig,
-                               pretrain, pretrain_examples)
+from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain, pretrain_examples
+from promptblend.optim import DivergenceError
 from promptblend.tensor import ShapeError, Tensor, gelu
 from promptblend.train import prompted_eval
 

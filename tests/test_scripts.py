@@ -61,7 +61,8 @@ def test_run_stability_reports_a_runtime_failure_in_one_line(tmp_path):
      "argument --fixture-size: must be an integer from 1 to 7392, got '0'"),
     (["--fixture-size", "7393"],
      "argument --fixture-size: must be an integer from 1 to 7392, got '7393'"),
-    (["--fixture-size", "1"], "--fixture-size 1 leaves no training example"),
+    (["--fixture-seed", "-1"],
+     "argument --fixture-seed: must be an integer of at least 0, got '-1'"),
     (["--lr", "-1"], "argument --lr: must be a non-negative number, got '-1'"),
     (["--lr", "nan"], "argument --lr: must be a non-negative number, got 'nan'"),
     (["--seeds", "-1"], "argument --seeds: must be an integer of at least 0, got '-1'"),
@@ -74,6 +75,19 @@ def test_run_stability_rejects_bad_flags_before_any_compute(flags, message, tmp_
         runpy.run_path(str(STABILITY), run_name="__main__")
     assert exit_info.value.code == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_run_stability_split_check_exits_1_in_one_line(tmp_path, monkeypatch, capsys):
+    # the split is checked after parsing, so it reports as promptblend does
+    monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+    monkeypatch.setattr(sys, "argv", [str(STABILITY), *SMALL, "--fixture-size", "1",
+                                      "--out", str(tmp_path)])
+    with pytest.raises(SystemExit) as exit_info:
+        runpy.run_path(str(STABILITY), run_name="__main__")
+    assert exit_info.value.code == 1
+    assert capsys.readouterr().err == ("error: --fixture-size 1 leaves no training example "
+                                       "after the 0.2 eval split\n")
     assert list(tmp_path.iterdir()) == []
 
 
