@@ -77,8 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, seed=True):
         if seed:
-            p.add_argument("--seed", type=SEED, default=None,
-                           help="run seed; falls back to PROMPTBLEND_SEED, then 0")
+            p.add_argument("--seed", type=SEED, default=0, help="run seed")
         p.add_argument("--basis", default="default",
                        help="basis file, or 'default': the checkpoint's prompts or the built-ins")
 
@@ -130,15 +129,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     return parser
-
-
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    try:
-        return SEED(os.environ.get("PROMPTBLEND_SEED", "0"))
-    except argparse.ArgumentTypeError as e:
-        raise ValueError(f"PROMPTBLEND_SEED {e}") from None
 
 
 def _check_top(top: int, prompts: list[str]) -> None:
@@ -210,22 +200,13 @@ def _report_files(record: RunRecord, basis, top: int) -> dict:
             "report.json": bundle.json_text}
 
 
-def _fresh_lm(basis_prompts, seed) -> FrozenLM:
-    # unpretrained stand-in: enough for embedding-only workflows
-    vocab = td.Vocab.build(basis_prompts)
-    lm = FrozenLM(vocab, LMConfig(), seed)
-    lm.set_frozen(True)
-    return lm
-
-
 def _cmd_pretrain(args) -> int:
-    seed = _resolve_seed(args)
     examples = _resolve_examples(args)
     train_set, _ = _split(examples, args.val_fraction)
     basis_prompts = _resolve_basis_prompts(args)
     config = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             extra_vocab_texts=list(basis_prompts))
-    lm = pretrain_examples(train_set, config, seed)
+    lm = pretrain_examples(train_set, config, args.seed)
     _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, basis_prompts=basis_prompts)})
     rec = lm.pretrain_record
     print(f"pretrained on {len(train_set)} examples: initial loss "
@@ -235,9 +216,8 @@ def _cmd_pretrain(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    seed = _resolve_seed(args)
     config = TrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
-                         weight_decay=args.weight_decay, seed=seed,
+                         weight_decay=args.weight_decay, seed=args.seed,
                          eval_every=args.eval_every)
     examples = _resolve_examples(args)
     train_set, eval_set = _split(examples, args.val_fraction)
@@ -251,14 +231,14 @@ def _cmd_train(args) -> int:
         td.split_tokens(td.format_input(longest)))
     if lm is None:
         lm = pretrain_examples(train_set, PretrainConfig(
-            epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), seed)
+            epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), args.seed)
     lm.set_frozen(True)
     basis = composer.build_basis(basis_prompts, lm)
-    predictor = WeightPredictor.create(seed, lm.config.embed_dim, basis.size,
+    predictor = WeightPredictor.create(args.seed, lm.config.embed_dim, basis.size,
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
     record = _train(lm, predictor, basis, train_set, eval_set, config)
-    pred_meta = {"seed": seed, "final_init_scale": args.final_init_scale}
+    pred_meta = {"seed": args.seed, "final_init_scale": args.final_init_scale}
     files = {**_report_files(record, basis, args.top), "record.json": record.to_json() + "\n",
              "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts, pred_meta)}
     _write_outputs(args.out, files)
@@ -307,10 +287,11 @@ def _cmd_report(args) -> int:
 
 
 def _basis_for_inspection(args):
-    seed = _resolve_seed(args)
     lm, _, stored = load_bundle(args.checkpoint) if args.checkpoint else (None, None, None)
     prompts = _resolve_basis_prompts(args, stored)
-    return composer.build_basis(prompts, lm or _fresh_lm(prompts, seed))
+    # without a checkpoint, an unpretrained LM is enough to embed the prompts
+    lm = lm or FrozenLM(td.Vocab.build(prompts), LMConfig(), args.seed)
+    return composer.build_basis(prompts, lm)
 
 
 def _cmd_ortho(args) -> int:

@@ -189,10 +189,9 @@ def combine(basis: PromptBasis, w: Tensor) -> Tensor:
     return weighted_sum(basis.embeddings, w)
 
 
-def top_contributors(w, basis: PromptBasis, n: int) -> list[tuple[str, float]]:
+def top_contributors(w: WeightVector, basis: PromptBasis, n: int) -> list[tuple[str, float]]:
     """Prompts by descending signed weight; ties break toward lower index."""
-    values = w.values if isinstance(w, WeightVector) else np.asarray(w, dtype=np.float64)
-    values = values.reshape(-1)
+    values = w.values
     if values.size != basis.size:
         raise ValueError(f"weight vector length {values.size} does not match basis "
                          f"size {basis.size}")

@@ -45,8 +45,7 @@ class AdamW:
         bc2 = 1.0 - BETA2 ** t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
-            if self.weight_decay != 0.0:
-                p.data *= 1.0 - self.lr * self.weight_decay
+            p.data *= 1.0 - self.lr * self.weight_decay
             m *= BETA1
             m += (1.0 - BETA1) * g
             v *= BETA2

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composer import PromptBasis, orthogonality_score, top_contributors
+from .composer import PromptBasis, WeightVector, orthogonality_score, top_contributors
 from .train import RunRecord
 
 NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
@@ -87,7 +87,7 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
     ordered = sorted(record.examples, key=lambda e: -e.loss)
     rows = []
     for ex in ordered:
-        contributors = top_contributors(np.asarray(ex.weights), basis, n_top)
+        contributors = top_contributors(WeightVector(ex.weights), basis, n_top)
         rows.append({
             "id": ex.id,
             "loss": ex.loss,

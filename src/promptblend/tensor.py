@@ -27,10 +27,6 @@ class DegenerateLossError(ValueError):
     """Raised when a loss has no positions to average over."""
 
 
-def _as_f64(data) -> np.ndarray:
-    return np.asarray(data, dtype=np.float64)
-
-
 class Tensor:
     """A node in the computation graph.
 
@@ -42,7 +38,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None):
-        self.data = _as_f64(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         if requires_grad:

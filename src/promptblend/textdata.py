@@ -44,6 +44,8 @@ class Vocab:
     """Bijective token <-> id map with pinned reserved ids 0..3."""
 
     def __init__(self, tokens: list[str]):
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise DatasetError("vocabulary must be a list of strings")
         for t in tokens:
             if t in RESERVED_TOKENS:
                 raise DatasetError(f"token {t!r} collides with a reserved token")
@@ -103,10 +105,7 @@ class QAExample:
                                f"not among labels {labels}")
 
     def answer_index(self) -> int:
-        for i, c in enumerate(self.choices):
-            if c.label == self.answer_key:
-                return i
-        raise DatasetError(f"example {self.id}: no choice for key {self.answer_key!r}")
+        return [c.label for c in self.choices].index(self.answer_key)
 
 
 def _field(obj: dict, key: str, where: str = "") -> str:

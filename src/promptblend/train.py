@@ -67,11 +67,15 @@ class ExampleEval:
 
 def _conforms(value, hint) -> bool:
     """Whether a JSON value has the annotated type: a float field takes an int,
-    no field a bool, and list items are checked (dataclass ones by _from_dict)."""
+    no field a bool, list items are checked (dataclass ones by _from_dict), and
+    a tuple is a list with exactly its items."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin is list:
         return isinstance(value, list) and all(_conforms(x, args[0]) for x in value)
-    if args:  # a union such as `list[list] | None`
+    if origin is tuple:
+        return (isinstance(value, list) and len(value) == len(args)
+                and all(map(_conforms, value, args)))
+    if args:  # a union such as `list[tuple[str, float]] | None`
         return any(_conforms(value, a) for a in args)
     kind = object if is_dataclass(hint) else (int, float) if hint is float else hint
     return isinstance(value, kind) and not isinstance(value, bool)
@@ -104,21 +108,18 @@ class RunRecord:
     basis_prompts: list[str]
     steps: list[StepRecord] = field(default_factory=list)
     epoch_means: list[float] = field(default_factory=list)
-    eval_losses: list[list] = field(default_factory=list)  # [step, mean loss]
+    eval_losses: list[tuple[int, float]] = field(default_factory=list)  # [step, mean loss]
     control_eval_loss: float = 0.0
     prompted_eval_loss: float = 0.0
     examples: list[ExampleEval] = field(default_factory=list)
-    projection: list[list] | None = None  # [token, cosine] per prompt row
+    projection: list[tuple[str, float]] | None = None  # [token, cosine] per prompt row
     lm_param_hash: str = ""
     wall_clock_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     from_dict = classmethod(_from_dict)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
@@ -224,8 +225,6 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     choices: the gold choice's loss is the prompted loss, and the
     lowest-loss choice (the earlier on ties) is the prediction.
     """
-    if not eval_set:
-        raise ValueError("eval set must be non-empty")
     entries = entries or _scored_entries(lm, eval_set, basis.length, choices=True)
     control = control_eval(lm, eval_set, entries)
     losses: list[float] = [0.0] * len(eval_set)

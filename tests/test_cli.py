@@ -4,8 +4,11 @@ import contextlib
 import ctypes
 import io
 import json
+import math
 import os
+import re
 import runpy
+import shlex
 import subprocess
 import sys
 import time
@@ -18,7 +21,7 @@ from hypothesis import strategies as st
 
 import promptblend
 from promptblend import composer
-from promptblend.checkpoint import checkpoint_bytes, load_bundle, load_checkpoint
+from promptblend.checkpoint import CheckpointError, checkpoint_bytes, load_bundle, load_checkpoint
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
@@ -110,12 +113,11 @@ class TestTrainCommand:
         assert _train(out2, seed="2") == 0
         assert (out1 / "curve.csv").read_text() != (out2 / "curve.csv").read_text()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
+    def test_seed_defaults_to_zero_whatever_the_environment(self, tmp_path, monkeypatch):
         out1, out2 = tmp_path / "env", tmp_path / "flag"
         monkeypatch.setenv("PROMPTBLEND_SEED", "7")
         assert run_cli(["train", *FAST_TRAIN, "--out", str(out1)]) == 0
-        monkeypatch.delenv("PROMPTBLEND_SEED")
-        assert _train(out2, seed="7") == 0
+        assert _train(out2, seed="0") == 0
         assert (out1 / "curve.csv").read_bytes() == (out2 / "curve.csv").read_bytes()
 
     def test_validation_failure_leaves_no_partial_output(self, tmp_path, capsys):
@@ -213,6 +215,23 @@ class TestPipelineCommands:
         assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
         assert "num_heads must be a positive integer, got True" in err
 
+    @pytest.mark.parametrize("corrupt", [
+        lambda v: "".join(chr(0x4E00 + i) for i in range(len(v))),
+        lambda v: list(range(100, 100 + len(v))),
+        lambda v: [None, *v[1:]],
+    ], ids=["string", "ints", "none_token"])
+    def test_a_vocabulary_not_of_strings_is_validation_error(self, corrupt, run_dir, tmp_path,
+                                                             capsys):
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        meta["lm"]["vocab"] = corrupt(meta["lm"]["vocab"])
+        bad = tmp_path / "bad.pbld"
+        bad.write_bytes(checkpoint_bytes(tensors, meta))
+        with pytest.raises(CheckpointError, match="vocabulary must be a list of strings"):
+            load_bundle(bad)
+        assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
+
     def test_eval_from_checkpoint(self, run_dir, capsys):
         code = run_cli(["eval", *TINY, "--checkpoint",
                         str(run_dir / "checkpoint.pbld")])
@@ -277,6 +296,29 @@ class TestPipelineCommands:
                         str(run_dir / "checkpoint.pbld"), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: malformed {message}\n"
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.update(projection=[["tok", None]]),
+         "malformed RunRecord: projection must be list[tuple[str, float]] | None"),
+        (lambda r: r.update(projection=[[1, 2.0]]),
+         "malformed RunRecord: projection must be list[tuple[str, float]] | None"),
+        (lambda r: r.update(eval_losses=[[1, None]]),
+         "malformed RunRecord: eval_losses must be list[tuple[int, float]]"),
+        (lambda r: r["examples"][0]["weights"].__setitem__(0, math.nan),
+         "weight vector has non-finite entries"),
+    ], ids=["projection_null", "projection_int_token", "eval_losses_null", "nan_weight"])
+    def test_mistyped_record_item_writes_nothing(self, edit, message, run_dir, tmp_path,
+                                                 capsys):
+        record = json.loads((run_dir / "record.json").read_text())
+        edit(record)
+        path, out = tmp_path / "record.json", tmp_path / "out"
+        path.write_text(json.dumps(record))
+        code = run_cli(["report", "--record", str(path), "--checkpoint",
+                        str(run_dir / "checkpoint.pbld"), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_ortho_prints_score(self, capsys):
         assert run_cli(["ortho", "--seed", "1"]) == 0
@@ -426,16 +468,11 @@ class TestFlagsCheckedBeforeCompute:
         assert not (tmp_path / "pre").exists()
 
     @pytest.mark.parametrize("value", ["-1", "abc"])
-    def test_bad_seed_names_the_flag_or_the_variable(self, value, tmp_path, monkeypatch,
-                                                     capsys):
+    def test_bad_seed_names_the_flag(self, value, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr("promptblend.model.pretrain", _never_called)
         argv = ["train", *TINY, "--out", str(tmp_path / "run")]
         assert run_cli([*argv, "--seed", value]) == 1
         assert (f"argument --seed: must be an integer of at least 0, got '{value}'"
-                in capsys.readouterr().err)
-        monkeypatch.setenv("PROMPTBLEND_SEED", value)
-        assert run_cli(argv) == 1
-        assert (f"PROMPTBLEND_SEED must be an integer of at least 0, got '{value}'"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
 
@@ -525,11 +562,10 @@ class TestFlagsCheckedBeforeCompute:
         assert capsys.readouterr().err == f"error: --out {link}: {link} is not a directory\n"
         assert sorted(tmp_path.iterdir()) == [link]
 
-    def test_eval_takes_no_seed(self, run_dir, monkeypatch, capsys):
+    def test_eval_takes_no_seed(self, run_dir, capsys):
         argv = ["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld")]
         assert run_cli([*argv, "--seed", "1"]) == 1
         assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
-        monkeypatch.setenv("PROMPTBLEND_SEED", "abc")
         assert run_cli(argv) == 0
         assert "prompted eval loss" in capsys.readouterr().out
 
@@ -706,6 +742,32 @@ def _subparsers():
     parser = _build_parser()
     action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return action.choices
+
+
+def _readme_commands() -> list[tuple[list[str], list[str]]]:
+    """(environment assignments, arguments) of each `promptblend` command in
+    README's shell blocks, continuation lines joined and comments dropped."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    script = "\n".join(re.findall(r"```sh\n(.*?)```", text, re.S)).replace("\\\n", " ")
+    words = [shlex.split(line, comments=True) for line in script.splitlines()]
+    return [(w[:w.index("promptblend")], w[w.index("promptblend") + 1:])
+            for w in words if "promptblend" in w]
+
+
+def test_every_readme_command_parses(capsys):
+    """A flag or environment variable the CLI no longer reads fails here while
+    README still shows it."""
+    package = Path(promptblend.__file__).parent
+    source = "".join(p.read_text(encoding="utf-8") for p in package.glob("*.py"))
+    commands = _readme_commands()
+    assert {argv[0] for _, argv in commands} == set(_subparsers())
+    for env, argv in commands:
+        unnamed = [a for a in env if a.split("=")[0] not in source]
+        assert not unnamed, f"README sets variables the package never names: {unnamed}"
+        try:
+            _build_parser().parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README's promptblend {' '.join(argv)}: {capsys.readouterr().err}")
 
 
 def test_no_flag_has_a_bare_numeric_type():

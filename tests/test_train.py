@@ -1,5 +1,6 @@
 import gc
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -94,7 +95,7 @@ class TestTrain:
         cfg = TrainConfig(epochs=2, batch_size=10, seed=5)
         a = train(lm, _predictor(lm, basis, seed=3), basis, train_set, eval_set, cfg)
         b = train(lm, _predictor(lm, basis, seed=3), basis, train_set, eval_set, cfg)
-        da, db = a.to_dict(), b.to_dict()
+        da, db = asdict(a), asdict(b)
         da.pop("wall_clock_seconds")
         db.pop("wall_clock_seconds")
         assert da == db
@@ -196,14 +197,14 @@ class TestTrain:
         cfg = TrainConfig(epochs=1, batch_size=10, seed=11)
         record = train(lm, _predictor(lm, basis), basis, train_set, eval_set, cfg)
         back = RunRecord.from_json(record.to_json())
-        assert back.to_dict() == record.to_dict()
+        assert asdict(back) == asdict(record)
 
     def test_malformed_record_is_a_value_error(self):
         good = RunRecord(config={}, basis_prompts=["p"])
         good.steps.append(StepRecord(epoch=1, step=1, batch_size=2, loss=0.5))
         for edit in (lambda d: d["steps"][0].pop("loss"), lambda d: d.pop("examples"),
                      lambda d: d.update(extra=1), lambda d: d.update(steps=3)):
-            d = good.to_dict()
+            d = asdict(good)
             edit(d)
             with pytest.raises(ValueError, match="malformed"):
                 RunRecord.from_dict(d)
