@@ -116,7 +116,8 @@ class FrozenLM:
         self.frozen = False
         self.provenance: dict = {"init_seed": seed}
         self.pretrain_record: dict = {}
-        self.positions = sinusoidal_positions(config.max_positions, config.embed_dim)
+        # the sinusoid table, as long as the longest sequence embedded yet
+        self.positions = sinusoidal_positions(0, config.embed_dim)
         if params is None:
             params = self._init_params(seed)
         self.params = {name: Tensor(arr, requires_grad=True) for name, arr in params.items()}
@@ -159,6 +160,9 @@ class FrozenLM:
     def _embed_positioned(self, seqs) -> Tensor:
         """The sequences' embedding rows, stacked, each sequence's positioned
         from 0; callers have checked the lengths against max_positions."""
+        longest = max(len(s) for s in seqs)
+        if len(self.positions) < longest:
+            self.positions = sinusoidal_positions(longest, self.config.embed_dim)
         return (self.embed_tokens(np.concatenate(seqs))
                 + Tensor(np.concatenate([self.positions[:len(s)] for s in seqs])))
 

@@ -6,12 +6,16 @@ dropout, embedding lookup, row placement, and a per-sequence cross-entropy
 with pad masking. Graphs are built eagerly and backpropagated
 single-threaded.
 
-A node's backward closure receives the node's gradient as its argument
-and holds only the node's inputs, never the node itself, so a graph has
-no reference cycles and is freed by reference counting as soon as its
-root is dropped. A node that requires no gradient keeps neither its
-inputs nor its closure, so a forward-only graph is freed op by op, as
-soon as the caller drops each intermediate.
+A Tensor is a value (`data`) and a graph node (`node`), and nodes, not
+tensors, link the graph. An op's node holds its input nodes and a
+backward closure, which is called with the gradient and those nodes
+(named as the input tensors they shadow) and keeps only the arrays its
+formula reads. So a value no formula reads, such as a residual sum, a
+layer norm's input or a frozen linear's input, is freed as soon as the
+caller drops its tensor. A graph has no reference cycles and is freed by
+reference counting once its root is dropped; a node that requires no
+gradient keeps neither its inputs nor its closure, so a forward-only
+graph is freed op by op.
 """
 
 from __future__ import annotations
@@ -27,39 +31,47 @@ class DegenerateLossError(ValueError):
     """Raised when a loss has no positions to average over."""
 
 
+class Node:
+    """A tensor's place in the graph: its gradient, whether it wants one,
+    and for an op's output, the input nodes and the closure that
+    backward() calls as `backward(grad, *inputs)`."""
+
+    __slots__ = ("grad", "requires_grad", "inputs", "backward")
+
+    def __init__(self, requires_grad: bool, inputs: tuple = (), backward=None):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.inputs = inputs
+        self.backward = backward
+
+    def accum(self, g: np.ndarray) -> None:
+        # out of place: backward closures may hand one array to several inputs
+        self.grad = g if self.grad is None else self.grad + g
+
+
 class Tensor:
-    """A node in the computation graph.
+    """A value and its graph node.
 
     `data` is a float64 ndarray (row-major). `grad`, once populated by
     backward(), has the same shape. Leaf gradients accumulate across
     repeated backward() calls; callers reset them explicitly.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward")
+    __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
-        if requires_grad:
-            self._prev = tuple(_prev)
-            self._backward = _backward
-        else:  # no gradient passes through: hold nothing that backward would need
-            self._prev = ()
-            self._backward = None
+        # no gradient passes through: hold nothing that backward would need
+        self.node = (Node(True, tuple([p.node for p in _prev]), _backward) if requires_grad
+                     else Node(False))
 
-    @property
-    def is_leaf(self) -> bool:
-        return not self._prev
+    grad = property(lambda self: self.node.grad,
+                    lambda self, g: setattr(self.node, "grad", g))
+    requires_grad = property(lambda self: self.node.requires_grad,
+                             lambda self, flag: setattr(self.node, "requires_grad", flag))
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # -- graph construction helpers ------------------------------------
-
-    def _accum(self, g: np.ndarray) -> None:
-        # out of place: backward closures may hand one array to several inputs
-        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from a scalar root.
@@ -71,9 +83,9 @@ class Tensor:
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.data.shape}")
-        topo: list[Tensor] = []
+        topo: list[Node] = []
         seen: set[int] = set()
-        stack: list[tuple[Tensor, bool]] = [(self, False)]
+        stack: list[tuple[Node, bool]] = [(self.node, False)]
         while stack:
             node, expanded = stack.pop()
             if expanded:
@@ -83,17 +95,17 @@ class Tensor:
                 continue
             seen.add(id(node))
             stack.append((node, True))
-            for p in node._prev:
+            for p in node.inputs:
                 if id(p) not in seen:
                     stack.append((p, False))
         for node in topo:  # a pass cut short may have left some behind
-            if not node.is_leaf:
+            if node.inputs:
                 node.grad = None
-        self._accum(np.ones_like(self.data))
+        self.node.accum(np.ones_like(self.data))
         for node in reversed(topo):
-            if node._backward is not None and node.requires_grad:
-                node._backward(node.grad)
-            if not node.is_leaf:  # every consumer has run: nothing reads it again
+            if node.backward is not None and node.requires_grad:
+                node.backward(node.grad, *node.inputs)
+            if node.inputs:  # every consumer has run: nothing reads it again
                 node.grad = None
 
     # -- arithmetic ------------------------------------------------------
@@ -102,30 +114,32 @@ class Tensor:
         if not isinstance(other, Tensor) or self.data.shape != other.data.shape:
             raise ShapeError(f"cannot add {self!r} and {other!r}")
 
-        def _bw(g):
+        def _bw(g, self, other):
             if self.requires_grad:
-                self._accum(g)
+                self.accum(g)
             if other.requires_grad:
-                other._accum(g)
+                other.accum(g)
 
         return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
                       (self, other), _bw)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
-            def _bw(g):
+            def _bw(g, self):
                 if self.requires_grad:
-                    self._accum(g * other)
+                    self.accum(g * other)
 
             return Tensor(self.data * other, self.requires_grad, (self,), _bw)
         if self.data.shape != other.data.shape:
             raise ShapeError(f"cannot multiply shapes {self.data.shape} and {other.data.shape}")
 
-        def _bw(g):
+        x, y = self.data, other.data
+
+        def _bw(g, self, other):
             if self.requires_grad:
-                self._accum(g * other.data)
+                self.accum(g * y)
             if other.requires_grad:
-                other._accum(g * self.data)
+                other.accum(g * x)
 
         return Tensor(self.data * other.data, self.requires_grad or other.requires_grad,
                       (self, other), _bw)
@@ -143,13 +157,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"bias shape {b.data.shape} does not match output width "
                          f"{w.data.shape[1]}")
 
-    def _bw(g):
+    wd, xd = w.data, x.data if w.requires_grad else None  # x only for w's gradient
+
+    def _bw(g, x, w, b):
         if x.requires_grad:
-            x._accum(g @ w.data.T)
-        if w.requires_grad:
-            w._accum(x.data.T @ g)
+            x.accum(g @ wd.T)
+        if xd is not None:
+            w.accum(xd.T @ g)
         if b.requires_grad:
-            b._accum(g.sum(axis=0))
+            b.accum(g.sum(axis=0))
 
     return Tensor(x.data @ w.data + b.data,
                   x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b), _bw)
@@ -186,17 +202,17 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
     e = np.exp(s - s.max(axis=-1, keepdims=True))
     a = e / e.sum(axis=-1, keepdims=True)
 
-    def _bw(g):
+    def _bw(g, q, k, v):
         gh = split(g)
         if v.requires_grad:
-            v._accum(merge(a.swapaxes(-1, -2) @ gh))
+            v.accum(merge(a.swapaxes(-1, -2) @ gh))
         if q.requires_grad or k.requires_grad:
             da = gh @ vh.swapaxes(-1, -2)
             ds = (da - (da * a).sum(axis=-1, keepdims=True)) * a
             if q.requires_grad:
-                q._accum(merge(ds @ kh * scale))
+                q.accum(merge(ds @ kh * scale))
             if k.requires_grad:
-                k._accum(merge(ds.swapaxes(-1, -2) @ qh * scale))
+                k.accum(merge(ds.swapaxes(-1, -2) @ qh * scale))
 
     return Tensor(merge(a @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
                   (q, k, v), _bw)
@@ -267,11 +283,11 @@ def gelu(x: Tensor) -> Tensor:
     th, y = np.empty(v.shape), np.empty(v.shape)
     _in_row_blocks(_gelu_rows, (v, y, th), (np.empty(block),))
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
             dx = np.empty(v.shape)
             _in_row_blocks(_gelu_grad_rows, (v, th, g, dx), (np.empty(block), np.empty(block)))
-            x._accum(dx)
+            x.accum(dx)
 
     return Tensor(y, x.requires_grad, (x,), _bw)
 
@@ -289,19 +305,20 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     var = (centered ** 2).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
+    gd = gain.data
 
-    def _bw(g):
+    def _bw(g, x, gain, bias):
         if gain.requires_grad:
-            gain._accum((g * xhat).sum(axis=0))
+            gain.accum((g * xhat).sum(axis=0))
         if bias.requires_grad:
-            bias._accum(g.sum(axis=0))
+            bias.accum(g.sum(axis=0))
         if x.requires_grad:
-            dxhat = g * gain.data
+            dxhat = g * gd
             dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-            x._accum(dx)
+            x.accum(dx)
 
-    return Tensor(xhat * gain.data + bias.data, x.requires_grad or gain.requires_grad
+    return Tensor(xhat * gd + bias.data, x.requires_grad or gain.requires_grad
                   or bias.requires_grad, (x, gain, bias), _bw)
 
 
@@ -316,9 +333,9 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum(g * mask)
+            x.accum(g * mask)
 
     return Tensor(x.data * mask, x.requires_grad, (x,), _bw)
 
@@ -362,14 +379,14 @@ def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
     """
     ids, keep, n, shifted, per_sequence = _sequence_terms(logits.data, targets, pad_id)
 
-    def _bw(g):
+    def _bw(g, logits):
         if logits.requires_grad:
             p = np.exp(shifted)
             p /= p.sum(axis=-1, keepdims=True)
             p[np.arange(p.shape[0]), ids.reshape(-1)] -= 1.0
             p[~keep.reshape(-1)] = 0.0
             # a row's weight in the mean is 1 / (its sequence's positions * sequences)
-            logits._accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
+            logits.accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
 
     return Tensor(per_sequence.mean(), logits.requires_grad, (logits,), _bw)
 
@@ -382,12 +399,13 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
             raise ShapeError(f"concat_rows needs matching column counts, got "
                              f"{[q.data.shape for q in parts]}")
 
-    def _bw(g):
+    heights = [p.data.shape[0] for p in parts]
+
+    def _bw(g, *parts):
         r = 0
-        for p in parts:
-            h = p.data.shape[0]
+        for p, h in zip(parts, heights):
             if p.requires_grad:
-                p._accum(g[r:r + h])
+                p.accum(g[r:r + h])
             r += h
 
     return Tensor(np.concatenate([p.data for p in parts], axis=0),
@@ -404,30 +422,33 @@ def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
     data = np.zeros((rows, x.data.shape[1]))
     data[idx] = x.data
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum(g[idx])
+            x.accum(g[idx])
 
     return Tensor(data, x.requires_grad, (x,), _bw)
 
 
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
-    def _bw(g):
+    shape = x.data.shape
+
+    def _bw(g, x):
         if x.requires_grad:
-            full = np.zeros_like(x.data)
+            full = np.zeros(shape)
             full[:, j0:j1] = g
-            x._accum(full)
+            x.accum(full)
 
     return Tensor(x.data[:, j0:j1].copy(), x.requires_grad, (x,), _bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
-    def _bw(g):
+    widths = [p.data.shape[1] for p in parts]
+
+    def _bw(g, *parts):
         c = 0
-        for p in parts:
-            w = p.data.shape[1]
+        for p, w in zip(parts, widths):
             if p.requires_grad:
-                p._accum(g[:, c:c + w])
+                p.accum(g[:, c:c + w])
             c += w
 
     return Tensor(np.concatenate([p.data for p in parts], axis=1),
@@ -441,11 +462,13 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         bad = idx[(idx < 0) | (idx >= table.data.shape[0])][0]
         raise IndexError(f"token id {bad} out of range [0, {table.data.shape[0]})")
 
-    def _bw(g):
+    shape = table.data.shape
+
+    def _bw(g, table):
         if table.requires_grad:
-            full = np.zeros_like(table.data)
+            full = np.zeros(shape)
             np.add.at(full, idx, g)
-            table._accum(full)
+            table.accum(full)
 
     return Tensor(table.data[idx], table.requires_grad, (table,), _bw)
 
@@ -459,10 +482,12 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
     if wv.shape[0] != stack.shape[0]:
         raise ShapeError(f"weight length {wv.shape[0]} does not match stack size {stack.shape[0]}")
 
-    def _bw(g):
+    shape = w.data.shape
+
+    def _bw(g, w):
         if w.requires_grad:
             axes = tuple(range(1, stack.ndim))
             gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
-            w._accum(gw.reshape(w.data.shape))
+            w.accum(gw.reshape(shape))
 
     return Tensor(np.tensordot(wv, stack, axes=1), w.requires_grad, (w,), _bw)

@@ -100,6 +100,11 @@ def _from_dict(cls, d: dict):
     return cls(**kwargs)
 
 
+# the config keys render_report reads, with their types
+REPORTED_CONFIG = {"epochs": int, "batch_size": int, "lr": float, "dropout_p": float,
+                   "weight_decay": float, "seed": int, "prompt_length": int}
+
+
 @dataclass
 class RunRecord:
     """Everything a report needs; losses here are the exact values seen."""
@@ -116,7 +121,28 @@ class RunRecord:
     lm_param_hash: str = ""
     wall_clock_seconds: float = 0.0
 
-    from_dict = classmethod(_from_dict)
+    @classmethod
+    def from_dict(cls, d: dict) -> "RunRecord":
+        """The record from its asdict() form. Beyond _from_dict's checks, the
+        config holds each REPORTED_CONFIG key with its type and every loss is
+        finite; a failure raises ValueError naming the field."""
+        record = _from_dict(cls, d)
+        for key, kind in REPORTED_CONFIG.items():
+            if key not in record.config:
+                raise ValueError(f"malformed RunRecord: config has no {key!r}")
+            if not _conforms(record.config[key], kind):
+                raise ValueError(f"malformed RunRecord: config {key} must be {kind.__name__}, "
+                                 f"got {record.config[key]!r}")
+        losses = {"control_eval_loss": record.control_eval_loss,
+                  "prompted_eval_loss": record.prompted_eval_loss,
+                  **{f"steps[{i}].loss": s.loss for i, s in enumerate(record.steps)},
+                  **{f"epoch_means[{i}]": v for i, v in enumerate(record.epoch_means)},
+                  **{f"eval_losses[{i}]": v for i, (_, v) in enumerate(record.eval_losses)},
+                  **{f"examples[{i}].loss": e.loss for i, e in enumerate(record.examples)}}
+        for name, value in losses.items():
+            if not math.isfinite(value):
+                raise ValueError(f"malformed RunRecord: {name} must be finite, got {value!r}")
+        return record
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)

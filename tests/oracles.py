@@ -17,9 +17,9 @@ def softmax(x: Tensor) -> Tensor:
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum((g - (g * y).sum(axis=-1, keepdims=True)) * y)
+            x.accum((g - (g * y).sum(axis=-1, keepdims=True)) * y)
 
     return Tensor(y, x.requires_grad, (x,), _bw)
 
@@ -31,42 +31,45 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {a.data.shape} x {b.data.shape}")
 
-    def _bw(g):
-        if a.requires_grad:
-            a._accum(g @ b.data.T)
-        if b.requires_grad:
-            b._accum(a.data.T @ g)
+    ad, bd = a.data, b.data
 
-    return Tensor(a.data @ b.data, a.requires_grad or b.requires_grad, (a, b), _bw)
+    def _bw(g, a, b):
+        if a.requires_grad:
+            a.accum(g @ bd.T)
+        if b.requires_grad:
+            b.accum(ad.T @ g)
+
+    return Tensor(ad @ bd, a.requires_grad or b.requires_grad, (a, b), _bw)
 
 
 def transpose(x: Tensor) -> Tensor:
     if x.data.ndim != 2:
         raise ShapeError(f"transpose needs a 2-D tensor, got {x.data.shape}")
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum(g.T)
+            x.accum(g.T)
 
     return Tensor(x.data.T.copy(), x.requires_grad, (x,), _bw)
 
 
 def total(x: Tensor) -> Tensor:
     """Sum of every element, as a scalar tensor."""
+    v = x.data
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum(np.full_like(x.data, g))
+            x.accum(np.full_like(v, g))
 
     return Tensor(x.data.sum(), x.requires_grad, (x,), _bw)
 
 
 def mean(x: Tensor) -> Tensor:
-    n = x.data.size
+    v = x.data
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
-            x._accum(np.full_like(x.data, g / n))
+            x.accum(np.full_like(v, g / v.size))
 
     return Tensor(x.data.mean(), x.requires_grad, (x,), _bw)
 
@@ -83,11 +86,11 @@ def gelu(x: Tensor) -> Tensor:
     th = np.tanh(u)
     y = 0.5 * v * (1.0 + th)
 
-    def _bw(g):
+    def _bw(g, x):
         if x.requires_grad:
             du = _GELU_C * (1.0 + 3 * 0.044715 * v2)
             dy = 0.5 * (1.0 + th) + 0.5 * v * (1.0 - th * th) * du
-            x._accum(g * dy)
+            x.accum(g * dy)
 
     return Tensor(y, x.requires_grad, (x,), _bw)
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import resource
 import runpy
 import shlex
 import subprocess
@@ -29,6 +30,13 @@ from promptblend.train import RunRecord
 
 TINY = ["--fixture-size", "30", "--fixture-seed", "5", "--val-fraction", "0.2"]
 FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10"]
+
+
+def _stub_record_json() -> str:
+    """A record of no run, with the config keys a report reads."""
+    config = {"epochs": 1, "batch_size": 10, "lr": 1e-3, "dropout_p": 0.1,
+              "weight_decay": 0.01, "seed": 0, "prompt_length": 20}
+    return RunRecord(config=config, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json()
 
 
 def _train(out, seed="1", extra=()):
@@ -79,8 +87,7 @@ class TestDispatch:
     ], ids=["eval-checkpoint", "train-data-dir", "ortho-basis", "report-record",
             "report-sibling-checkpoint", "under-a-file"])
     def test_missing_input_path_is_validation_error(self, argv, path, tmp_path, capsys):
-        (tmp_path / "record.json").write_text(
-            RunRecord(config={}, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json())
+        (tmp_path / "record.json").write_text(_stub_record_json())
         assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -306,7 +313,22 @@ class TestPipelineCommands:
          "malformed RunRecord: eval_losses must be list[tuple[int, float]]"),
         (lambda r: r["examples"][0]["weights"].__setitem__(0, math.nan),
          "weight vector has non-finite entries"),
-    ], ids=["projection_null", "projection_int_token", "eval_losses_null", "nan_weight"])
+        (lambda r: r.update(control_eval_loss=math.inf),
+         "malformed RunRecord: control_eval_loss must be finite, got inf"),
+        (lambda r: r["steps"][1].update(loss=math.nan),
+         "malformed RunRecord: steps[1].loss must be finite, got nan"),
+        (lambda r: r["eval_losses"][0].__setitem__(1, -math.inf),
+         "malformed RunRecord: eval_losses[0] must be finite, got -inf"),
+        (lambda r: r["examples"][2].update(loss=math.inf),
+         "malformed RunRecord: examples[2].loss must be finite, got inf"),
+        (lambda r: r["config"].pop("epochs"), "malformed RunRecord: config has no 'epochs'"),
+        (lambda r: r["config"].update(seed="x"),
+         "malformed RunRecord: config seed must be int, got 'x'"),
+        (lambda r: r["config"].update(prompt_length="20"),
+         "malformed RunRecord: config prompt_length must be int, got '20'"),
+    ], ids=["projection_null", "projection_int_token", "eval_losses_null", "nan_weight",
+            "inf_control_loss", "nan_step_loss", "inf_eval_loss", "inf_example_loss",
+            "config_without_epochs", "config_string_seed", "config_string_prompt_length"])
     def test_mistyped_record_item_writes_nothing(self, edit, message, run_dir, tmp_path,
                                                  capsys):
         record = json.loads((run_dir / "record.json").read_text())
@@ -620,17 +642,19 @@ class TestNeverTraceback:
         assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)
 
 
-def _python(*args, cwd=None):
-    """A fresh interpreter run with `args`, with this promptblend importable."""
+def _python(*args, cwd=None, preexec_fn=None):
+    """A fresh interpreter run with `args`, with this promptblend importable;
+    `preexec_fn` runs in the child before it starts."""
     src = str(Path(promptblend.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+                          timeout=300, env={**os.environ, "PYTHONPATH": path},
+                          preexec_fn=preexec_fn)
 
 
-def _promptblend(*argv, cwd):
+def _promptblend(*argv, cwd, preexec_fn=None):
     """The promptblend command as a separate process, through cli.main."""
-    return _python("-m", "promptblend.cli", *argv, cwd=cwd)
+    return _python("-m", "promptblend.cli", *argv, cwd=cwd, preexec_fn=preexec_fn)
 
 
 def _mallopt_calls(libc: str) -> list:
@@ -672,6 +696,25 @@ class TestProcessEntryPoint:
         for record in records:
             del record["wall_clock_seconds"]
         assert records[0] == records[1]
+
+    def test_eval_of_a_bundle_with_huge_max_positions_fits_in_memory(self, run_dir,
+                                                                     tmp_path):
+        # the LM builds its sinusoid table only as long as what it embeds: a
+        # table of max_positions rows would need about 24 GiB here
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        meta["lm"]["config"]["max_positions"] = 10**8
+        (tmp_path / "huge.pbld").write_bytes(checkpoint_bytes(tensors, meta))
+
+        def limit_address_space():  # in the child only
+            resource.setrlimit(resource.RLIMIT_AS, (3 * 10**9, 3 * 10**9))
+
+        results = []
+        for bundle in (tmp_path / "huge.pbld", run_dir / "checkpoint.pbld"):
+            proc = _promptblend("eval", *TINY, "--checkpoint", str(bundle), "--out",
+                                bundle.stem, cwd=tmp_path, preexec_fn=limit_address_space)
+            assert proc.returncode == 0, proc.stderr
+            results.append((tmp_path / bundle.stem / "eval.json").read_bytes())
+        assert results[0] == results[1]
 
     def test_a_bare_import_loads_no_submodule(self):
         # the package root only sets the runtime: importing it loads neither
@@ -789,7 +832,7 @@ def flag_inputs(tmp_path_factory):
     """Argv prefixes that reach model.pretrain or load_bundle when every flag is valid."""
     root = tmp_path_factory.mktemp("flags")
     record, ck = root / "record.json", root / "checkpoint.pbld"
-    record.write_text(RunRecord(config={}, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json())
+    record.write_text(_stub_record_json())
     ck.write_bytes(b"")
     out = ["--out", str(root / "out")]
     return {

@@ -60,10 +60,11 @@ def fingerprint() -> dict:
     libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
                                   "libscipy_openblas64_*.so"))
     if libs:
-        corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+        lib = ctypes.CDLL(libs[0])
+        corename = lib.scipy_openblas_get_corename64_
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         core = corename().decode()
-        num_threads = ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_
+        num_threads = lib.scipy_openblas_get_num_threads64_
         num_threads.argtypes, num_threads.restype = [], ctypes.c_int
         threads = num_threads()
     return {"python": platform.python_version(), "numpy": np.__version__, "blas": blas,

@@ -11,9 +11,10 @@ from promptblend import textdata as td
 from promptblend.checkpoint import (bundle_bytes, checkpoint_bytes, load_bundle,
                                     load_checkpoint)
 from promptblend.composer import WeightPredictor, build_basis
-from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain, pretrain_examples
+from promptblend.model import (FrozenLM, LMConfig, PretrainConfig, pretrain, pretrain_examples,
+                               sinusoidal_positions)
 from promptblend.optim import DivergenceError
-from promptblend.tensor import ShapeError, Tensor, gelu
+from promptblend.tensor import ShapeError, Tensor, gelu, layer_norm, linear
 from promptblend.train import prompted_eval
 
 from fdcheck import finite_difference, max_rel_error
@@ -133,6 +134,25 @@ class TestEmbedTokens:
         with_pos = lm._embed_positioned([[4, 5], [6]]).data
         # each sequence is positioned from 0
         assert np.allclose(with_pos - base, lm.positions[[0, 1, 0]])
+
+    def test_sinusoid_rows_do_not_depend_on_the_table_length(self):
+        # the LM builds its table only as long as what it embeds, which
+        # leaves every positioned embedding unchanged only while this holds
+        full, huge = sinusoidal_positions(256, 64), sinusoidal_positions(100_000, 64)
+        for n in range(1, 257):
+            table = sinusoidal_positions(n, 64)
+            assert table.tobytes() == full[:n].tobytes() == huge[:n].tobytes(), n
+
+    def test_position_table_grows_to_the_longest_sequence(self, tiny_lm):
+        lm, _ = tiny_lm
+        fresh = FrozenLM(lm.vocab, LMConfig(embed_dim=8, num_heads=2, ffn_dim=16,
+                                            max_positions=10**8), params={
+            name: t.data for name, t in lm.params.items()})
+        assert fresh.positions.shape == (0, 8)
+        fresh._embed_positioned([[4, 5, 6], [7]])
+        assert fresh.positions.shape == (3, 8)
+        fresh._embed_positioned([[4, 5]])
+        assert fresh.positions.shape == (3, 8)
 
     def test_out_of_range_id(self, tiny_lm):
         lm, _ = tiny_lm
@@ -322,7 +342,7 @@ class TestForwardOnlyGraph:
         monkeypatch.setattr(Tensor, "__init__", recording_init)
         lm.decode(*lm.encode([ids], [None]), [tgt])
         assert len(outputs) > 20
-        assert all(node._prev == () and node._backward is None for node in outputs)
+        assert all(t.node.inputs == () and t.node.backward is None for t in outputs)
 
     def test_ffn_hidden_state_is_freed_before_the_forward_returns(self, tiny_lm,
                                                                  monkeypatch):
@@ -340,6 +360,47 @@ class TestForwardOnlyGraph:
         assert len(hidden) == 2  # the encoder's and the decoder's FFN
         assert all(ref() is None for ref in hidden)
         assert np.all(np.isfinite(logits.data))
+
+
+class TestPromptedStepGraph:
+    """With the LM frozen and a prompt that wants a gradient, each node keeps
+    only what its backward formula reads: every layer norm's input (the
+    residual sums) and every frozen linear's input is freed before the
+    forward returns, and the prompt's gradient is unchanged."""
+
+    def _step(self, lm, examples, monkeypatch, record):
+        gen = rngmod.stream(2, "prompted-step")
+        prompt = Tensor(gen.normal(size=(3, lm.config.embed_dim)), requires_grad=True)
+        monkeypatch.setattr("promptblend.model.layer_norm", record(layer_norm))
+        monkeypatch.setattr("promptblend.model.linear", record(linear))
+        inputs, targets = zip(*(_io_ids(lm, ex) for ex in examples[:2]))
+        loss = lm.loss_with_prompt([prompt, None], list(inputs), list(targets))
+        return prompt, loss
+
+    def test_activations_no_formula_reads_are_freed(self, tiny_lm, monkeypatch):
+        lm, examples = tiny_lm
+        refs, kept = [], []
+
+        def weakly(op):
+            def wrapped(x, *rest):
+                refs.append(weakref.ref(x.data))
+                return op(x, *rest)
+            return wrapped
+
+        prompt, loss = self._step(lm, examples, monkeypatch, weakly)
+        assert len(refs) == 24  # 7 layer norms and 17 linears
+        assert all(ref() is None for ref in refs)
+        loss.backward()
+
+        def strongly(op):
+            def wrapped(x, *rest):
+                kept.append(x)
+                return op(x, *rest)
+            return wrapped
+
+        reference, loss = self._step(lm, examples, monkeypatch, strongly)
+        loss.backward()
+        assert prompt.grad.tobytes() == reference.grad.tobytes()
 
 
 def _score(lm, prompt, ex):

@@ -124,7 +124,7 @@ def test_descend_holds_one_step_graph_at_a_time():
     def batch_loss(indices):
         assert all_dead(), f"step {len(losses)}'s graph is alive as step {len(losses) + 1} starts"
         inner = total(p * p)
-        loss = _Loss(inner.data, True, (inner,), inner._accum)
+        loss = _Loss(inner.data, True, (inner,), lambda g, inner: inner.accum(g))
         losses.append(weakref.ref(loss))
         return loss
 

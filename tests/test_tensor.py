@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -6,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
-from promptblend.tensor import (GELU_BLOCK_ROWS, DegenerateLossError, ShapeError, Tensor,
-                                attention_core, concat_cols, concat_rows, cross_entropy, dropout,
-                                embedding_lookup, gelu, layer_norm, linear, slice_cols,
-                                weighted_sum)
+from promptblend.tensor import (GELU_BLOCK_ROWS, DegenerateLossError, Node, ShapeError,
+                                Tensor, attention_core, concat_cols, concat_rows, cross_entropy,
+                                dropout, embedding_lookup, gelu, layer_norm, linear,
+                                scatter_rows, slice_cols, weighted_sum)
 
 from fdcheck import finite_difference, max_rel_error
 import oracles
@@ -172,17 +173,17 @@ class TestDropout:
         assert max_rel_error([x.grad], fd) < 1e-6
 
 
-def _postorder(root: Tensor) -> list[Tensor]:
+def _postorder(root: Tensor) -> list[Node]:
     order, seen = [], set()
 
     def visit(node):
         if id(node) not in seen:
             seen.add(id(node))
-            for p in node._prev:
+            for p in node.inputs:
                 visit(p)
             order.append(node)
 
-    visit(root)
+    visit(root.node)
     return order
 
 
@@ -190,8 +191,8 @@ def _backward_releasing_nothing(root: Tensor) -> None:
     """Reverse-mode pass that leaves every node's gradient in place."""
     root.grad = np.ones_like(root.data)
     for node in reversed(_postorder(root)):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node.backward is not None:
+            node.backward(node.grad, *node.inputs)
 
 
 class TestBackward:
@@ -242,7 +243,7 @@ class TestBackward:
 
         leaves, root = graph()
         root.backward()
-        inner = [n for n in _postorder(root) if not n.is_leaf]
+        inner = [n for n in _postorder(root) if n.inputs]
         assert len(inner) == 6 and all(n.grad is None for n in inner)
         kept_leaves, kept_root = graph()
         _backward_releasing_nothing(kept_root)
@@ -258,6 +259,82 @@ class TestBackward:
         y = x * 3.0
         total(y * y).backward()
         assert abs(float(x.grad[0]) - 36.0) < 1e-12  # d/dx (3x)^2 = 18x
+
+
+def _residual_block(x, w, b, gain, bias, w_out, keep):
+    """linear -> residual sum -> layer norm -> linear -> loss; `keep` is
+    handed each intermediate and returns it."""
+    h = keep(linear(x, w, b))
+    r = keep(h + x)
+    n = keep(layer_norm(r, gain, bias))
+    return cross_entropy(keep(linear(n, w_out, b)), [[1, 0, 3, 2, 1]], pad_id=0)
+
+
+class TestSavedArrays:
+    """A node keeps only the arrays its backward formula reads, so an
+    intermediate no formula reads is freed once the caller drops its tensor."""
+
+    @staticmethod
+    def _leaves(trainable: bool):
+        gen = rngmod.stream(12, "saved")
+        shapes = [(5, 4), (4, 4), (4,), (4,), (4,), (4, 4)]
+        x, w, b, gain, bias, w_out = [Tensor(gen.normal(size=s)) for s in shapes]
+        x.requires_grad = True
+        w.requires_grad = w_out.requires_grad = trainable
+        return x, w, b, gain, bias, w_out
+
+    def _run(self, trainable: bool, keep_all: bool):
+        """The block's leaf gradients, and weak references to the arrays of
+        the first linear's output, the residual sum and the normalized rows,
+        taken while the loss is alive."""
+        leaves = self._leaves(trainable)
+        kept, refs = [], []
+
+        def keep(t):
+            refs.append(weakref.ref(t.data))
+            if keep_all:
+                kept.append(t)
+            return t
+
+        loss = _residual_block(*leaves, keep)
+        alive = [ref() is not None for ref in refs[:3]]
+        loss.backward()
+        return alive, [None if p.grad is None else p.grad.tobytes() for p in leaves]
+
+    def test_frozen_weights_keep_no_activation(self):
+        # h feeds a sum, r a layer norm, n a linear whose weight is frozen
+        alive, grads = self._run(trainable=False, keep_all=False)
+        assert alive == [False, False, False]
+        assert grads == self._run(trainable=False, keep_all=True)[1]
+
+    def test_trainable_weight_keeps_its_input(self):
+        # w_out's gradient reads n, the normalized rows
+        alive, grads = self._run(trainable=True, keep_all=False)
+        assert alive == [False, False, True]
+        assert grads == self._run(trainable=True, keep_all=True)[1]
+        assert None not in grads[:2] and grads[5] is not None
+
+    def test_no_backward_closure_holds_a_tensor(self):
+        gen = rngmod.stream(13, "closures")
+        x = Tensor(gen.normal(size=(4, 6)), requires_grad=True)
+        w = Tensor(gen.normal(size=3), requires_grad=True)
+        table = Tensor(gen.normal(size=(5, 6)), requires_grad=True)
+        bias = Tensor(np.zeros(6), requires_grad=True)
+        h = concat_rows([x, embedding_lookup(table, [1, 3]),
+                         weighted_sum(gen.normal(size=(3, 2, 6)), w)])
+        h = dropout(layer_norm(h, bias, bias), 0.5, True, gen) * 2.0
+        h = concat_cols([slice_cols(h, 3, 6), slice_cols(h, 0, 3)])
+        h = attention_core(h, h, h, np.zeros((8, 8)), 0.5, 1, 2) + scatter_rows(h * h, range(8), 8)
+        root = cross_entropy(gelu(linear(h, Tensor(gen.normal(size=(6, 6))), bias)),
+                             [[1] * 8], pad_id=0)
+        closures = [n.backward for n in _postorder(root) if n.backward is not None]
+        assert {fn.__qualname__.split(".<locals>")[0] for fn in closures} == {
+            "Tensor.__add__", "Tensor.__mul__", "attention_core", "concat_cols",
+            "concat_rows", "cross_entropy", "dropout", "embedding_lookup", "gelu",
+            "layer_norm", "linear", "scatter_rows", "slice_cols", "weighted_sum"}
+        for fn in closures:
+            held = [c.cell_contents for c in fn.__closure__ or ()]
+            assert not any(isinstance(v, Tensor) for v in held), fn.__qualname__
 
 
 def _composite(x, w, b, gain, bias, targets):
@@ -413,7 +490,7 @@ def test_blocked_gelu_is_bitwise_the_whole_array_gelu(rows, width, transposed, s
     got, want = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
     y, y_ref = gelu(got), oracles.gelu(want)
     assert y.data.tobytes() == y_ref.data.tobytes()
-    y._backward(g)
-    y_ref._backward(g)
+    y.node.backward(g, *y.node.inputs)
+    y_ref.node.backward(g, *y_ref.node.inputs)
     assert got.grad.shape == want.grad.shape == (rows, width)
     assert got.grad.tobytes() == want.grad.tobytes()

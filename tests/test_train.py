@@ -200,10 +200,16 @@ class TestTrain:
         assert asdict(back) == asdict(record)
 
     def test_malformed_record_is_a_value_error(self):
-        good = RunRecord(config={}, basis_prompts=["p"])
+        config = {"epochs": 1, "batch_size": 2, "lr": 1e-3, "dropout_p": 0.1,
+                  "weight_decay": 0.01, "seed": 0, "prompt_length": 5}
+        good = RunRecord(config=config, basis_prompts=["p"])
         good.steps.append(StepRecord(epoch=1, step=1, batch_size=2, loss=0.5))
+        assert RunRecord.from_dict(asdict(good)) == good
         for edit in (lambda d: d["steps"][0].pop("loss"), lambda d: d.pop("examples"),
-                     lambda d: d.update(extra=1), lambda d: d.update(steps=3)):
+                     lambda d: d.update(extra=1), lambda d: d.update(steps=3),
+                     lambda d: d["config"].pop("lr"), lambda d: d["config"].update(lr="0.1"),
+                     lambda d: d["steps"][0].update(loss=float("inf")),
+                     lambda d: d.update(prompted_eval_loss=float("nan"))):
             d = asdict(good)
             edit(d)
             with pytest.raises(ValueError, match="malformed"):
