@@ -1,7 +1,8 @@
 """Pins the bytes of every artifact a small CLI chain writes.
 
 The chain is pretrain -> train -> eval -> report on a small fixture. Each
-artifact's SHA-256 is compared with `golden.json`, which also records the
+artifact's SHA-256, and that of each command's stdout with the run
+directory replaced by `{d}`, is compared with `golden.json`, which also records the
 environment the hashes were taken in: Python, numpy and OpenBLAS versions,
 and the OpenBLAS core and thread count that run. Floating-point results may
 differ under another BLAS core, thread count or library, so under any other
@@ -15,9 +16,11 @@ A change that moves artifact bits on purpose re-pins with
 and says in CHANGES.md which artifacts moved and why.
 """
 
+import contextlib
 import ctypes
 import glob
 import hashlib
+import io
 import json
 import os
 import platform
@@ -71,17 +74,24 @@ def fingerprint() -> dict:
             "openblas_core": core, "openblas_threads": threads}
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def artifact_hashes(root: Path) -> dict:
-    """Run the chain under `root` and hash each file it wrote, by relative path."""
-    for argv in CHAIN:
-        code = run_cli([a.format(d=root) for a in argv])
-        assert code == 0, f"{argv[0]} exited {code}"
+    """Run the chain under `root` and hash each file it wrote, by relative
+    path, and each command's stdout, as `stdout/<command>`."""
     hashes = {}
+    for argv in CHAIN:
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            code = run_cli([a.format(d=root) for a in argv])
+        assert code == 0, f"{argv[0]} exited {code}"
+        hashes[f"stdout/{argv[0]}"] = _sha256(out.getvalue().replace(str(root), "{d}").encode())
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "record.json":
             data = WALL_CLOCK.sub(b"", data)
-        hashes[path.relative_to(root).as_posix()] = hashlib.sha256(data).hexdigest()
+        hashes[path.relative_to(root).as_posix()] = _sha256(data)
     return hashes
 
 
@@ -103,4 +113,4 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         pin = {"fingerprint": fingerprint(), "sha256": artifact_hashes(Path(tmp))}
     GOLDEN.write_text(json.dumps(pin, indent=2) + "\n")
-    print(f"pinned {len(pin['sha256'])} artifacts under {pin['fingerprint']}", file=sys.stderr)
+    print(f"pinned {len(pin['sha256'])} hashes under {pin['fingerprint']}", file=sys.stderr)
