@@ -97,7 +97,7 @@ def parse_checkpoint(blob: bytes) -> tuple[dict[str, np.ndarray], dict]:
         meta = json.loads(take(unpack("<Q")[0]).decode("utf-8"))
     except CheckpointError:
         raise
-    except ValueError as e:  # bad utf-8 or JSON, or a shape numpy cannot hold
+    except (ValueError, RecursionError) as e:  # bad utf-8, bad or too deep JSON, bad shape
         raise CheckpointError(f"garbled checkpoint before offset {off} ({e})") from e
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint metadata is not an object")
@@ -112,10 +112,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None = None,
-                 basis_prompts: list[str] | None = None,
-                 predictor_meta: dict | None = None) -> bytes:
-    """The run bundle as checkpoint bytes; `predictor_meta` is stored beside
-    the predictor's dropout rate."""
+                 basis_prompts: list[str] | None = None) -> bytes:
+    """The run bundle as checkpoint bytes; the predictor's provenance is
+    stored beside its dropout rate."""
     tensors = {f"lm.{name}": t.data for name, t in lm.params.items()}
     meta: dict = {"kind": "promptblend", "lm": {
         "config": asdict(lm.config),
@@ -127,7 +126,7 @@ def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None = None,
     if predictor is not None:
         for name, p in zip(WeightPredictor.PARAM_NAMES, predictor.parameters()):
             tensors[f"predictor.{name}"] = p.data
-        meta["predictor"] = {**(predictor_meta or {}), "dropout_p": predictor.dropout_p}
+        meta["predictor"] = {**predictor.provenance, "dropout_p": predictor.dropout_p}
     if basis_prompts is not None:
         meta["basis_prompts"] = list(basis_prompts)
     return checkpoint_bytes(tensors, meta)
@@ -175,6 +174,7 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
     lm.provenance = lm_meta.get("provenance", {})
     lm.pretrain_record = lm_meta.get("pretrain_record", {})
     lm.set_frozen(bool(lm_meta.get("frozen", False)))
-    predictor = WeightPredictor(*(Tensor(tensors[n], requires_grad=True) for n in names),
-                                dropout_p=dropout_p) if names else None
+    predictor = WeightPredictor(
+        [Tensor(tensors[n], requires_grad=True) for n in names], dropout_p,
+        {k: v for k, v in pred_meta.items() if k != "dropout_p"}) if names else None
     return lm, predictor, prompts

@@ -238,9 +238,8 @@ def _cmd_train(args) -> int:
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
     record = _train(lm, predictor, basis, train_set, eval_set, config)
-    pred_meta = {"seed": args.seed, "final_init_scale": args.final_init_scale}
     files = {**_report_files(record, basis, args.top), "record.json": record.to_json() + "\n",
-             "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts, pred_meta)}
+             "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts)}
     _write_outputs(args.out, files)
     print(f"control eval loss:  {record.control_eval_loss:.4f}")
     print(f"prompted eval loss: {record.prompted_eval_loss:.4f}")

@@ -130,11 +130,10 @@ class WeightPredictor:
 
     PARAM_NAMES = ("w1", "b1", "w2", "b2", "w3", "b3")
 
-    def __init__(self, w1, b1, w2, b2, w3, b3, dropout_p: float):
-        self.w1, self.b1 = w1, b1
-        self.w2, self.b2 = w2, b2
-        self.w3, self.b3 = w3, b3
+    def __init__(self, params: list[Tensor], dropout_p: float, provenance: dict | None = None):
+        self.params = params  # in PARAM_NAMES order
         self.dropout_p = dropout_p
+        self.provenance: dict = provenance or {}
 
     @classmethod
     def create(cls, seed: int, in_dim: int, out_dim: int, hidden1: int = 128,
@@ -144,31 +143,28 @@ class WeightPredictor:
         the prompted loss match the control exactly but also makes the zero
         prompt a stationary point; training setups want a small nonzero scale."""
         gen = rngmod.stream(seed, "predictor-init")
-
-        def mat(rows, cols, scale):
-            return Tensor(gen.normal(0.0, scale, size=(rows, cols)), requires_grad=True)
-
-        w1 = mat(in_dim, hidden1, 1.0 / math.sqrt(in_dim))
-        w2 = mat(hidden1, hidden2, 1.0 / math.sqrt(hidden1))
-        w3 = mat(hidden2, out_dim, final_scale)
-        b1 = Tensor(np.zeros(hidden1), requires_grad=True)
-        b2 = Tensor(np.zeros(hidden2), requires_grad=True)
-        b3 = Tensor(np.zeros(out_dim), requires_grad=True)
-        return cls(w1, b1, w2, b2, w3, b3, dropout_p)
+        widths = [(in_dim, hidden1, 1.0 / math.sqrt(in_dim)),
+                  (hidden1, hidden2, 1.0 / math.sqrt(hidden1)), (hidden2, out_dim, final_scale)]
+        params = []
+        for rows, cols, scale in widths:  # draws w1, w2, w3 in turn from one stream
+            params += [Tensor(gen.normal(0.0, scale, size=(rows, cols)), requires_grad=True),
+                       Tensor(np.zeros(cols), requires_grad=True)]
+        return cls(params, dropout_p, {"seed": seed, "final_init_scale": final_scale})
 
     def parameters(self) -> list[Tensor]:
-        return [getattr(self, name) for name in self.PARAM_NAMES]
+        return self.params
 
     @property
     def out_dim(self) -> int:
-        return self.w3.data.shape[1]
+        return len(self.params[-1].data)
 
     def forward(self, q: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
         if training and rng is None:
             raise ValueError("training-mode forward needs an rng for dropout")
-        h = dropout(linear(q, self.w1, self.b1), self.dropout_p, training, rng)
-        h = dropout(linear(gelu(h), self.w2, self.b2), self.dropout_p, training, rng)
-        return dropout(linear(gelu(h), self.w3, self.b3), self.dropout_p, training, rng)
+        w1, b1, w2, b2, w3, b3 = self.params
+        h = dropout(linear(q, w1, b1), self.dropout_p, training, rng)
+        h = dropout(linear(gelu(h), w2, b2), self.dropout_p, training, rng)
+        return dropout(linear(gelu(h), w3, b3), self.dropout_p, training, rng)
 
 
 def question_repr(lm: FrozenLM, inputs, encoded=None) -> np.ndarray:

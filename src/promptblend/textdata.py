@@ -143,6 +143,8 @@ def load_dataset(path) -> list[QAExample]:
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
+            except RecursionError as e:
+                raise DatasetError(f"line {lineno}: invalid record (nested too deeply)") from e
             try:
                 ex = _example_from_record(rec)
             except DatasetError as e:

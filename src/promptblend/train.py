@@ -149,7 +149,11 @@ class RunRecord:
 
     @classmethod
     def from_json(cls, text: str) -> "RunRecord":
-        return cls.from_dict(json.loads(text))
+        try:
+            d = json.loads(text)
+        except RecursionError as e:
+            raise ValueError(f"malformed {cls.__name__}: JSON nested too deeply") from e
+        return cls.from_dict(d)
 
 
 @dataclass
@@ -323,12 +327,14 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
         record.steps.append(StepRecord(epoch=epoch, step=step, batch_size=len(indices),
                                        loss=loss))
         if config.eval_every and step % config.eval_every == 0:
-            result = prompted_eval(lm, predictor, basis, eval_set, scored)
-            record.eval_losses.append([step, result.mean_loss])
+            final = prompted_eval(lm, predictor, basis, eval_set, scored)
+            record.eval_losses.append([step, final.mean_loss])
     record.epoch_means = [float(np.mean([s.loss for s in record.steps if s.epoch == epoch]))
                           for epoch in range(1, config.epochs + 1)]
-    final = prompted_eval(lm, predictor, basis, eval_set, scored)
-    record.eval_losses.append([len(record.steps), final.mean_loss])
+    # a periodic pass after the last step is the final one
+    if not record.eval_losses or record.eval_losses[-1][0] != len(record.steps):
+        final = prompted_eval(lm, predictor, basis, eval_set, scored)
+        record.eval_losses.append([len(record.steps), final.mean_loss])
     record.prompted_eval_loss = final.mean_loss
     record.control_eval_loss = final.control_loss
     record.examples = [

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,7 +20,7 @@ def _bundle():
     lm.set_frozen(True)
     pred = WeightPredictor.create(seed=2, in_dim=TINY.embed_dim, out_dim=len(PROMPTS),
                                   hidden1=3, hidden2=5)
-    return lm, pred, bundle_bytes(lm, pred, PROMPTS, {"seed": 2})
+    return lm, pred, bundle_bytes(lm, pred, PROMPTS)
 
 
 BLOB = _bundle()[2]
@@ -49,7 +51,13 @@ def test_round_trip(scratch):
     assert loaded.frozen and loaded.param_hash() == lm.param_hash()
     for a, b in zip(pred.parameters(), loaded_pred.parameters()):
         assert np.array_equal(a.data, b.data) and b.requires_grad
-    assert bundle_bytes(loaded, loaded_pred, prompts, {"seed": 2}) == blob
+    assert bundle_bytes(loaded, loaded_pred, prompts) == blob
+
+
+def test_predictor_provenance_round_trips(scratch):
+    _, pred, blob = _bundle()
+    assert pred.provenance == {"seed": 2, "final_init_scale": 0.01}
+    assert _load(scratch, blob)[1].provenance == pred.provenance
 
 
 def test_lm_only_bundle_has_no_predictor(scratch):
@@ -75,6 +83,13 @@ def test_byte_flip_loads_or_is_a_checkpoint_error(scratch, pos, mask):
         _load(scratch, bytes(blob))
     except CheckpointError:
         pass
+
+
+def test_deeply_nested_metadata_is_a_checkpoint_error():
+    deep = b"[" * 100_000 + b"]" * 100_000
+    blob = checkpoint_bytes({}, {})[:-10] + struct.pack("<Q", len(deep)) + deep
+    with pytest.raises(CheckpointError, match="garbled checkpoint"):
+        parse_checkpoint(blob)
 
 
 def test_trailing_bytes_rejected(scratch):

@@ -10,6 +10,7 @@ import re
 import resource
 import runpy
 import shlex
+import struct
 import subprocess
 import sys
 import time
@@ -26,7 +27,7 @@ from promptblend.checkpoint import CheckpointError, checkpoint_bytes, load_bundl
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
-from promptblend.train import RunRecord
+from promptblend.train import RunRecord, prompted_eval
 
 TINY = ["--fixture-size", "30", "--fixture-seed", "5", "--val-fraction", "0.2"]
 FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10"]
@@ -140,6 +141,22 @@ class TestTrainCommand:
         record = json.loads((out / "record.json").read_text())
         assert record["wall_clock_seconds"] > 0
         assert record["control_eval_loss"] > 0
+
+    def test_a_pass_at_the_last_step_is_the_final_pass(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return prompted_eval(*args, **kwargs)
+
+        monkeypatch.setattr("promptblend.train.prompted_eval", counted)
+        # 48 training examples at batch 10: 5 steps an epoch, 10 in all
+        assert run_cli(["train", "--fixture-size", "60", "--pretrain-epochs", "1", "--epochs",
+                        "2", "--eval-every", "5", "--out", str(tmp_path / "run")]) == 0
+        record = json.loads((tmp_path / "run" / "record.json").read_text())
+        assert [step for step, _ in record["eval_losses"]] == [5, 10]
+        assert record["eval_losses"][-1][1] == record["prompted_eval_loss"]
+        assert len(calls) == 2
 
 
 @pytest.fixture(scope="module")
@@ -277,6 +294,22 @@ class TestPipelineCommands:
         assert run_cli(["eval", *TINY, "--checkpoint", str(cut)]) == 1
         err = capsys.readouterr().err
         assert "truncated checkpoint" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["pretrain", "--data"], "line 1: invalid record (nested too deeply)"),
+        (["report", "--record"], "malformed RunRecord: JSON nested too deeply"),
+        (["eval", *TINY, "--checkpoint"], "garbled checkpoint before offset 200020"),
+    ], ids=["dataset", "record", "bundle"])
+    def test_deeply_nested_json_is_validation_error(self, argv, message, tmp_path, capsys):
+        deep = b"[" * 100_000 + b"]" * 100_000
+        path, out = tmp_path / "input", tmp_path / "out"
+        # the bundle case keeps a valid header and puts the nesting in the metadata block
+        path.write_bytes(checkpoint_bytes({}, {})[:-10] + struct.pack("<Q", len(deep)) + deep
+                         if argv[0] == "eval" else deep + b"\n")
+        assert run_cli([*argv, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_malformed_record_is_validation_error(self, run_dir, tmp_path, capsys):
         record = json.loads((run_dir / "record.json").read_text())

@@ -122,7 +122,7 @@ class TestWeightPredictor:
 
     def test_zero_final_scale_outputs_bias(self):
         pred = WeightPredictor.create(seed=1, in_dim=8, out_dim=5, final_scale=0.0)
-        pred.b3.data[:] = np.arange(5.0)
+        pred.parameters()[-1].data[:] = np.arange(5.0)
         out = predict_weights(pred, np.zeros(8))
         assert np.array_equal(out.values, np.arange(5.0))
 

@@ -1,10 +1,10 @@
 """Pins the bytes of every artifact a small CLI chain writes.
 
-The chain is pretrain -> train -> eval -> report on a small fixture. Each
-artifact's SHA-256, and that of each command's stdout with the run
-directory replaced by `{d}`, is compared with `golden.json`, which also records the
-environment the hashes were taken in: Python, numpy and OpenBLAS versions,
-and the OpenBLAS core and thread count that run. Floating-point results may
+The chain is pretrain -> train -> eval -> report on a small fixture. The
+SHA-256 of each artifact, and of each command's stdout with the run
+directory replaced by `{d}`, is compared with `golden.json`, which also
+records the environment the hashes were taken in: Python, numpy and
+OpenBLAS versions, and the OpenBLAS core and thread count that run. Floating-point results may
 differ under another BLAS core, thread count or library, so under any other
 fingerprint the test runs the chain twice, checks only that the two runs
 agree, and says so in a warning.
@@ -32,6 +32,8 @@ from pathlib import Path
 
 import promptblend  # noqa: F401  # before numpy, so BLAS runs one thread here too
 import numpy as np
+import pytest
+from promptblend.checkpoint import bundle_bytes, load_bundle
 from promptblend.cli import run_cli
 
 GOLDEN = Path(__file__).with_name("golden.json")
@@ -95,9 +97,16 @@ def artifact_hashes(root: Path) -> dict:
     return hashes
 
 
-def test_artifacts_match_the_pin(tmp_path):
+@pytest.fixture(scope="module")
+def chain(tmp_path_factory):
+    """The chain's run directory and its hashes."""
+    root = tmp_path_factory.mktemp("golden") / "a"
+    return root, artifact_hashes(root)
+
+
+def test_artifacts_match_the_pin(chain, tmp_path):
     golden = json.loads(GOLDEN.read_text())
-    got = artifact_hashes(tmp_path / "a")
+    _, got = chain
     if golden["fingerprint"] == fingerprint():
         moved = sorted(k for k in golden["sha256"].keys() | got.keys()
                        if golden["sha256"].get(k) != got.get(k))
@@ -107,6 +116,13 @@ def test_artifacts_match_the_pin(tmp_path):
         f"golden.json was pinned under {golden['fingerprint']}, this is {fingerprint()}: "
         f"checking only that two runs agree"))
     assert artifact_hashes(tmp_path / "b") == got
+
+
+def test_every_bundle_resaves_byte_identically(chain):
+    bundles = sorted(chain[0].rglob("*.pbld"))
+    assert len(bundles) == 2
+    for path in bundles:
+        assert bundle_bytes(*load_bundle(path)) == path.read_bytes(), path.name
 
 
 if __name__ == "__main__":

@@ -143,7 +143,7 @@ class TestTrain:
     def test_divergence_aborts_with_step_index(self, setup):
         lm, basis, train_set, eval_set = setup
         pred = _predictor(lm, basis)
-        pred.w1.data[0, 0] = np.inf
+        pred.parameters()[0].data[0, 0] = np.inf
         # numpy's warnings are silenced as the CLI silences them
         with pytest.raises(DivergenceError, match="step 1"), np.errstate(invalid="ignore"):
             train(lm, pred, basis, train_set, eval_set, TrainConfig(epochs=1, seed=0))
@@ -305,7 +305,7 @@ def _fixed_predictor(lm, basis, weights):
     # a zero last layer passes its bias through exactly, so the eval-mode
     # weights are the drawn ones
     pred = _predictor(lm, basis, final_scale=0.0)
-    pred.b3.data[:] = weights
+    pred.parameters()[-1].data[:] = weights
     return pred
 
 
