@@ -137,18 +137,29 @@ def _check(ok: bool, what: str) -> None:
         raise CheckpointError(f"malformed bundle: {what}")
 
 
+BUNDLE_KEYS = {"kind", "lm", "predictor", "basis_prompts"}
+LM_KEYS = {"config", "vocab", "frozen", "provenance", "pretrain_record"}
+
+
 def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | None]:
     """Inverse of bundle_bytes: (lm, predictor or None, basis prompts or None).
 
-    Every tensor's name and shape must be the one the stored config,
+    The metadata must have exactly the keys and types bundle_bytes writes,
+    every tensor's name and shape must be the one the stored config,
     vocabulary and basis imply, and every entry finite; anything else
     raises CheckpointError.
     """
     tensors, meta = load_checkpoint(path)
-    pred_meta, prompts = meta.get("predictor"), meta.get("basis_prompts")
-    names = [f"predictor.{n}" for n in WeightPredictor.PARAM_NAMES] if pred_meta else []
+    lm_meta, pred_meta, prompts = (meta.get(k) for k in ("lm", "predictor", "basis_prompts"))
+    _check(meta.get("kind") == "promptblend", f"kind {meta.get('kind')!r}")
+    _check(set(meta) <= BUNDLE_KEYS, f"unknown keys {sorted(set(meta) - BUNDLE_KEYS)}")
+    _check(isinstance(lm_meta, dict) and set(lm_meta) == LM_KEYS,
+           f"lm metadata is not an object with exactly the keys {sorted(LM_KEYS)}")
+    _check(type(lm_meta["frozen"]) is bool, f"lm frozen {lm_meta['frozen']!r}")
+    _check(type(lm_meta["provenance"]) is dict and type(lm_meta["pretrain_record"]) is dict,
+           "lm provenance or pretrain_record is not an object")
+    names = [f"predictor.{n}" for n in WeightPredictor.PARAM_NAMES] if "predictor" in meta else []
     try:
-        lm_meta = meta["lm"]
         vocab, config = td.Vocab(lm_meta["vocab"]), LMConfig(**lm_meta["config"])
         expected = {f"lm.{n}": shape for n, shape in param_shapes(config, len(vocab)).items()}
         # the predictor's widths run from embed_dim through its biases to the basis size
@@ -167,13 +178,12 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
         _check(np.isfinite(tensors[name]).all(), f"tensor {name!r} has non-finite entries")
     _check(type(dropout_p) in (int, float) and 0.0 <= dropout_p < 1.0,
            f"predictor dropout_p {dropout_p!r}")
-    _check(prompts is None or isinstance(prompts, list)
+    _check("basis_prompts" not in meta or isinstance(prompts, list)
            and all(isinstance(p, str) for p in prompts), "basis_prompts")
     lm = FrozenLM(vocab, config, params={n[3:]: a for n, a in tensors.items()
                                          if n.startswith("lm.")})
-    lm.provenance = lm_meta.get("provenance", {})
-    lm.pretrain_record = lm_meta.get("pretrain_record", {})
-    lm.set_frozen(bool(lm_meta.get("frozen", False)))
+    lm.provenance, lm.pretrain_record = lm_meta["provenance"], lm_meta["pretrain_record"]
+    lm.set_frozen(lm_meta["frozen"])
     predictor = WeightPredictor(
         [Tensor(tensors[n], requires_grad=True) for n in names], dropout_p,
         {k: v for k, v in pred_meta.items() if k != "dropout_p"}) if names else None

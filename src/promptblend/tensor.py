@@ -12,10 +12,12 @@ backward closure, which is called with the gradient and those nodes
 (named as the input tensors they shadow) and keeps only the arrays its
 formula reads. So a value no formula reads, such as a residual sum, a
 layer norm's input or a frozen linear's input, is freed as soon as the
-caller drops its tensor. A graph has no reference cycles and is freed by
-reference counting once its root is dropped; a node that requires no
-gradient keeps neither its inputs nor its closure, so a forward-only
-graph is freed op by op.
+caller drops its tensor. backward() consumes the graph: once a node's
+closure has run, the node drops it and its input links, so each saved
+array is freed as soon as the last formula that reads it has run. A graph
+has no reference cycles and is freed by reference counting once its root
+is dropped; a node that requires no gradient keeps neither its inputs nor
+its closure, so a forward-only graph is freed op by op.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ class DegenerateLossError(ValueError):
 class Node:
     """A tensor's place in the graph: its gradient, whether it wants one,
     and for an op's output, the input nodes and the closure that
-    backward() calls as `backward(grad, *inputs)`."""
+    backward() calls as `backward(grad, *inputs)`, both None once it has."""
 
     __slots__ = ("grad", "requires_grad", "inputs", "backward")
 
@@ -53,8 +55,8 @@ class Tensor:
     """A value and its graph node.
 
     `data` is a float64 ndarray (row-major). `grad`, once populated by
-    backward(), has the same shape. Leaf gradients accumulate across
-    repeated backward() calls; callers reset them explicitly.
+    backward(), has the same shape. Leaf gradients accumulate across the
+    backward() calls of separate graphs; callers reset them explicitly.
     """
 
     __slots__ = ("data", "node")
@@ -74,12 +76,14 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
 
     def backward(self) -> None:
-        """Backpropagate from a scalar root.
+        """Backpropagate from a scalar root, consuming its graph.
 
-        Repeated calls without resetting leaf grads accumulate into them.
-        A non-leaf gradient is released as soon as it has been propagated
-        to the node's inputs, so after backward() returns only leaves hold
-        gradients.
+        Leaf grads are accumulated into, not reset. Once a non-leaf node's
+        closure has run, the node drops its gradient, its closure and its
+        input links, so every array the closure saved is freed as soon as
+        no other closure reads it, and after backward() returns only leaves
+        hold gradients. A second backward() through a consumed node raises
+        RuntimeError.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward() requires a scalar root, got shape {self.data.shape}")
@@ -93,6 +97,9 @@ class Tensor:
                 continue
             if id(node) in seen:
                 continue
+            if node.inputs is None:
+                raise RuntimeError("backward() through a graph that an earlier backward() "
+                                   "consumed; build the graph again")
             seen.add(id(node))
             stack.append((node, True))
             for p in node.inputs:
@@ -106,7 +113,7 @@ class Tensor:
             if node.backward is not None and node.requires_grad:
                 node.backward(node.grad, *node.inputs)
             if node.inputs:  # every consumer has run: nothing reads it again
-                node.grad = None
+                node.grad = node.inputs = node.backward = None
 
     # -- arithmetic ------------------------------------------------------
 
@@ -198,9 +205,12 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
         return m.transpose(0, 2, 1, 3).reshape(-1, width)
 
     qh, kh, vh = split(q.data), split(k.data), split(v.data)
-    s = qh @ kh.swapaxes(-1, -2) * scale + add_mask
-    e = np.exp(s - s.max(axis=-1, keepdims=True))
-    a = e / e.sum(axis=-1, keepdims=True)
+    a = qh @ kh.swapaxes(-1, -2)  # softmax(a * scale + mask), in place
+    a *= scale
+    a += add_mask
+    a -= a.max(axis=-1, keepdims=True)
+    np.exp(a, out=a)
+    a /= a.sum(axis=-1, keepdims=True)
 
     def _bw(g, q, k, v):
         gh = split(g)
@@ -223,7 +233,7 @@ _GELU_C = np.sqrt(2.0 / np.pi)
 # in L2 instead of streaming a whole [rows, 256] array through memory once
 # per elementwise op; a 64 x 256 block is 128 KB. Measured on a 2-vCPU Xeon
 # (2 MB L2 per core) on the FFN's [690, 256] input: forward 3.2 -> 1.6 ms,
-# backward 2.3 -> 1.0 ms; 32 to 128 rows time the same within noise.
+# and the gradient's formula 2.3 -> 1.0 ms; 32 to 128 rows time the same.
 GELU_BLOCK_ROWS = 64
 
 
@@ -254,42 +264,46 @@ def _gelu_rows(v, y, th, t) -> None:
     np.multiply(y, t, y)
 
 
-def _gelu_grad_rows(v, th, g, dx, du, t) -> None:
-    """dx = g * (0.5 * (1 + th) + 0.5 * v * (1 - th * th) * du) with
-    du = c * (1 + 3 * 0.044715 * (v * v)), op for op; du and t are scratch."""
+def _gelu_slope_rows(v, y, slope, th, t, du) -> None:
+    """_gelu_rows, then its derivative slope = 0.5 * (1 + th) + 0.5 * v *
+    (1 - th * th) * du with du = c * (1 + 3 * 0.044715 * (v * v)), op for op;
+    th, t and du are scratch."""
+    _gelu_rows(v, y, th, t)  # leaves t = 1 + th
     np.multiply(v, v, du)
     np.multiply(3 * 0.044715, du, du)
     np.add(1.0, du, du)
     np.multiply(_GELU_C, du, du)
-    np.multiply(th, th, t)
-    np.subtract(1.0, t, t)
-    np.multiply(0.5, v, dx)
-    np.multiply(dx, t, dx)
-    np.multiply(dx, du, dx)
-    np.add(1.0, th, t)
+    np.multiply(th, th, th)
+    np.subtract(1.0, th, th)
+    np.multiply(0.5, v, slope)
+    np.multiply(slope, th, slope)
+    np.multiply(slope, du, slope)
     np.multiply(0.5, t, t)
-    np.add(t, dx, t)
-    np.multiply(g, t, dx)
+    np.add(t, slope, slope)
 
 
 def gelu(x: Tensor) -> Tensor:
     """Smooth ramp nonlinearity (tanh-form GELU) of a 2-D tensor, evaluated
     in row blocks with the op order of the whole-array expressions, so every
-    output and gradient element is bit-identical to them."""
+    output and gradient element is bit-identical to them. When x wants a
+    gradient the forward also computes the slope, the one array backward
+    reads; otherwise it computes none."""
     v = x.data
     if v.ndim != 2:
         raise ShapeError(f"gelu expects a 2-D tensor, got {v.shape}")
     block = (min(v.shape[0], GELU_BLOCK_ROWS), v.shape[1])
-    th, y = np.empty(v.shape), np.empty(v.shape)
-    _in_row_blocks(_gelu_rows, (v, y, th), (np.empty(block),))
+    y = np.empty(v.shape)
+    if not x.requires_grad:
+        _in_row_blocks(_gelu_rows, (v, y), (np.empty(block), np.empty(block)))
+        return Tensor(y)
+    slope = np.empty(v.shape)
+    _in_row_blocks(_gelu_slope_rows, (v, y, slope), [np.empty(block) for _ in range(3)])
 
     def _bw(g, x):
         if x.requires_grad:
-            dx = np.empty(v.shape)
-            _in_row_blocks(_gelu_grad_rows, (v, th, g, dx), (np.empty(block), np.empty(block)))
-            x.accum(dx)
+            x.accum(g * slope)
 
-    return Tensor(y, x.requires_grad, (x,), _bw)
+    return Tensor(y, True, (x,), _bw)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -300,11 +314,9 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     v = x.data
     if v.ndim != 2:
         raise ShapeError(f"layer_norm expects a 2-D tensor, got {v.shape}")
-    mu = v.mean(axis=-1, keepdims=True)
-    centered = v - mu
-    var = (centered ** 2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    xhat = centered * inv
+    xhat = v - v.mean(axis=-1, keepdims=True)  # centred, then normalized in place
+    inv = 1.0 / np.sqrt(np.square(xhat).mean(axis=-1, keepdims=True) + LAYER_NORM_EPS)
+    xhat *= inv
     gd = gain.data
 
     def _bw(g, x, gain, bias):
@@ -318,8 +330,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
                         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
             x.accum(dx)
 
-    return Tensor(xhat * gd + bias.data, x.requires_grad or gain.requires_grad
-                  or bias.requires_grad, (x, gain, bias), _bw)
+    out = xhat * gd
+    out += bias.data
+    return Tensor(out, x.requires_grad or gain.requires_grad or bias.requires_grad,
+                  (x, gain, bias), _bw)
 
 
 def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:

@@ -135,6 +135,26 @@ def test_predictor_dropout_rate_is_required(scratch):
         _load(scratch, _retensor(edit))
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda m: m.update(kind="other"), "kind 'other'"),
+    (lambda m: m.update(extra=1), r"unknown keys \['extra'\]"),
+    (lambda m: m["lm"].update(extra=1), "lm metadata is not an object with exactly the keys"),
+    (lambda m: m["lm"].pop("provenance"), "lm metadata is not an object with exactly the keys"),
+    (lambda m: m.update(lm=[]), "lm metadata is not an object"),
+    (lambda m: m["lm"].update(frozen="false"), "lm frozen 'false'"),
+    (lambda m: m["lm"].update(frozen=1), "lm frozen 1"),
+    (lambda m: m["lm"].update(provenance=[]), "provenance or pretrain_record is not an object"),
+    (lambda m: m["lm"].update(pretrain_record="x"), "provenance or pretrain_record"),
+    (lambda m: m.update(predictor=None), "malformed bundle metadata"),
+    (lambda m: m.update(basis_prompts=None), "basis_prompts"),
+], ids=["kind", "top-level-key", "lm-key", "missing-lm-key", "lm-list", "frozen-string",
+        "frozen-int", "provenance-list", "record-string", "predictor-null", "prompts-null"])
+def test_metadata_bundle_bytes_never_writes_is_rejected(scratch, edit, message):
+    # each of these used to load, and most re-saved to other bytes
+    with pytest.raises(CheckpointError, match=message):
+        _load(scratch, _retensor(lambda tensors, meta: edit(meta)))
+
+
 @pytest.mark.parametrize("value", [np.nan, -np.inf])
 def test_non_finite_tensor_rejected(scratch, value):
     def edit(tensors, meta):

@@ -239,6 +239,22 @@ class TestPipelineCommands:
         assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
         assert "num_heads must be a positive integer, got True" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda m: m.update(kind="other", extra=1), "kind 'other'"),
+        (lambda m: m["lm"].update(frozen="false"), "lm frozen 'false'"),
+        (lambda m: m["lm"].update(provenance=[]), "provenance or pretrain_record"),
+    ], ids=["kind", "frozen-string", "provenance-list"])
+    def test_eval_of_a_bundle_with_foreign_metadata_is_validation_error(
+            self, edit, message, run_dir, tmp_path, capsys):
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        edit(meta)
+        bad = tmp_path / "bad.pbld"
+        bad.write_bytes(checkpoint_bytes(tensors, meta))
+        assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed bundle: ") and err.count("\n") == 1
+        assert message in err
+
     @pytest.mark.parametrize("corrupt", [
         lambda v: "".join(chr(0x4E00 + i) for i in range(len(v))),
         lambda v: list(range(100, 100 + len(v))),

@@ -18,6 +18,7 @@ from promptblend.tensor import ShapeError, Tensor, gelu, layer_norm, linear
 from promptblend.train import prompted_eval
 
 from fdcheck import finite_difference, max_rel_error
+from graphprobe import saved_array_refs
 
 SMALL = LMConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_positions=96)
 
@@ -401,6 +402,24 @@ class TestPromptedStepGraph:
         reference, loss = self._step(lm, examples, monkeypatch, strongly)
         loss.backward()
         assert prompt.grad.tobytes() == reference.grad.tobytes()
+
+
+class TestPretrainingStepGraph:
+    def test_backward_frees_every_array_the_graph_saved(self):
+        # a packed pretraining step over the whole unfrozen LM, with a hint
+        # prefix, a noise prefix and no prefix, as pretrain draws them
+        lm = _unfrozen_lm(seed=3)
+        examples = td.make_fixture(seed=5, n=12)[:10]
+        inputs, targets = (list(x) for x in zip(*(_io_ids(lm, ex) for ex in examples)))
+        prefixes = [[lm.embed_tokens(targets[0]), lm.embed_tokens([5, 6, 7]), None][i % 3]
+                    for i in range(10)]
+        loss = lm.loss_with_prompt(prefixes, inputs, targets)
+        del prefixes
+        refs = saved_array_refs(loss, [p.data for p in lm.params.values()])
+        assert len(refs) > 50
+        loss.backward()
+        assert [ref() for ref in refs if ref() is not None] == []
+        assert all(p.grad is not None for p in lm.params.values())
 
 
 def _score(lm, prompt, ex):

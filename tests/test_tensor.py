@@ -13,6 +13,7 @@ from promptblend.tensor import (GELU_BLOCK_ROWS, DegenerateLossError, Node, Shap
                                 scatter_rows, slice_cols, weighted_sum)
 
 from fdcheck import finite_difference, max_rel_error
+from graphprobe import closure_arrays
 import oracles
 from oracles import matmul, mean, softmax, total, transpose
 
@@ -207,21 +208,30 @@ class TestBackward:
         assert np.array_equal(x.grad, np.array([2.0, 4.0, 6.0]))
 
     def test_repeated_backward_accumulates(self):
+        # two graphs built on the same leaf add into its gradient
         x = Tensor(np.ones(3), requires_grad=True)
-        loss = total(x)
-        loss.backward()
-        loss.backward()
+        total(x).backward()
+        total(x).backward()
         assert np.array_equal(x.grad, 2 * np.ones(3))
 
     def test_shared_gradient_accumulates_out_of_place(self):
         # __add__ hands one gradient array to both inputs
         a = Tensor(np.array([1.0]), requires_grad=True)
         b = Tensor(np.array([5.0]), requires_grad=True)
-        loss = a + b
-        loss.backward()
-        loss.backward()
+        (a + b).backward()
+        (a + b).backward()
         assert np.array_equal(a.grad, [2.0]) and np.array_equal(b.grad, [2.0])
         assert not np.shares_memory(a.grad, b.grad)
+
+    def test_second_backward_through_a_consumed_graph_raises(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        loss = total(x * x)
+        loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            loss.backward()
+        with pytest.raises(RuntimeError, match="consumed"):
+            total(loss * 2.0).backward()  # a new graph on top of a consumed node
+        assert np.array_equal(x.grad, 2 * np.ones(3))
 
     @pytest.mark.parametrize("other", [1.0, Tensor(np.ones(3)), "x"],
                              ids=["scalar", "row-bias", "non-tensor"])
@@ -242,9 +252,10 @@ class TestBackward:
             return leaves, total((y + h) * y)  # h and y each feed two nodes
 
         leaves, root = graph()
-        root.backward()
         inner = [n for n in _postorder(root) if n.inputs]
-        assert len(inner) == 6 and all(n.grad is None for n in inner)
+        root.backward()
+        assert len(inner) == 6
+        assert all(n.grad is None and n.inputs is None and n.backward is None for n in inner)
         kept_leaves, kept_root = graph()
         _backward_releasing_nothing(kept_root)
         for got, want in zip(leaves, kept_leaves):
@@ -335,6 +346,13 @@ class TestSavedArrays:
         for fn in closures:
             held = [c.cell_contents for c in fn.__closure__ or ()]
             assert not any(isinstance(v, Tensor) for v in held), fn.__qualname__
+
+    @pytest.mark.parametrize("rows", [3, GELU_BLOCK_ROWS + 5])
+    def test_gelu_saves_only_its_slope(self, rows):
+        x = Tensor(rngmod.stream(14, "gelu-saved").normal(size=(rows, 7)), requires_grad=True)
+        saved = closure_arrays(gelu(x))
+        assert [a.shape for a in saved] == [x.data.shape]
+        assert not np.shares_memory(saved[0], x.data)
 
 
 def _composite(x, w, b, gain, bias, targets):

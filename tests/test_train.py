@@ -19,6 +19,8 @@ from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConf
                                _batch_loss, _scored_entries, _training_entries,
                                control_eval, prompted_eval, stability_metric, train)
 
+from graphprobe import saved_array_refs
+
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
     "Generate a flowchart to visually represent the logic needed to answer the question",
@@ -421,6 +423,20 @@ class TestPackedStep:
         assert abs(packed - single) <= 1e-12 * abs(single)
         for a, b in zip(packed_grads, single_grads):
             assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+    def test_backward_frees_every_array_the_graph_saved(self, setup):
+        # with the root still referenced, only the parameters and the basis
+        # stack, which outlive the step, survive backward()
+        lm, basis, train_set, _ = setup
+        entries = _training_entries(lm, train_set[:10], basis.length)
+        pred = _predictor(lm, basis)
+        loss = _batch_loss(lm, pred, basis, entries, rngmod.stream(0, "drop"))
+        owned = [p.data for p in [*lm.params.values(), *pred.parameters()]]
+        refs = saved_array_refs(loss, owned + [basis.embeddings])
+        assert len(refs) > 50
+        loss.backward()
+        assert [ref() for ref in refs if ref() is not None] == []
+        assert all(p.grad is not None for p in pred.parameters())
 
     def test_step_graph_is_freed_without_the_cycle_collector(self, setup):
         # backward closures never hold their own node, so dropping the root
