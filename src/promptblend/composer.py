@@ -158,13 +158,15 @@ class WeightPredictor:
     def out_dim(self) -> int:
         return len(self.params[-1].data)
 
-    def forward(self, q: Tensor, training: bool, rng: np.random.Generator | None) -> Tensor:
-        if training and rng is None:
-            raise ValueError("training-mode forward needs an rng for dropout")
-        w1, b1, w2, b2, w3, b3 = self.params
-        h = dropout(linear(q, w1, b1), self.dropout_p, training, rng)
-        h = dropout(linear(gelu(h), w2, b2), self.dropout_p, training, rng)
-        return dropout(linear(gelu(h), w3, b3), self.dropout_p, training, rng)
+    def forward(self, q: Tensor, rng: np.random.Generator | None = None) -> Tensor:
+        """The basis weights for question rows q. An rng selects training mode,
+        where dropout draws its masks from it; without one (eval mode) only the
+        parameters' values are read, so no graph is built."""
+        params = self.params if rng is not None else [Tensor(p.data) for p in self.params]
+        w1, b1, w2, b2, w3, b3 = params
+        h = dropout(linear(q, w1, b1), self.dropout_p, rng)
+        h = dropout(linear(gelu(h), w2, b2), self.dropout_p, rng)
+        return dropout(linear(gelu(h), w3, b3), self.dropout_p, rng)
 
 
 def question_repr(lm: FrozenLM, inputs, encoded=None) -> np.ndarray:

@@ -113,7 +113,6 @@ class FrozenLM:
         """A model initialized from `seed`, or holding `params` unchecked."""
         self.vocab = vocab
         self.config = config
-        self.frozen = False
         self.provenance: dict = {"init_seed": seed}
         self.pretrain_record: dict = {}
         # the sinusoid table, as long as the longest sequence embedded yet
@@ -139,8 +138,10 @@ class FrozenLM:
                 params[name] = np.full(shape, 1.0 if name.endswith(".gain") else 0.0)
         return params
 
+    frozen = property(lambda self: not any(p.requires_grad for p in self.params.values()),
+                      doc="True exactly when no parameter wants a gradient.")
+
     def set_frozen(self, frozen: bool) -> None:
-        self.frozen = frozen
         for p in self.params.values():
             p.requires_grad = not frozen
 
@@ -181,10 +182,8 @@ class FrozenLM:
         v = linear(x_kv, p[f"{prefix}.wv"], p[f"{prefix}.bv"])
         if kv_rows is not None:
             k, v = embedding_lookup(k, kv_rows), embedding_lookup(v, kv_rows)
-        h = self.config.num_heads
-        ctx = attention_core(q, k, v, add_mask, 1.0 / math.sqrt(self.config.embed_dim // h),
-                             batch, h)
-        return linear(ctx, p[f"{prefix}.wo"], p[f"{prefix}.bo"])
+        return linear(attention_core(q, k, v, add_mask, batch, self.config.num_heads),
+                      p[f"{prefix}.wo"], p[f"{prefix}.bo"])
 
     def _ffn(self, prefix: str, x: Tensor) -> Tensor:
         p = self.params

@@ -55,17 +55,21 @@ class Tensor:
     """A value and its graph node.
 
     `data` is a float64 ndarray (row-major). `grad`, once populated by
-    backward(), has the same shape. Leaf gradients accumulate across the
-    backward() calls of separate graphs; callers reset them explicitly.
+    backward(), has the same shape. A leaf wants a gradient if built with
+    `requires_grad=True`, an op's output if one of its inputs `_prev` does.
+    Leaf gradients accumulate across the backward() calls of separate
+    graphs; callers reset them explicitly.
     """
 
     __slots__ = ("data", "node")
 
     def __init__(self, data, requires_grad: bool = False, _prev=(), _backward=None):
         self.data = np.asarray(data, dtype=np.float64)
-        # no gradient passes through: hold nothing that backward would need
-        self.node = (Node(True, tuple([p.node for p in _prev]), _backward) if requires_grad
-                     else Node(False))
+        for p in _prev:
+            if p.node.requires_grad:
+                self.node = Node(True, tuple([p.node for p in _prev]), _backward)
+                return
+        self.node = Node(requires_grad)  # a leaf, or an op no gradient passes through
 
     grad = property(lambda self: self.node.grad,
                     lambda self, g: setattr(self.node, "grad", g))
@@ -127,8 +131,7 @@ class Tensor:
             if other.requires_grad:
                 other.accum(g)
 
-        return Tensor(self.data + other.data, self.requires_grad or other.requires_grad,
-                      (self, other), _bw)
+        return Tensor(self.data + other.data, _prev=(self, other), _backward=_bw)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
@@ -136,7 +139,7 @@ class Tensor:
                 if self.requires_grad:
                     self.accum(g * other)
 
-            return Tensor(self.data * other, self.requires_grad, (self,), _bw)
+            return Tensor(self.data * other, _prev=(self,), _backward=_bw)
         if self.data.shape != other.data.shape:
             raise ShapeError(f"cannot multiply shapes {self.data.shape} and {other.data.shape}")
 
@@ -148,8 +151,7 @@ class Tensor:
             if other.requires_grad:
                 other.accum(g * x)
 
-        return Tensor(self.data * other.data, self.requires_grad or other.requires_grad,
-                      (self, other), _bw)
+        return Tensor(self.data * other.data, _prev=(self, other), _backward=_bw)
 
     __rmul__ = __mul__
 
@@ -174,14 +176,13 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.accum(g.sum(axis=0))
 
-    return Tensor(x.data @ w.data + b.data,
-                  x.requires_grad or w.requires_grad or b.requires_grad, (x, w, b), _bw)
+    return Tensor(x.data @ w.data + b.data, _prev=(x, w, b), _backward=_bw)
 
 
 def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
-                   scale: float, batch: int, heads: int) -> Tensor:
-    """softmax(q k^T * scale + mask) v for every example and head, as one
-    fused graph node.
+                   batch: int, heads: int) -> Tensor:
+    """softmax(q kᵀ/√dh + mask) v for every example and head, as one fused
+    graph node.
 
     q is [batch*Sq, heads*dh] and k, v are [batch*Sk, heads*dh]: each
     example's rows are contiguous, and so are each head's columns. The
@@ -197,6 +198,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
                          f"{v.data.shape} do not split into {batch} examples of "
                          f"{heads} heads")
     dh = width // heads
+    scale = 1.0 / np.sqrt(dh)
 
     def split(m):  # [batch*S, heads*dh] -> [batch, heads, S, dh]
         return m.reshape(batch, -1, heads, dh).transpose(0, 2, 1, 3)
@@ -224,8 +226,7 @@ def attention_core(q: Tensor, k: Tensor, v: Tensor, add_mask: np.ndarray,
             if k.requires_grad:
                 k.accum(merge(ds.swapaxes(-1, -2) @ qh * scale))
 
-    return Tensor(merge(a @ vh), q.requires_grad or k.requires_grad or v.requires_grad,
-                  (q, k, v), _bw)
+    return Tensor(merge(a @ vh), _prev=(q, k, v), _backward=_bw)
 
 
 _GELU_C = np.sqrt(2.0 / np.pi)
@@ -303,7 +304,7 @@ def gelu(x: Tensor) -> Tensor:
         if x.requires_grad:
             x.accum(g * slope)
 
-    return Tensor(y, True, (x,), _bw)
+    return Tensor(y, _prev=(x,), _backward=_bw)
 
 
 LAYER_NORM_EPS = 1e-5
@@ -332,18 +333,16 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
     out = xhat * gd
     out += bias.data
-    return Tensor(out, x.requires_grad or gain.requires_grad or bias.requires_grad,
-                  (x, gain, bias), _bw)
+    return Tensor(out, _prev=(x, gain, bias), _backward=_bw)
 
 
-def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-
-    In eval mode or at p == 0 it returns x itself, adding no graph node.
-    """
+def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p),
+    with the mask drawn from rng. Without an rng (eval mode), or at p == 0,
+    it returns x itself, adding no graph node."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
@@ -351,7 +350,7 @@ def dropout(x: Tensor, p: float, training: bool, rng: np.random.Generator) -> Te
         if x.requires_grad:
             x.accum(g * mask)
 
-    return Tensor(x.data * mask, x.requires_grad, (x,), _bw)
+    return Tensor(x.data * mask, _prev=(x,), _backward=_bw)
 
 
 def _sequence_terms(v: np.ndarray, targets, pad_id: int):
@@ -402,7 +401,7 @@ def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
             # a row's weight in the mean is 1 / (its sequence's positions * sequences)
             logits.accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
 
-    return Tensor(per_sequence.mean(), logits.requires_grad, (logits,), _bw)
+    return Tensor(per_sequence.mean(), _prev=(logits,), _backward=_bw)
 
 
 def concat_rows(parts: list[Tensor]) -> Tensor:
@@ -422,8 +421,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
                 p.accum(g[r:r + h])
             r += h
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=0),
-                  any(p.requires_grad for p in parts), tuple(parts), _bw)
+    return Tensor(np.concatenate([p.data for p in parts], axis=0), _prev=parts, _backward=_bw)
 
 
 def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
@@ -440,7 +438,7 @@ def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
         if x.requires_grad:
             x.accum(g[idx])
 
-    return Tensor(data, x.requires_grad, (x,), _bw)
+    return Tensor(data, _prev=(x,), _backward=_bw)
 
 
 def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
@@ -452,7 +450,7 @@ def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
             full[:, j0:j1] = g
             x.accum(full)
 
-    return Tensor(x.data[:, j0:j1].copy(), x.requires_grad, (x,), _bw)
+    return Tensor(x.data[:, j0:j1].copy(), _prev=(x,), _backward=_bw)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:
@@ -465,8 +463,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
                 p.accum(g[:, c:c + w])
             c += w
 
-    return Tensor(np.concatenate([p.data for p in parts], axis=1),
-                  any(p.requires_grad for p in parts), tuple(parts), _bw)
+    return Tensor(np.concatenate([p.data for p in parts], axis=1), _prev=parts, _backward=_bw)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -484,7 +481,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
             np.add.at(full, idx, g)
             table.accum(full)
 
-    return Tensor(table.data[idx], table.requires_grad, (table,), _bw)
+    return Tensor(table.data[idx], _prev=(table,), _backward=_bw)
 
 
 def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
@@ -504,4 +501,4 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
             gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
             w.accum(gw.reshape(shape))
 
-    return Tensor(np.tensordot(wv, stack, axes=1), w.requires_grad, (w,), _bw)
+    return Tensor(np.tensordot(wv, stack, axes=1), _prev=(w,), _backward=_bw)

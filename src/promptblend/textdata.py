@@ -109,10 +109,14 @@ class QAExample:
 
 
 def _field(obj: dict, key: str, where: str = "") -> str:
-    """obj[key], which must be a string; errors name the field `where + key`."""
+    """obj[key], which must be a string UTF-8 can encode; errors name the field `where + key`."""
     if not isinstance(obj.get(key), str):
         raise DatasetError(f"field '{where}{key}' must be a string, got {obj[key]!r}"
                            if key in obj else f"missing field '{where}{key}'")
+    try:
+        obj[key].encode("utf-8")
+    except UnicodeEncodeError as e:
+        raise DatasetError(f"field '{where}{key}' cannot be written as UTF-8 ({e.reason})")
     return obj[key]
 
 

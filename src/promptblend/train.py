@@ -262,8 +262,7 @@ def prompted_eval(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     correct = 0
     for chunk in _chunks([e.ids for e in entries], [ex.id for ex in eval_set]):
         for i in chunk:
-            w_out = predictor.forward(Tensor(entries[i].q.reshape(1, -1)), training=False,
-                                      rng=None).data[0]
+            w_out = predictor.forward(Tensor(entries[i].q[None])).data[0]
             if not np.isfinite(w_out).all():
                 raise DivergenceError(f"non-finite weights predicted for {eval_set[i].id!r}")
             weights[i] = WeightVector(w_out.copy())
@@ -284,8 +283,7 @@ def _batch_loss(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     """One training step's loss: the batch's prompted losses, averaged over
     examples, from one packed forward. Dropout masks are drawn example by
     example, layer by layer."""
-    prompts = [combine(basis, predictor.forward(Tensor(e.q.reshape(1, -1)), training=True,
-                                                rng=rng)) for e in entries]
+    prompts = [combine(basis, predictor.forward(Tensor(e.q[None]), rng)) for e in entries]
     return lm.loss_with_prompt(prompts, [e.ids for e in entries], [e.target for e in entries])
 
 

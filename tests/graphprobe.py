@@ -1,9 +1,11 @@
 """What an autodiff graph keeps alive, for the tests that check backward()
-gives memory back."""
+gives memory back, and which op outputs want a gradient."""
 
 import weakref
 
 import numpy as np
+
+from promptblend import tensor
 
 
 def closure_arrays(root) -> list[np.ndarray]:
@@ -21,6 +23,21 @@ def closure_arrays(root) -> list[np.ndarray]:
             if isinstance(cell.cell_contents, np.ndarray):
                 arrays[id(cell.cell_contents)] = cell.cell_contents
     return list(arrays.values())
+
+
+def record_gradient_ops(monkeypatch) -> list[str]:
+    """A list that, from now on, gets the backward closure's name of every op
+    output made that wants a gradient (a graph node with inputs)."""
+    made = []
+
+    class RecordingNode(tensor.Node):
+        def __init__(self, requires_grad, inputs=(), backward=None):
+            super().__init__(requires_grad, inputs, backward)
+            if requires_grad and inputs:
+                made.append(backward.__qualname__)
+
+    monkeypatch.setattr(tensor, "Node", RecordingNode)
+    return made
 
 
 def saved_array_refs(root, owned) -> list[weakref.ref]:

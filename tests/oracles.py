@@ -95,7 +95,7 @@ def gelu(x: Tensor) -> Tensor:
     return Tensor(y, x.requires_grad, (x,), _bw)
 
 
-def predict_weights(predictor: WeightPredictor, q: np.ndarray, training: bool = False,
+def predict_weights(predictor: WeightPredictor, q: np.ndarray,
                     rng: np.random.Generator | None = None) -> WeightVector:
-    out = predictor.forward(Tensor(np.asarray(q).reshape(1, -1)), training, rng)
+    out = predictor.forward(Tensor(np.asarray(q).reshape(1, -1)), rng)
     return WeightVector(out.data[0].copy())

@@ -77,12 +77,10 @@ def test_criterion_1_gradient_correctness():
         q = question_repr(lm, [ids])[0]
 
         def forward() -> float:
-            w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
-                             rng=rngmod.stream(3, "crit1-drop"))
+            w = pred.forward(Tensor(q.reshape(1, -1)), rngmod.stream(3, "crit1-drop"))
             return float(lm.loss_with_prompt([combine(basis, w)], [ids], [tgt]).data)
 
-        w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
-                         rng=rngmod.stream(3, "crit1-drop"))
+        w = pred.forward(Tensor(q.reshape(1, -1)), rngmod.stream(3, "crit1-drop"))
         lm.loss_with_prompt([combine(basis, w)], [ids], [tgt]).backward()
         params = pred.parameters()
         analytic = [p.grad for p in params]

@@ -29,6 +29,8 @@ from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
 from promptblend.train import RunRecord, prompted_eval
 
+from graphprobe import record_gradient_ops
+
 TINY = ["--fixture-size", "30", "--fixture-seed", "5", "--val-fraction", "0.2"]
 FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", "10"]
 
@@ -281,6 +283,11 @@ class TestPipelineCommands:
         assert "prompted eval loss" in stdout
         assert "prompted accuracy" in stdout
 
+    def test_eval_builds_no_graph(self, run_dir, monkeypatch, capsys):
+        made = record_gradient_ops(monkeypatch)
+        assert run_cli(["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld")]) == 0
+        assert made == []
+
     def test_report_rerenders_identically(self, run_dir, tmp_path, capsys):
         out = tmp_path / "rerender"
         code = run_cli(["report", "--record", str(run_dir / "record.json"),
@@ -479,6 +486,10 @@ class TestPipelineCommands:
         assert built == [reordered]
 
 
+# a lone surrogate, which a JSON `\ud800` escape gives, has no UTF-8 form
+NOT_UTF8 = "cannot be written as UTF-8 (surrogates not allowed)"
+
+
 def _never_called(*args, **kwargs):
     raise AssertionError("compute started before the flags were checked")
 
@@ -595,7 +606,15 @@ class TestFlagsCheckedBeforeCompute:
         (lambda r: r.update(choices="ABC"),
          "field 'choices' must be a list of objects, got 'ABC'"),
         (lambda r: r.update(answerKey=["A"]), "field 'answerKey' must be a string, got ['A']"),
-    ], ids=["label", "id", "question", "text", "choices", "answerKey"])
+        (lambda r: r.update(id="q\ud800"), f"field 'id' {NOT_UTF8}"),
+        (lambda r: r.update(question="Which \ud800one?"), f"field 'question' {NOT_UTF8}"),
+        (lambda r: r.update(answerKey="\ud800"), f"field 'answerKey' {NOT_UTF8}"),
+        (lambda r: r["choices"][0].update(label="A\ud800"),
+         f"field 'choices[0].label' {NOT_UTF8}"),
+        (lambda r: r["choices"][2].update(text="option \ud800C"),
+         f"field 'choices[2].text' {NOT_UTF8}"),
+    ], ids=["label", "id", "question", "text", "choices", "answerKey", "surrogate-id",
+            "surrogate-question", "surrogate-answerKey", "surrogate-label", "surrogate-text"])
     def test_mistyped_dataset_field_exits_before_any_compute(self, edit, message, tmp_path,
                                                              monkeypatch, capsys):
         monkeypatch.setattr("promptblend.model.pretrain", _never_called)

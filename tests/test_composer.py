@@ -134,14 +134,8 @@ class TestWeightPredictor:
     def test_three_linear_three_dropout(self):
         pred = WeightPredictor.create(seed=1, in_dim=8, out_dim=4, dropout_p=0.9)
         # with p=0.9 and a seeded rng, training mode must zero most entries
-        out = pred.forward(Tensor(np.ones((1, 8))), training=True,
-                           rng=rngmod.stream(3, "drop"))
+        out = pred.forward(Tensor(np.ones((1, 8))), rngmod.stream(3, "drop"))
         assert out.data.shape == (1, 4)
-
-    def test_training_without_rng_rejected(self):
-        pred = WeightPredictor.create(seed=1, in_dim=8, out_dim=4)
-        with pytest.raises(ValueError):
-            pred.forward(Tensor(np.ones((1, 8))), training=True, rng=None)
 
 
 class TestCombine:
@@ -311,13 +305,11 @@ class TestEndToEndGradient:
                                       final_scale=0.05)
 
         def forward():
-            w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
-                             rng=rngmod.stream(12, "fd-drop"))
+            w = pred.forward(Tensor(q.reshape(1, -1)), rngmod.stream(12, "fd-drop"))
             return float(lm.loss_with_prompt([combine(default_basis, w)],
                                              [ids], [tgt]).data)
 
-        w = pred.forward(Tensor(q.reshape(1, -1)), training=True,
-                         rng=rngmod.stream(12, "fd-drop"))
+        w = pred.forward(Tensor(q.reshape(1, -1)), rngmod.stream(12, "fd-drop"))
         loss = lm.loss_with_prompt([combine(default_basis, w)], [ids], [tgt])
         loss.backward()
         params = pred.parameters()

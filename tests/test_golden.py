@@ -1,6 +1,7 @@
 """Pins the bytes of every artifact a small CLI chain writes.
 
-The chain is pretrain -> train -> eval -> report on a small fixture. The
+The chain is pretrain -> train -> eval -> report on a small fixture, then an
+eval of the LM-only bundle and ortho and embed of the trained one. The
 SHA-256 of each artifact, and of each command's stdout with the run
 directory replaced by `{d}`, is compared with `golden.json`, which also
 records the environment the hashes were taken in: Python, numpy and
@@ -44,6 +45,9 @@ CHAIN = [
      "--eval-every", "4", "--seed", "1", "--out", "{d}/train"],
     ["eval", *DATA, "--checkpoint", "{d}/train/checkpoint.pbld", "--out", "{d}/eval"],
     ["report", "--record", "{d}/train/record.json", "--out", "{d}/report"],
+    ["eval", *DATA, "--checkpoint", "{d}/pretrain/checkpoint.pbld", "--out", "{d}/eval-lm"],
+    ["ortho", "--checkpoint", "{d}/train/checkpoint.pbld", "--out", "{d}/ortho"],
+    ["embed", "--checkpoint", "{d}/train/checkpoint.pbld", "--out", "{d}/embed"],
 ]
 # the one field that measures time rather than computing a result
 WALL_CLOCK = re.compile(rb'\n  "wall_clock_seconds": [^\n]*')
@@ -82,13 +86,14 @@ def _sha256(data: bytes) -> str:
 
 def artifact_hashes(root: Path) -> dict:
     """Run the chain under `root` and hash each file it wrote, by relative
-    path, and each command's stdout, as `stdout/<command>`."""
+    path, and each command's stdout, as `stdout/<its --out directory>`."""
     hashes = {}
     for argv in CHAIN:
         with contextlib.redirect_stdout(io.StringIO()) as out:
             code = run_cli([a.format(d=root) for a in argv])
         assert code == 0, f"{argv[0]} exited {code}"
-        hashes[f"stdout/{argv[0]}"] = _sha256(out.getvalue().replace(str(root), "{d}").encode())
+        out_dir = argv[argv.index("--out") + 1].rsplit("/", 1)[-1]
+        hashes[f"stdout/{out_dir}"] = _sha256(out.getvalue().replace(str(root), "{d}").encode())
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         data = path.read_bytes()
         if path.name == "record.json":

@@ -81,6 +81,16 @@ class TestPretrain:
         assert lm.frozen
         assert all(not p.requires_grad for p in lm.params.values())
 
+    def test_frozen_is_what_the_parameters_say(self):
+        lm = FrozenLM(td.Vocab.build(["a b"]), SMALL, seed=0)
+        assert not lm.frozen
+        lm.set_frozen(True)
+        assert lm.frozen
+        lm.params["enc.ln1.bias"].requires_grad = True
+        assert not lm.frozen
+        with pytest.raises(AttributeError):
+            lm.frozen = True
+
     def test_non_finite_loss_aborts_with_step_index(self):
         # an infinite learning rate makes every parameter non-finite after
         # the first step, so the second step's loss is NaN; numpy's warnings

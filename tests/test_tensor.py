@@ -131,44 +131,43 @@ class TestCrossEntropy:
 class TestDropout:
     def test_zero_probability_is_identity(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        y = dropout(x, 0.0, training=True, rng=rngmod.stream(0, "d"))
+        y = dropout(x, 0.0, rngmod.stream(0, "d"))
         assert np.array_equal(y.data, x.data)
 
     def test_eval_mode_is_bit_exact_identity(self):
         gen = rngmod.stream(4, "drop-eval")
         x = Tensor(gen.normal(size=(5, 5)))
-        y = dropout(x, 0.7, training=False, rng=gen)
+        y = dropout(x, 0.7, None)
         assert y.data.tobytes() == x.data.tobytes()
 
     def test_identity_adds_no_node(self):
         gen = rngmod.stream(4, "drop-eval")
         x = Tensor(gen.normal(size=(5, 5)), requires_grad=True)
-        assert dropout(x, 0.7, training=False, rng=gen) is x
-        assert dropout(x, 0.0, training=True, rng=gen) is x
+        assert dropout(x, 0.7, None) is x
+        assert dropout(x, 0.0, gen) is x
 
     def test_survivor_scaling_preserves_mean(self):
         x = Tensor(np.ones(100_000))
-        y = dropout(x, 0.5, training=True, rng=rngmod.stream(5, "drop-lln"))
+        y = dropout(x, 0.5, rngmod.stream(5, "drop-lln"))
         assert 0.97 <= float(y.data.mean()) <= 1.03
 
     def test_invalid_probability(self):
         with pytest.raises(ValueError):
-            dropout(Tensor(np.ones(3)), 1.0, training=True, rng=rngmod.stream(0, "d"))
+            dropout(Tensor(np.ones(3)), 1.0, rngmod.stream(0, "d"))
 
     def test_same_seed_same_mask(self):
         x = Tensor(np.ones((8, 8)))
-        a = dropout(x, 0.4, training=True, rng=rngmod.stream(6, "mask"))
-        b = dropout(x, 0.4, training=True, rng=rngmod.stream(6, "mask"))
+        a = dropout(x, 0.4, rngmod.stream(6, "mask"))
+        b = dropout(x, 0.4, rngmod.stream(6, "mask"))
         assert a.data.tobytes() == b.data.tobytes()
 
     def test_gradient_uses_the_same_mask(self):
         x = Tensor(np.ones((4, 4)), requires_grad=True)
 
         def run():
-            return float(total(dropout(x, 0.5, training=True,
-                                       rng=rngmod.stream(7, "gm"))).data)
+            return float(total(dropout(x, 0.5, rngmod.stream(7, "gm"))).data)
 
-        y = dropout(x, 0.5, training=True, rng=rngmod.stream(7, "gm"))
+        y = dropout(x, 0.5, rngmod.stream(7, "gm"))
         total(y).backward()
         fd = finite_difference(run, [x])
         assert max_rel_error([x.grad], fd) < 1e-6
@@ -333,9 +332,9 @@ class TestSavedArrays:
         bias = Tensor(np.zeros(6), requires_grad=True)
         h = concat_rows([x, embedding_lookup(table, [1, 3]),
                          weighted_sum(gen.normal(size=(3, 2, 6)), w)])
-        h = dropout(layer_norm(h, bias, bias), 0.5, True, gen) * 2.0
+        h = dropout(layer_norm(h, bias, bias), 0.5, gen) * 2.0
         h = concat_cols([slice_cols(h, 3, 6), slice_cols(h, 0, 3)])
-        h = attention_core(h, h, h, np.zeros((8, 8)), 0.5, 1, 2) + scatter_rows(h * h, range(8), 8)
+        h = attention_core(h, h, h, np.zeros((8, 8)), 1, 2) + scatter_rows(h * h, range(8), 8)
         root = cross_entropy(gelu(linear(h, Tensor(gen.normal(size=(6, 6))), bias)),
                              [[1] * 8], pad_id=0)
         closures = [n.backward for n in _postorder(root) if n.backward is not None]
@@ -426,11 +425,13 @@ class TestFusedOps:
         v = Tensor(gen.normal(size=(5, 3)))
         mask = np.zeros((4, 5))
         mask[:, 2] = -1e30
-        fused = attention_core(q, k, v, mask, 0.5, 1, 1)
-        unfused = matmul(softmax(matmul(q, transpose(k)) * 0.5 + Tensor(mask)), v)
+        fused = attention_core(q, k, v, mask, 1, 1)
+        scale = 1 / np.sqrt(3)
+        unfused = matmul(softmax(matmul(q, transpose(k)) * scale + Tensor(mask)), v)
         assert np.max(np.abs(fused.data - unfused.data)) < 1e-14
-        assert np.all(np.exp((q.data @ k.data.T * 0.5 + mask)
-                             - (q.data @ k.data.T * 0.5 + mask).max(-1, keepdims=True))[:, 2] == 0)
+        assert np.all(np.exp((q.data @ k.data.T * scale + mask)
+                             - (q.data @ k.data.T * scale + mask).max(-1, keepdims=True))[:, 2]
+                      == 0)
 
     def test_attention_core_gradcheck(self):
         gen = rngmod.stream(23, "attn-grad")
@@ -440,11 +441,49 @@ class TestFusedOps:
         mask = np.zeros((3, 5))
         mask[:, 4] = -1e30
         params = [q, k, v]
-        total(attention_core(q, k, v, mask, 0.7, 1, 1)).backward()
+        total(attention_core(q, k, v, mask, 1, 1)).backward()
         fd = finite_difference(
-            lambda: float(total(attention_core(q, k, v, mask, 0.7, 1, 1)).data), params)
+            lambda: float(total(attention_core(q, k, v, mask, 1, 1)).data), params)
         assert max_rel_error([p.grad for p in params], fd) < 1e-4
         assert np.all(k.grad[4] == 0) and np.all(v.grad[4] == 0)
+
+
+_STACK = rngmod.stream(31, "chain-stack").normal(size=(3, 3, 4))
+# each op of a chain on [3, 4] tensors: its operands' shapes (a [3, 4] operand
+# comes from the chain so far, any other is a fresh leaf) and the op
+_CHAIN_OPS = {
+    "add": ([(3, 4), (3, 4)], lambda a, b: a + b),
+    "mul": ([(3, 4), (3, 4)], lambda a, b: a * b),
+    "scale": ([(3, 4)], lambda a: a * 2.0),
+    "linear": ([(3, 4), (4, 4), (4,)], linear),
+    "layer_norm": ([(3, 4), (4,), (4,)], layer_norm),
+    "gelu": ([(3, 4)], gelu),
+    "dropout": ([(3, 4)], lambda a: dropout(a, 0.5, rngmod.stream(0, "chain"))),
+    "attention": ([(3, 4)] * 3, lambda q, k, v: attention_core(q, k, v, np.zeros((3, 3)), 1, 2)),
+    "cols": ([(3, 4), (3, 4)], lambda a, b: concat_cols([slice_cols(a, 0, 1),
+                                                         slice_cols(b, 1, 4)])),
+    "rows": ([(3, 4), (3, 4)], lambda a, b: embedding_lookup(concat_rows([a, b]), [0, 4, 5])),
+    "scatter": ([(3, 4)], lambda a: scatter_rows(a, [2, 0, 1], 3)),
+    "weighted_sum": ([(3,)], lambda w: weighted_sum(_STACK, w)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), leaf_flags=st.lists(st.booleans(), min_size=1, max_size=3))
+def test_an_op_output_wants_a_gradient_exactly_when_an_input_does(data, leaf_flags):
+    gen = rngmod.stream(32, "chain")
+    chain = [Tensor(gen.normal(size=(3, 4)), requires_grad=f) for f in leaf_flags]
+    with np.errstate(all="ignore"):  # long chains may overflow; only flags matter
+        for name in data.draw(st.lists(st.sampled_from(sorted(_CHAIN_OPS)), max_size=8)):
+            shapes, op = _CHAIN_OPS[name]
+            inputs = [chain[data.draw(st.integers(0, len(chain) - 1))] if shape == (3, 4)
+                      else Tensor(gen.normal(size=shape), requires_grad=data.draw(st.booleans()))
+                      for shape in shapes]
+            out = op(*inputs)
+            assert out.requires_grad == any(x.requires_grad for x in inputs), name
+            chain.append(out)
+        loss = cross_entropy(chain[-1], [[1, 2, 3]], pad_id=0)
+    assert loss.requires_grad == chain[-1].requires_grad
 
 
 @settings(max_examples=30, deadline=None)

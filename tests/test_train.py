@@ -19,7 +19,7 @@ from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConf
                                _batch_loss, _scored_entries, _training_entries,
                                control_eval, prompted_eval, stability_metric, train)
 
-from graphprobe import saved_array_refs
+from graphprobe import record_gradient_ops, saved_array_refs
 
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
@@ -135,6 +135,21 @@ class TestTrain:
                       TrainConfig(epochs=1, seed=0))
         finally:
             lm.set_frozen(True)
+
+    def test_one_parameter_wanting_a_gradient_is_rejected_before_any_step(self, setup,
+                                                                          monkeypatch):
+        lm, basis, train_set, eval_set = setup
+        steps = []
+        monkeypatch.setattr("promptblend.train._batch_loss", lambda *a: steps.append(a))
+        try:
+            lm.params["out.w"].requires_grad = True
+            assert not lm.frozen
+            with pytest.raises(FrozenContractError):
+                train(lm, _predictor(lm, basis), basis, train_set, eval_set,
+                      TrainConfig(epochs=1, seed=0))
+        finally:
+            lm.set_frozen(True)
+        assert steps == [] and lm.params["out.w"].grad is None
 
     def test_empty_dataset_rejected(self, setup):
         lm, basis, _, eval_set = setup
@@ -264,6 +279,13 @@ class TestPromptedEval:
         result = prompted_eval(lm, _predictor(lm, basis), basis, eval_set)
         assert len(result.weights) == len(eval_set)
         assert len(result.losses) == len(eval_set)
+
+    def test_builds_no_graph(self, setup, monkeypatch):
+        lm, basis, _, eval_set = setup
+        pred = _predictor(lm, basis)
+        made = record_gradient_ops(monkeypatch)
+        prompted_eval(lm, pred, basis, eval_set)
+        assert made == []
 
     def test_deterministic(self, setup):
         lm, basis, _, eval_set = setup
