@@ -1,11 +1,12 @@
 """Command-line entry point.
 
 Subcommands: pretrain, embed, train, eval, report, ortho. Exit codes:
-0 success, 1 validation error, 2 runtime failure. eval, ortho and embed
-always print, and write files only with --out. A command writes its files
-into a temp dir beside --out, then moves each into --out, replacing its
-namesake; a failure before then leaves --out as it was, and files of an
-earlier run that the command does not write stay.
+0 success, 1 validation error, 2 runtime failure, 130 interrupted (Ctrl-C).
+report reads only the run's record.json. eval, ortho and embed always
+print, and write files only with --out. A command writes its files into a
+temp dir beside --out, then moves each into --out, replacing its namesake;
+a failure before then leaves --out as it was, and files of an earlier run
+that the command does not write stay.
 """
 
 from __future__ import annotations
@@ -111,10 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None)
 
-    p = sub.add_parser("report", help="re-render report files from a saved run record")
+    p = sub.add_parser("report", help="re-render report files from a run's record.json alone")
     p.add_argument("--record", required=True)
-    p.add_argument("--checkpoint", default=None,
-                   help="checkpoint for basis embeddings; defaults to the record's sibling")
     p.add_argument("--top", type=at_least(1), default=3)
     p.add_argument("--out", required=True)
 
@@ -194,8 +193,8 @@ def _write_outputs(out_dir, files: dict) -> None:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _report_files(record: RunRecord, basis, top: int) -> dict:
-    bundle = report.render_report(record, basis, n_top=top)
+def _report_files(record: RunRecord, top: int) -> dict:
+    bundle = report.render_report(record, n_top=top)
     return {"curve.csv": report.render_curve_csv(record), "report.txt": bundle.text,
             "report.json": bundle.json_text}
 
@@ -238,7 +237,7 @@ def _cmd_train(args) -> int:
                                        dropout_p=args.dropout,
                                        final_scale=args.final_init_scale)
     record = _train(lm, predictor, basis, train_set, eval_set, config)
-    files = {**_report_files(record, basis, args.top), "record.json": record.to_json() + "\n",
+    files = {**_report_files(record, args.top), "record.json": record.to_json() + "\n",
              "checkpoint.pbld": bundle_bytes(lm, predictor, basis_prompts)}
     _write_outputs(args.out, files)
     print(f"control eval loss:  {record.control_eval_loss:.4f}")
@@ -272,14 +271,9 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    record_path = Path(args.record)
-    record = RunRecord.from_json(record_path.read_text(encoding="utf-8"))
+    record = RunRecord.from_json(Path(args.record).read_bytes())
     _check_top(args.top, record.basis_prompts)
-    lm, _, _ = load_bundle(args.checkpoint or record_path.parent / "checkpoint.pbld")
-    if (lm_hash := lm.param_hash()) != record.lm_param_hash:
-        raise ValueError(f"the checkpoint's LM hash {lm_hash} is not the record's "
-                         f"{record.lm_param_hash}")
-    files = _report_files(record, composer.build_basis(record.basis_prompts, lm), args.top)
+    files = _report_files(record, args.top)
     _write_outputs(args.out, files)
     print(f"wrote {', '.join(sorted(files))} to {args.out}")
     return 0
@@ -295,7 +289,7 @@ def _basis_for_inspection(args):
 
 def _cmd_ortho(args) -> int:
     basis = _basis_for_inspection(args)
-    text, _ = report.render_ortho(basis)
+    text, _ = report.render_ortho(basis.prompts, basis.gram)
     _write_outputs(args.out, {"ortho.txt": text})
     print(text, end="")
     return 0
@@ -308,7 +302,7 @@ def _cmd_embed(args) -> int:
         "padded_length": basis.length,
         "embed_dim": basis.embed_dim,
         "gram": [[f"{v:.4f}" for v in row] for row in basis.gram],
-        "orthogonality_score": composer.orthogonality_score(basis),
+        "orthogonality_score": composer.orthogonality_score(basis.gram),
     }
     text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
     _write_outputs(args.out, {"basis.json": text})
@@ -328,8 +322,9 @@ _COMMANDS = {
 
 def exit_code(run) -> int:
     """run()'s exit code; a validation error or a missing input path becomes
-    exit 1 and a runtime failure exit 2, each reported as one line on stderr.
-    Floating-point warnings are silenced: a diverging run is reported by its loss check."""
+    exit 1, a runtime failure exit 2 and an interrupt (SIGINT) exit 130, each
+    reported as one line on stderr. Floating-point warnings are silenced: a
+    diverging run is reported by its loss check."""
     try:
         with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
             return run()
@@ -340,6 +335,9 @@ def exit_code(run) -> int:
     except (RuntimeError, OSError) as e:
         print(f"runtime failure: {e}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return 130
 
 
 def run_cli(argv=None) -> int:

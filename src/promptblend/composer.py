@@ -36,11 +36,10 @@ class BasisError(ValueError):
 def load_basis_file(path) -> list[str]:
     """One prompt per line; blank lines and `#` comments are skipped."""
     prompts = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            stripped = line.strip()
-            if stripped and not stripped.startswith("#"):
-                prompts.append(stripped)
+    for line in td.read_lines(path, BasisError, f"basis file {path} "):
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            prompts.append(stripped)
     if not prompts:
         raise BasisError(f"basis file {path} contains no prompts")
     return prompts
@@ -187,24 +186,23 @@ def combine(basis: PromptBasis, w: Tensor) -> Tensor:
     return weighted_sum(basis.embeddings, w)
 
 
-def top_contributors(w: WeightVector, basis: PromptBasis, n: int) -> list[tuple[str, float]]:
+def top_contributors(w: WeightVector, prompts: list[str], n: int) -> list[tuple[str, float]]:
     """Prompts by descending signed weight; ties break toward lower index."""
-    values = w.values
-    if values.size != basis.size:
-        raise ValueError(f"weight vector length {values.size} does not match basis "
-                         f"size {basis.size}")
-    if n > basis.size:
-        raise ValueError(f"asked for top {n} of a {basis.size}-prompt basis")
+    values, k = w.values, len(prompts)
+    if values.size != k:
+        raise ValueError(f"weight vector length {values.size} does not match basis size {k}")
+    if n > k:
+        raise ValueError(f"asked for top {n} of a {k}-prompt basis")
     order = sorted(range(values.size), key=lambda i: (-values[i], i))
-    return [(basis.prompts[i], float(values[i])) for i in order[:n]]
+    return [(prompts[i], float(values[i])) for i in order[:n]]
 
 
-def orthogonality_score(basis: PromptBasis) -> float:
-    """1 minus the mean absolute off-diagonal Gram entry; 1.0 for K=1."""
-    k = basis.size
+def orthogonality_score(gram: np.ndarray) -> float:
+    """1 minus the mean absolute off-diagonal entry of a [K, K] Gram matrix; 1.0 for K=1."""
+    k = len(gram)
     if k == 1:
         return 1.0
-    off = np.abs(basis.gram[~np.eye(k, dtype=bool)])
+    off = np.abs(gram[~np.eye(k, dtype=bool)])
     return float(1.0 - off.mean())
 
 

@@ -1,9 +1,9 @@
 """Report rendering: weight tables, loss curves, orthogonality summaries.
 
-Rendering is a pure function of the run record (and basis), so the same
-record always produces byte-identical files. Numbers are read from the
-record; nothing is recomputed. Weights print with exactly 4 decimals,
-per-example rows are ordered hardest (highest loss) first.
+Rendering is a pure function of the run record, so the same record always
+produces byte-identical files. Every number, the basis Gram matrix too, is
+read from the record; nothing is recomputed. Weights print with exactly 4
+decimals, per-example rows are ordered hardest (highest loss) first.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .composer import PromptBasis, WeightVector, orthogonality_score, top_contributors
+from .composer import WeightVector, orthogonality_score, top_contributors
 from .train import RunRecord
 
 NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
@@ -30,21 +30,20 @@ def _fmt_w(value: float) -> str:
     return f"{value:.4f}"
 
 
-def _ortho_section(basis: PromptBasis) -> dict:
-    k = basis.size
-    gram_rendered = [[_fmt_w(basis.gram[i, j]) for j in range(k)] for i in range(k)]
+def _ortho_section(prompts: list[str], gram) -> dict:
+    k, gram = len(prompts), np.asarray(gram)
     section = {
-        "score": orthogonality_score(basis),
-        "gram": gram_rendered,
-        "prompts": list(basis.prompts),
+        "score": orthogonality_score(gram),
+        "gram": [[_fmt_w(gram[i, j]) for j in range(k)] for i in range(k)],
+        "prompts": list(prompts),
     }
     if k > 1:
-        off = np.abs(basis.gram - np.eye(k))
+        off = np.abs(gram - np.eye(k))
         i, j = np.unravel_index(int(np.argmax(off)), off.shape)
         i, j = (int(min(i, j)), int(max(i, j)))
         section["most_parallel_pair"] = {
             "indices": [i, j],
-            "similarity": float(basis.gram[i, j]),
+            "similarity": float(gram[i, j]),
         }
     return section
 
@@ -63,18 +62,13 @@ def _ortho_text_lines(section: dict) -> list[str]:
     return lines
 
 
-def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> ReportBundle:
+def render_report(record: RunRecord, n_top: int = 3) -> ReportBundle:
     """Build the human table and the structured file for one run."""
-    if list(record.basis_prompts) != list(basis.prompts):
-        raise ValueError("basis does not match the prompts recorded for this run")
-    recorded = record.config.get("prompt_length", basis.length)
-    if recorded != basis.length:
-        raise ValueError(f"basis pads prompts to {basis.length} rows, but the run "
-                         f"recorded prompt length {recorded}")
+    prompts, length = record.basis_prompts, record.config["prompt_length"]
     metadata = {
         "config": dict(record.config),
-        "basis_size": basis.size,
-        "prompt_length": basis.length,
+        "basis_size": len(prompts),
+        "prompt_length": length,
         "lm_param_hash": record.lm_param_hash,
     }
     control = record.control_eval_loss
@@ -87,7 +81,7 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
     ordered = sorted(record.examples, key=lambda e: -e.loss)
     rows = []
     for ex in ordered:
-        contributors = top_contributors(WeightVector(ex.weights), basis, n_top)
+        contributors = top_contributors(WeightVector(ex.weights), prompts, n_top)
         rows.append({
             "id": ex.id,
             "loss": ex.loss,
@@ -97,14 +91,14 @@ def render_report(record: RunRecord, basis: PromptBasis, n_top: int = 3) -> Repo
                 for p, w in contributors
             ],
         })
-    ortho = _ortho_section(basis)
+    ortho = _ortho_section(prompts, record.gram)
 
     lines = ["promptblend run report", "======================", ""]
     cfg = record.config
     lines.append(f"epochs={cfg['epochs']} batch_size={cfg['batch_size']} "
                  f"lr={cfg['lr']} dropout={cfg['dropout_p']} "
                  f"weight_decay={cfg['weight_decay']} seed={cfg['seed']}")
-    lines.append(f"basis: {basis.size} prompts, padded length {basis.length}")
+    lines.append(f"basis: {len(prompts)} prompts, padded length {length}")
     lines.append(f"frozen lm hash: {record.lm_param_hash}")
     lines.append("")
     lines.append("summary")
@@ -151,12 +145,12 @@ def render_curve_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ortho(basis: PromptBasis) -> tuple[str, dict]:
-    """Standalone orthogonality report for a basis."""
-    section = _ortho_section(basis)
+def render_ortho(prompts: list[str], gram) -> tuple[str, dict]:
+    """Standalone orthogonality report for a basis's prompts and Gram matrix."""
+    section = _ortho_section(prompts, gram)
     lines = _ortho_text_lines(section)
     lines.append("")
     lines.append("prompts:")
-    for i, p in enumerate(basis.prompts, start=1):
+    for i, p in enumerate(prompts, start=1):
         lines.append(f"  {i}. {p}")
     return "\n".join(lines) + "\n", section

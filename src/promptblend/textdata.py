@@ -134,30 +134,43 @@ def _example_from_record(rec) -> QAExample:
     return ex
 
 
+def read_lines(path, error: type[ValueError] = DatasetError, where: str = "") -> list[str]:
+    """The lines of a UTF-8 file, split where text mode splits them; a line
+    that is not UTF-8 raises `error`, naming the line after `where`."""
+    lines = []
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f.read().splitlines(), start=1):
+            try:
+                lines.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as e:
+                raise error(f"{where}line {lineno}: not valid UTF-8 (byte {e.start + 1}: "
+                            f"{e.reason})") from e
+    return lines
+
+
 def load_dataset(path) -> list[QAExample]:
     """Parse a line-delimited record file; errors carry the line number,
     and a repeated id names both of its lines."""
     examples: list[QAExample] = []
     id_lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
-            except RecursionError as e:
-                raise DatasetError(f"line {lineno}: invalid record (nested too deeply)") from e
-            try:
-                ex = _example_from_record(rec)
-            except DatasetError as e:
-                raise DatasetError(f"line {lineno}: {e}") from e
-            if ex.id in id_lines:
-                raise DatasetError(f"line {lineno}: id {ex.id!r} already used on line "
-                                   f"{id_lines[ex.id]}")
-            id_lines[ex.id] = lineno
-            examples.append(ex)
+    for lineno, line in enumerate(read_lines(path), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
+        except RecursionError as e:
+            raise DatasetError(f"line {lineno}: invalid record (nested too deeply)") from e
+        try:
+            ex = _example_from_record(rec)
+        except DatasetError as e:
+            raise DatasetError(f"line {lineno}: {e}") from e
+        if ex.id in id_lines:
+            raise DatasetError(f"line {lineno}: id {ex.id!r} already used on line "
+                               f"{id_lines[ex.id]}")
+        id_lines[ex.id] = lineno
+        examples.append(ex)
     return examples
 
 

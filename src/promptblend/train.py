@@ -107,10 +107,11 @@ REPORTED_CONFIG = {"epochs": int, "batch_size": int, "lr": float, "dropout_p": f
 
 @dataclass
 class RunRecord:
-    """Everything a report needs; losses here are the exact values seen."""
+    """Everything a report needs, and all it reads; losses are the exact values seen."""
 
     config: dict
     basis_prompts: list[str]
+    gram: list[list[float]]  # [K, K] cosines between the basis prompts' embeddings
     steps: list[StepRecord] = field(default_factory=list)
     epoch_means: list[float] = field(default_factory=list)
     eval_losses: list[tuple[int, float]] = field(default_factory=list)  # [step, mean loss]
@@ -124,9 +125,13 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """The record from its asdict() form. Beyond _from_dict's checks, the
-        config holds each REPORTED_CONFIG key with its type and every loss is
-        finite; a failure raises ValueError naming the field."""
+        config holds each REPORTED_CONFIG key with its type, gram is K rows of K
+        cosines and every loss is finite; a failure raises ValueError naming it."""
         record = _from_dict(cls, d)
+        k = len(record.basis_prompts)
+        if len(record.gram) != k or any(len(row) != k or not all(-1 <= v <= 1 for v in row)
+                                        for row in record.gram):
+            raise ValueError(f"malformed RunRecord: gram must be {k} rows of {k} cosines")
         for key, kind in REPORTED_CONFIG.items():
             if key not in record.config:
                 raise ValueError(f"malformed RunRecord: config has no {key!r}")
@@ -148,11 +153,15 @@ class RunRecord:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "RunRecord":
+    def from_json(cls, text: str | bytes) -> "RunRecord":
+        """The record from its to_json() text, or from bytes holding it as UTF-8."""
         try:
-            d = json.loads(text)
+            d = json.loads(text.decode("utf-8") if isinstance(text, bytes) else text)
         except RecursionError as e:
             raise ValueError(f"malformed {cls.__name__}: JSON nested too deeply") from e
+        except UnicodeDecodeError as e:
+            raise ValueError(f"malformed {cls.__name__}: not valid UTF-8 (byte {e.start + 1}: "
+                             f"{e.reason})") from e
         return cls.from_dict(d)
 
 
@@ -315,7 +324,7 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     tail = {name: settings.pop(name) for name in ("seed", "eval_every")}
     record = RunRecord(config={**settings, "dropout_p": predictor.dropout_p, **tail,
                                "prompt_length": basis.length},
-                       basis_prompts=list(basis.prompts))
+                       basis_prompts=list(basis.prompts), gram=basis.gram.tolist())
 
     def batch_loss(indices) -> Tensor:
         return _batch_loss(lm, predictor, basis, [entries[int(i)] for i in indices], drop_rng)

@@ -202,17 +202,18 @@ def test_criterion_6_interpretability_fidelity(small_lm):
             "Summarize the key insights needed to answer in a short poem",
         ], lm)
         ranked = top_contributors(WeightVector(np.array([1.4863, -0.0842, -0.8324])),
-                                  table4, n=3)
+                                  table4.prompts, n=3)
         assert [p for p, _ in ranked] == table4.prompts
         four = build_basis(DEFAULT_BASIS_PROMPTS[:4], lm)
         reading = top_contributors(WeightVector(np.array([1.1, 0.0, -0.5, 3.0])),
-                                   four, n=4)
+                                   four.prompts, n=4)
         assert reading[0][0] == four.prompts[3]  # index 4 contributes most
         assert reading[-1][0] == four.prompts[2]  # index 3 is the inverse relation
 
         record = RunRecord(config={"epochs": 20, "batch_size": 10, "lr": 1e-3,
-                                   "dropout_p": 0.1, "weight_decay": 0.01, "seed": 0},
-                           basis_prompts=list(table4.prompts))
+                                   "dropout_p": 0.1, "weight_decay": 0.01, "seed": 0,
+                                   "prompt_length": table4.length},
+                           basis_prompts=list(table4.prompts), gram=table4.gram.tolist())
         record.control_eval_loss = 8.5
         record.prompted_eval_loss = 8.1
         record.examples = [
@@ -222,7 +223,7 @@ def test_criterion_6_interpretability_fidelity(small_lm):
             ExampleEval(id="c", question="easy", loss=7.93, weights=[0.3, 0.2, 0.1]),
         ]
         record.lm_param_hash = "x"
-        bundle = render_report(record, table4, n_top=3)
+        bundle = render_report(record, n_top=3)
         assert [r["loss"] for r in bundle.rows] == [8.39, 8.08, 7.93]
         assert "(1.4863)" in bundle.text
         assert "(-0.0842)" in bundle.text
@@ -280,7 +281,7 @@ def test_criterion_9_orthogonality_analyzer(small_lm):
                       "1.0; random bases stay in [0, 1]"):
         lm, _ = small_lm
         dup = build_basis(["repeat me", "repeat me"], lm)
-        assert orthogonality_score(dup) == 0.0
+        assert orthogonality_score(dup.gram) == 0.0
         vocab = td.Vocab.build(["aa bb cc dd"])
         config = LMConfig(embed_dim=len(vocab), num_heads=2, ffn_dim=8,
                           max_positions=16)
@@ -288,12 +289,12 @@ def test_criterion_9_orthogonality_analyzer(small_lm):
         ortho_lm.params["embedding"].data[:] = np.eye(len(vocab))
         ortho_lm.params["embedding"].data[td.PAD_ID, :] = 0.0
         ortho_lm.set_frozen(True)
-        assert orthogonality_score(build_basis(["aa bb", "cc dd"], ortho_lm)) == 1.0
+        assert orthogonality_score(build_basis(["aa bb", "cc dd"], ortho_lm).gram) == 1.0
         gen = rngmod.stream(7, "crit9")
         words = lm.vocab.non_reserved()
         for _ in range(100):
             k = int(gen.integers(2, 7))
             prompts = [" ".join(words[int(i)] for i in
                                 gen.integers(0, len(words), size=4)) for _ in range(k)]
-            score = orthogonality_score(build_basis(prompts, lm))
+            score = orthogonality_score(build_basis(prompts, lm).gram)
             assert 0.0 <= score <= 1.0

@@ -10,6 +10,8 @@ import re
 import resource
 import runpy
 import shlex
+import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -39,7 +41,8 @@ def _stub_record_json() -> str:
     """A record of no run, with the config keys a report reads."""
     config = {"epochs": 1, "batch_size": 10, "lr": 1e-3, "dropout_p": 0.1,
               "weight_decay": 0.01, "seed": 0, "prompt_length": 20}
-    return RunRecord(config=config, basis_prompts=list(DEFAULT_BASIS_PROMPTS)).to_json()
+    return RunRecord(config=config, basis_prompts=list(DEFAULT_BASIS_PROMPTS),
+                     gram=np.eye(len(DEFAULT_BASIS_PROMPTS)).tolist()).to_json()
 
 
 def _train(out, seed="1", extra=()):
@@ -83,12 +86,10 @@ class TestDispatch:
         (["ortho", "--basis", "{tmp}/missing.txt"], "{tmp}/missing.txt"),
         (["report", "--record", "{tmp}/missing.json", "--out", "{tmp}/run"],
          "{tmp}/missing.json"),
-        (["report", "--record", "{tmp}/record.json", "--out", "{tmp}/run"],
-         "{tmp}/checkpoint.pbld"),
         (["eval", "--checkpoint", "{tmp}/missing.pbld", "--data", "{tmp}/record.json/x"],
          "{tmp}/record.json/x"),
     ], ids=["eval-checkpoint", "train-data-dir", "ortho-basis", "report-record",
-            "report-sibling-checkpoint", "under-a-file"])
+            "under-a-file"])
     def test_missing_input_path_is_validation_error(self, argv, path, tmp_path, capsys):
         (tmp_path / "record.json").write_text(_stub_record_json())
         assert run_cli([a.format(tmp=tmp_path) for a in argv]) == 1
@@ -296,19 +297,33 @@ class TestPipelineCommands:
         for name in ("report.txt", "report.json", "curve.csv"):
             assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
 
-    def test_report_rejects_another_lms_checkpoint(self, run_dir, tmp_path, capsys):
-        other = tmp_path / "other"
-        assert run_cli(["pretrain", *TINY, "--epochs", "1", "--seed", "4",
-                        "--out", str(other)]) == 0
-        capsys.readouterr()
-        out = tmp_path / "out"
-        assert run_cli(["report", "--record", str(run_dir / "record.json"), "--checkpoint",
-                        str(other / "checkpoint.pbld"), "--out", str(out)]) == 1
+    def test_report_reads_only_the_record(self, run_dir, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(run_dir, run)
+        (run / "checkpoint.pbld").unlink()
+        out = tmp_path / "rerender"
+        assert run_cli(["report", "--record", str(run / "record.json"), "--out", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["curve.csv", "report.json",
+                                                         "report.txt"]
+        for name in ("report.txt", "report.json", "curve.csv"):
+            assert (out / name).read_bytes() == (run_dir / name).read_bytes(), name
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r.pop("gram"), "malformed RunRecord: expected fields"),
+        (lambda r: r["gram"].pop(), "malformed RunRecord: gram must be 7 rows of 7 cosines"),
+        (lambda r: r["gram"][2].pop(), "malformed RunRecord: gram must be 7 rows of 7 cosines"),
+        (lambda r: r["gram"][1].__setitem__(3, math.nan),
+         "malformed RunRecord: gram must be 7 rows of 7 cosines"),
+    ], ids=["missing", "six_rows", "ragged", "nan"])
+    def test_bad_gram_is_validation_error(self, edit, message, run_dir, tmp_path, capsys):
+        # a record.json written before the record kept the Gram matrix has no gram
         record = json.loads((run_dir / "record.json").read_text())
-        other_hash = load_bundle(other / "checkpoint.pbld")[0].param_hash()
-        assert other_hash != record["lm_param_hash"]
-        assert capsys.readouterr().err == (f"error: the checkpoint's LM hash {other_hash} is "
-                                           f"not the record's {record['lm_param_hash']}\n")
+        edit(record)
+        path, out = tmp_path / "record.json", tmp_path / "out"
+        path.write_text(json.dumps(record))
+        assert run_cli(["report", "--record", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "gram" in err
         assert not out.exists()
 
     def test_truncated_checkpoint_is_validation_error(self, run_dir, tmp_path, capsys):
@@ -339,8 +354,7 @@ class TestPipelineCommands:
         del record["steps"][0]["loss"]
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
-        code = run_cli(["report", "--record", str(path), "--checkpoint",
-                        str(run_dir / "checkpoint.pbld"), "--out", str(tmp_path / "out")])
+        code = run_cli(["report", "--record", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert "StepRecord" in capsys.readouterr().err
 
@@ -355,8 +369,7 @@ class TestPipelineCommands:
         edit(record)
         path = tmp_path / "record.json"
         path.write_text(json.dumps(record))
-        code = run_cli(["report", "--record", str(path), "--checkpoint",
-                        str(run_dir / "checkpoint.pbld"), "--out", str(tmp_path / "out")])
+        code = run_cli(["report", "--record", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: malformed {message}\n"
 
@@ -391,8 +404,7 @@ class TestPipelineCommands:
         edit(record)
         path, out = tmp_path / "record.json", tmp_path / "out"
         path.write_text(json.dumps(record))
-        code = run_cli(["report", "--record", str(path), "--checkpoint",
-                        str(run_dir / "checkpoint.pbld"), "--out", str(out)])
+        code = run_cli(["report", "--record", str(path), "--out", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
@@ -629,6 +641,23 @@ class TestFlagsCheckedBeforeCompute:
         assert capsys.readouterr().err == f"error: line 1: {message}\n"
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["train", *TINY, "--data"], "line 2: not valid UTF-8 (byte 8: invalid start byte)"),
+        (["train", *TINY, "--basis"],
+         "basis file {path} line 2: not valid UTF-8 (byte 8: invalid start byte)"),
+        (["report", "--record"],
+         "malformed RunRecord: not valid UTF-8 (byte 19: invalid start byte)"),
+    ], ids=["dataset", "basis", "record"])
+    def test_input_that_is_not_utf8_exits_before_any_compute(self, argv, message, tmp_path,
+                                                             monkeypatch, capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
+        path, out = tmp_path / "input", tmp_path / "out"
+        path.write_bytes(b"first line\nsecond \xff line\n")
+        assert run_cli([*argv, str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", ["train", "pretrain"])
     @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
     def test_out_that_cannot_be_a_directory_exits_before_any_compute(
@@ -710,14 +739,18 @@ class TestNeverTraceback:
         assert run_cli(["eval", *TINY, "--checkpoint", str(scratch_file)]) in (0, 1, 2)
 
 
-def _python(*args, cwd=None, preexec_fn=None):
+def _child_env() -> dict:
+    """This process's environment, with this promptblend importable."""
+    src = str(Path(promptblend.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def _python(*args, cwd=None, preexec_fn=None, env=None):
     """A fresh interpreter run with `args`, with this promptblend importable;
     `preexec_fn` runs in the child before it starts."""
-    src = str(Path(promptblend.__file__).parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True, text=True,
-                          timeout=300, env={**os.environ, "PYTHONPATH": path},
-                          preexec_fn=preexec_fn)
+                          timeout=300, env=env or _child_env(), preexec_fn=preexec_fn)
 
 
 def _promptblend(*argv, cwd, preexec_fn=None):
@@ -783,6 +816,59 @@ class TestProcessEntryPoint:
             assert proc.returncode == 0, proc.stderr
             results.append((tmp_path / bundle.stem / "eval.json").read_bytes())
         assert results[0] == results[1]
+
+    def test_an_interrupt_exits_130_with_one_line(self, tmp_path):
+        # a shell's background job starts with SIGINT ignored, so the child
+        # restores its default, which Python turns into KeyboardInterrupt
+        script = "from promptblend.cli import main\nprint('ready', flush=True)\nmain()"
+        child = subprocess.Popen(
+            [sys.executable, "-c", script, "pretrain", "--fixture-size", "1000", "--epochs",
+             "30", "--out", "run"], cwd=tmp_path, env=_child_env(), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True,
+            preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+        try:
+            assert child.stdout.readline() == "ready\n"
+            time.sleep(1.0)  # into pretraining, which takes far longer
+            child.send_signal(signal.SIGINT)
+            _, err = child.communicate(timeout=60)
+        finally:
+            child.kill()
+        assert child.returncode == 130
+        assert err == "interrupted\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_blas_threads_do_not_depend_on_the_import_order(self):
+        # OpenBLAS reads its thread count when numpy loads it, so importing
+        # numpy first used to leave it at the host's default
+        probe = ("import sys\nif sys.argv[1] == 'numpy-first':\n    import numpy\n"
+                 "import promptblend\nimport ctypes, glob, os\nimport numpy as np\n"
+                 "from promptblend import textdata as td\n"
+                 "from promptblend.model import PretrainConfig, pretrain_examples\n"
+                 "libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "
+                 "'numpy.libs', 'libscipy_openblas64_*'))\n"
+                 "print(ctypes.CDLL(libs[0]).scipy_openblas_get_num_threads64_() "
+                 "if libs else None)\n"
+                 "lm = pretrain_examples(td.make_fixture(5, 120), "
+                 "PretrainConfig(epochs=2, batch_size=40), 0)\nprint(lm.param_hash())")
+        env = {k: v for k, v in _child_env().items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        runs = []
+        for order in ("numpy-first", "promptblend-first"):
+            proc = _python("-c", probe, order, env=env)
+            assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+            runs.append(proc.stdout.split())
+        if runs[0][0] == "None":
+            pytest.skip("numpy does not bundle scipy-openblas here")
+        assert runs[0] == runs[1] and runs[0][0] == "1"
+
+    def test_a_numpy_without_openblas_is_named_once(self, tmp_path):
+        fake = ("import sys, types\nnumpy = types.ModuleType('numpy')\n"
+                f"numpy.__file__ = {str(tmp_path / 'numpy' / '__init__.py')!r}\n"
+                "sys.modules['numpy'] = numpy\nimport promptblend")
+        proc = _python("-c", fake)
+        assert proc.returncode == 0
+        assert proc.stderr == ("promptblend: numpy was imported first and its BLAS thread "
+                               "count could not be set to 1\n")
 
     def test_a_bare_import_loads_no_submodule(self):
         # the package root only sets the runtime: importing it loads neither
@@ -897,7 +983,8 @@ def _reach(*args, **kwargs):
 
 @pytest.fixture(scope="module")
 def flag_inputs(tmp_path_factory):
-    """Argv prefixes that reach model.pretrain or load_bundle when every flag is valid."""
+    """Argv prefixes that reach model.pretrain or load_bundle when every flag is
+    valid; report reaches neither, and renders the stub record."""
     root = tmp_path_factory.mktemp("flags")
     record, ck = root / "record.json", root / "checkpoint.pbld"
     record.write_text(_stub_record_json())
@@ -907,7 +994,7 @@ def flag_inputs(tmp_path_factory):
         "pretrain": ["pretrain", *TINY, *out],
         "train": ["train", *TINY, *out],
         "eval": ["eval", *TINY, "--checkpoint", str(ck)],
-        "report": ["report", "--record", str(record), "--checkpoint", str(ck), *out],
+        "report": ["report", "--record", str(record), *out],
         "ortho": ["ortho", "--checkpoint", str(ck)],
         "embed": ["embed", "--checkpoint", str(ck)],
         "run_stability.py": [str(STABILITY), *TINY[:4], "--pretrain-epochs", "1",

@@ -81,6 +81,13 @@ class TestBuildBasis:
         path.write_text("# comment\nfirst prompt\n\nsecond prompt\n")
         assert load_basis_file(path) == ["first prompt", "second prompt"]
 
+    def test_basis_file_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "basis.txt"
+        path.write_bytes(b"first prompt\r\nsecond \xff prompt\n")
+        with pytest.raises(BasisError, match=rf"^basis file {path} line 2: not valid UTF-8 "
+                                             r"\(byte 8: invalid start byte\)$"):
+            load_basis_file(path)
+
 
 class TestQuestionRepr:
     def test_single_token_is_that_state(self, lm):
@@ -153,7 +160,7 @@ class TestCombine:
     def test_signed_weight_reading(self, lm):
         basis = build_basis(DEFAULT_BASIS_PROMPTS[:4], lm)
         w = np.array([1.1, 0.0, -0.5, 3.0])
-        ranked = top_contributors(WeightVector(w), basis, n=4)
+        ranked = top_contributors(WeightVector(w), basis.prompts, n=4)
         assert ranked[0] == (basis.prompts[3], 3.0)  # last prompt contributes most
         assert ranked[-1] == (basis.prompts[2], -0.5)  # second-to-last is inverse
 
@@ -197,19 +204,19 @@ class TestTopContributors:
             "Summarize the key insights needed to answer in a short poem",
         ], lm)
         w = WeightVector(np.array([1.4863, -0.0842, -0.8324]))
-        top = top_contributors(w, basis, n=3)
+        top = top_contributors(w, basis.prompts, n=3)
         assert [p for p, _ in top] == basis.prompts
         assert [round(v, 4) for _, v in top] == [1.4863, -0.0842, -0.8324]
 
     def test_ties_fall_back_to_basis_order(self, default_basis):
-        top = top_contributors(WeightVector(np.full(7, 0.25)), default_basis, n=7)
+        top = top_contributors(WeightVector(np.full(7, 0.25)), default_basis.prompts, n=7)
         assert [p for p, _ in top] == default_basis.prompts
 
     def test_matches_full_sort_oracle(self, default_basis):
         gen = rngmod.stream(5, "sort")
         for _ in range(1000):
             w = gen.normal(size=7)
-            got = top_contributors(WeightVector(w), default_basis, n=7)
+            got = top_contributors(WeightVector(w), default_basis.prompts, n=7)
             oracle = sorted(zip(default_basis.prompts, w),
                             key=lambda pw: (-pw[1], default_basis.prompts.index(pw[0])))
             assert [p for p, _ in got] == [p for p, _ in oracle]
@@ -217,15 +224,15 @@ class TestTopContributors:
     def test_order_invariant_under_positive_scaling(self, default_basis):
         gen = rngmod.stream(6, "scale")
         w = gen.normal(size=7)
-        base = [p for p, _ in top_contributors(WeightVector(w), default_basis, n=7)]
+        base = [p for p, _ in top_contributors(WeightVector(w), default_basis.prompts, n=7)]
         for c in (0.1, 2.0, 17.5):
             scaled = [p for p, _ in
-                      top_contributors(WeightVector(c * w), default_basis, n=7)]
+                      top_contributors(WeightVector(c * w), default_basis.prompts, n=7)]
             assert scaled == base
 
     def test_n_larger_than_basis(self, default_basis):
         with pytest.raises(ValueError):
-            top_contributors(WeightVector(np.zeros(7)), default_basis, n=8)
+            top_contributors(WeightVector(np.zeros(7)), default_basis.prompts, n=8)
 
 
 def _orthogonal_lm():
@@ -242,16 +249,16 @@ def _orthogonal_lm():
 class TestOrthogonality:
     def test_duplicate_prompts_score_zero(self, lm):
         basis = build_basis(["same prompt twice", "same prompt twice"], lm)
-        assert orthogonality_score(basis) == 0.0
+        assert orthogonality_score(basis.gram) == 0.0
 
     def test_disjoint_supports_with_orthogonal_rows_score_one(self):
         lm = _orthogonal_lm()
         basis = build_basis(["aa bb", "cc dd"], lm)
-        assert orthogonality_score(basis) == 1.0
+        assert orthogonality_score(basis.gram) == 1.0
 
     def test_single_prompt_scores_one_by_convention(self, lm):
         basis = build_basis(["lonely prompt"], lm)
-        assert orthogonality_score(basis) == 1.0
+        assert orthogonality_score(basis.gram) == 1.0
 
     def test_score_bounded_on_random_bases(self, lm):
         gen = rngmod.stream(8, "rand-basis")
@@ -260,7 +267,7 @@ class TestOrthogonality:
             k = int(gen.integers(2, 6))
             prompts = [" ".join(words[int(i)] for i in
                                 gen.integers(0, len(words), size=3)) for _ in range(k)]
-            score = orthogonality_score(build_basis(prompts, lm))
+            score = orthogonality_score(build_basis(prompts, lm).gram)
             assert 0.0 <= score <= 1.0
 
 

@@ -14,7 +14,8 @@ A change that moves artifact bits on purpose re-pins with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and says in CHANGES.md which artifacts moved and why.
+which prints each key whose hash moved, and says in CHANGES.md which
+artifacts moved and why.
 """
 
 import contextlib
@@ -109,13 +110,17 @@ def chain(tmp_path_factory):
     return root, artifact_hashes(root)
 
 
+def moved(pinned: dict, got: dict) -> list[str]:
+    """The keys whose hash differs between two hash maps, or that only one holds."""
+    return sorted(k for k in pinned.keys() | got.keys() if pinned.get(k) != got.get(k))
+
+
 def test_artifacts_match_the_pin(chain, tmp_path):
     golden = json.loads(GOLDEN.read_text())
     _, got = chain
     if golden["fingerprint"] == fingerprint():
-        moved = sorted(k for k in golden["sha256"].keys() | got.keys()
-                       if golden["sha256"].get(k) != got.get(k))
-        assert not moved, f"artifacts differ from tests/golden.json: {moved}"
+        keys = moved(golden["sha256"], got)
+        assert not keys, f"artifacts differ from tests/golden.json: {keys}"
         return
     warnings.warn(ForeignEnvironmentWarning(
         f"golden.json was pinned under {golden['fingerprint']}, this is {fingerprint()}: "
@@ -131,7 +136,10 @@ def test_every_bundle_resaves_byte_identically(chain):
 
 
 if __name__ == "__main__":
+    old = json.loads(GOLDEN.read_text()) if GOLDEN.exists() else {"sha256": {}}
     with tempfile.TemporaryDirectory() as tmp:
         pin = {"fingerprint": fingerprint(), "sha256": artifact_hashes(Path(tmp))}
     GOLDEN.write_text(json.dumps(pin, indent=2) + "\n")
+    for key in moved(old["sha256"], pin["sha256"]):
+        print(f"moved: {key}")
     print(f"pinned {len(pin['sha256'])} hashes under {pin['fingerprint']}", file=sys.stderr)

@@ -107,7 +107,7 @@ def test_run_stability_rejects_an_out_that_cannot_be_a_directory(under, tmp_path
 
 
 def _record(batch_size, epoch_means):
-    return RunRecord(config={"batch_size": batch_size}, basis_prompts=[],
+    return RunRecord(config={"batch_size": batch_size}, basis_prompts=[], gram=[],
                      epoch_means=epoch_means)
 
 

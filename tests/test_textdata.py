@@ -85,6 +85,20 @@ class TestDatasetIO:
         path.write_text("")
         assert td.load_dataset(path) == []
 
+    def test_lines_split_where_text_mode_splits_them(self, tmp_path, fixture_1000):
+        path = tmp_path / "mixed.jsonl"
+        td.save_dataset(fixture_1000[:3], path)
+        first, second, third = path.read_bytes().splitlines()
+        path.write_bytes(first + b"\r\n" + second + b"\r" + third)
+        assert td.load_dataset(path) == fixture_1000[:3]
+
+    def test_line_that_is_not_utf8_is_named(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b'\n\r\n{"id": "\xff"}\n')
+        with pytest.raises(td.DatasetError,
+                           match=r"^line 3: not valid UTF-8 \(byte 9: invalid start byte\)$"):
+            td.load_dataset(path)
+
     def test_malformed_json_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         ok = json.dumps({"id": "a", "question": "q?", "answerKey": "A", "choices": [

@@ -90,7 +90,7 @@ class TestTrain:
                        TrainConfig())
         assert list(record.config.items())[3:6] == [("weight_decay", 0.01),
                                                     ("dropout_p", 0.3), ("seed", 0)]
-        assert " dropout=0.3 " in render_report(record, basis, n_top=3).text
+        assert " dropout=0.3 " in render_report(record, n_top=3).text
 
     def test_same_seed_reproduces_the_record(self, setup):
         lm, basis, train_set, eval_set = setup
@@ -215,18 +215,21 @@ class TestTrain:
         record = train(lm, _predictor(lm, basis), basis, train_set, eval_set, cfg)
         back = RunRecord.from_json(record.to_json())
         assert asdict(back) == asdict(record)
+        assert back.gram == record.gram == basis.gram.tolist()
 
     def test_malformed_record_is_a_value_error(self):
         config = {"epochs": 1, "batch_size": 2, "lr": 1e-3, "dropout_p": 0.1,
                   "weight_decay": 0.01, "seed": 0, "prompt_length": 5}
-        good = RunRecord(config=config, basis_prompts=["p"])
+        good = RunRecord(config=config, basis_prompts=["p"], gram=[[1.0]])
         good.steps.append(StepRecord(epoch=1, step=1, batch_size=2, loss=0.5))
         assert RunRecord.from_dict(asdict(good)) == good
         for edit in (lambda d: d["steps"][0].pop("loss"), lambda d: d.pop("examples"),
                      lambda d: d.update(extra=1), lambda d: d.update(steps=3),
                      lambda d: d["config"].pop("lr"), lambda d: d["config"].update(lr="0.1"),
                      lambda d: d["steps"][0].update(loss=float("inf")),
-                     lambda d: d.update(prompted_eval_loss=float("nan"))):
+                     lambda d: d.update(prompted_eval_loss=float("nan")),
+                     lambda d: d.pop("gram"), lambda d: d.update(gram=[[1.0, 0.0]]),
+                     lambda d: d.update(gram=[[float("nan")]])):
             d = asdict(good)
             edit(d)
             with pytest.raises(ValueError, match="malformed"):
@@ -479,7 +482,7 @@ class TestPackedStep:
 
 class TestStabilityMetric:
     def _record(self, means):
-        rec = RunRecord(config={}, basis_prompts=[])
+        rec = RunRecord(config={}, basis_prompts=[], gram=[])
         rec.epoch_means = list(means)
         return rec
 
