@@ -34,13 +34,13 @@ def render_curves(records: list[RunRecord]) -> tuple[list[str], str]:
     for r in records:
         m = stability_metric(r)
         metrics.append(m)
-        lines.append(f"batch_size={r.config['batch_size']} epochs={len(r.epoch_means)} "
+        lines.append(f"batch_size={r.config.batch_size} epochs={len(r.epoch_means)} "
                      f"stability={m!r}")
     if len(records) == 2 and metrics[0] != metrics[1]:
         if min(metrics) > 0:
             lines.append(f"volatility ratio: {max(metrics) / min(metrics):.3f}")
         noisier = records[int(np.argmax(metrics))]
-        lines.append(f"higher volatility: batch_size={noisier.config['batch_size']}")
+        lines.append(f"higher volatility: batch_size={noisier.config.batch_size}")
     return csvs, "\n".join(lines) + "\n"
 
 
@@ -77,7 +77,7 @@ def main() -> int:
                               seed=seed)
             records.append(train(lm, pred, basis, train_set, eval_set, cfg))
         csvs, summary = render_curves(records)
-        files = {f"curve_seed{seed}_batch{rec.config['batch_size']}.csv": csv_text
+        files = {f"curve_seed{seed}_batch{rec.config.batch_size}.csv": csv_text
                  for rec, csv_text in zip(records, csvs)}
         _write_outputs(args.out, {**files, f"summary_seed{seed}.txt": summary})
         m2, m10 = stability_metric(records[0]), stability_metric(records[1])

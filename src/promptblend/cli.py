@@ -194,9 +194,9 @@ def _write_outputs(out_dir, files: dict) -> None:
 
 
 def _report_files(record: RunRecord, top: int) -> dict:
-    bundle = report.render_report(record, n_top=top)
-    return {"curve.csv": report.render_curve_csv(record), "report.txt": bundle.text,
-            "report.json": bundle.json_text}
+    text, json_text = report.render_report(record, n_top=top)
+    return {"curve.csv": report.render_curve_csv(record), "report.txt": text,
+            "report.json": json_text}
 
 
 def _cmd_pretrain(args) -> int:
@@ -289,7 +289,7 @@ def _basis_for_inspection(args):
 
 def _cmd_ortho(args) -> int:
     basis = _basis_for_inspection(args)
-    text, _ = report.render_ortho(basis.prompts, basis.gram)
+    text = report.render_ortho(basis.prompts, basis.gram)
     _write_outputs(args.out, {"ortho.txt": text})
     print(text, end="")
     return 0

@@ -9,7 +9,7 @@ decimals, per-example rows are ordered hardest (highest loss) first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict
 
 import numpy as np
 
@@ -17,13 +17,6 @@ from .composer import WeightVector, orthogonality_score, top_contributors
 from .train import RunRecord
 
 NUMERALS = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X"]
-
-
-@dataclass
-class ReportBundle:
-    rows: list[dict]
-    text: str
-    json_text: str
 
 
 def _fmt_w(value: float) -> str:
@@ -62,11 +55,11 @@ def _ortho_text_lines(section: dict) -> list[str]:
     return lines
 
 
-def render_report(record: RunRecord, n_top: int = 3) -> ReportBundle:
-    """Build the human table and the structured file for one run."""
-    prompts, length = record.basis_prompts, record.config["prompt_length"]
+def render_report(record: RunRecord, n_top: int = 3) -> tuple[str, str]:
+    """The human table and the structured file (JSON text) for one run."""
+    prompts, length = record.basis_prompts, record.config.prompt_length
     metadata = {
-        "config": dict(record.config),
+        "config": asdict(record.config),
         "basis_size": len(prompts),
         "prompt_length": length,
         "lm_param_hash": record.lm_param_hash,
@@ -95,9 +88,8 @@ def render_report(record: RunRecord, n_top: int = 3) -> ReportBundle:
 
     lines = ["promptblend run report", "======================", ""]
     cfg = record.config
-    lines.append(f"epochs={cfg['epochs']} batch_size={cfg['batch_size']} "
-                 f"lr={cfg['lr']} dropout={cfg['dropout_p']} "
-                 f"weight_decay={cfg['weight_decay']} seed={cfg['seed']}")
+    lines.append(f"epochs={cfg.epochs} batch_size={cfg.batch_size} lr={cfg.lr} "
+                 f"dropout={cfg.dropout_p} weight_decay={cfg.weight_decay} seed={cfg.seed}")
     lines.append(f"basis: {len(prompts)} prompts, padded length {length}")
     lines.append(f"frozen lm hash: {record.lm_param_hash}")
     lines.append("")
@@ -134,7 +126,7 @@ def render_report(record: RunRecord, n_top: int = 3) -> ReportBundle:
         "projection": record.projection,
     }
     json_text = json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
-    return ReportBundle(rows=rows, text=text, json_text=json_text)
+    return text, json_text
 
 
 def render_curve_csv(record: RunRecord) -> str:
@@ -145,7 +137,7 @@ def render_curve_csv(record: RunRecord) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_ortho(prompts: list[str], gram) -> tuple[str, dict]:
+def render_ortho(prompts: list[str], gram) -> str:
     """Standalone orthogonality report for a basis's prompts and Gram matrix."""
     section = _ortho_section(prompts, gram)
     lines = _ortho_text_lines(section)
@@ -153,4 +145,4 @@ def render_ortho(prompts: list[str], gram) -> tuple[str, dict]:
     lines.append("prompts:")
     for i, p in enumerate(prompts, start=1):
         lines.append(f"  {i}. {p}")
-    return "\n".join(lines) + "\n", section
+    return "\n".join(lines) + "\n"

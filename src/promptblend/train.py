@@ -10,8 +10,10 @@ once per run, before the first step, and kept in a plain list.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import sys
 import time
 import typing
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
@@ -65,51 +67,72 @@ class ExampleEval:
     weights: list[float]
 
 
-def _conforms(value, hint) -> bool:
-    """Whether a JSON value has the annotated type: a float field takes an int,
-    no field a bool, list items are checked (dataclass ones by _from_dict), and
-    a tuple is a list with exactly its items."""
+@dataclass
+class RunConfig:
+    """The settings a run was trained with, in record.json's order."""
+
+    epochs: int
+    batch_size: int
+    lr: float
+    weight_decay: float
+    dropout_p: float  # the predictor's dropout rate
+    seed: int
+    eval_every: int
+    prompt_length: int  # the basis's padded length
+
+
+def _shown(value) -> str:
+    """repr(value) cut to one short line; a JSON object shows its sorted keys."""
+    text = repr(sorted(value) if isinstance(value, dict) else value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
+_type_hints = functools.cache(typing.get_type_hints)  # once per dataclass, not per item
+
+
+def _decode(value, hint, where: str):
+    """A JSON value as the annotated type `hint`, with dataclasses rebuilt;
+    `where` is its path in the record, and a failure raises ValueError
+    naming the innermost one. A float is finite and takes an int a float can
+    hold, no field takes a bool, a string must encode as UTF-8, a tuple is a
+    list with exactly its items and a dataclass an object with exactly its
+    fields."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if origin is list:
-        return isinstance(value, list) and all(_conforms(x, args[0]) for x in value)
-    if origin is tuple:
-        return (isinstance(value, list) and len(value) == len(args)
-                and all(map(_conforms, value, args)))
-    if args:  # a union such as `list[tuple[str, float]] | None`
-        return any(_conforms(value, a) for a in args)
-    kind = object if is_dataclass(hint) else (int, float) if hint is float else hint
-    return isinstance(value, kind) and not isinstance(value, bool)
-
-
-def _from_dict(cls, d: dict):
-    """Dataclass `cls` from its asdict() form, rebuilding lists of dataclasses;
-    a missing, unknown or wrongly typed field raises ValueError."""
-    names = [f.name for f in fields(cls)]
-    if not isinstance(d, dict) or set(d) != set(names):
-        raise ValueError(f"malformed {cls.__name__}: expected fields {names}, got "
-                         f"{sorted(d) if isinstance(d, dict) else repr(d)}")
-    kwargs = dict(d)
-    for name, hint in typing.get_type_hints(cls).items():
-        if not _conforms(d[name], hint):
-            kind = hint if typing.get_origin(hint) else hint.__name__
-            raise ValueError(f"malformed {cls.__name__}: {name} must be {kind}, "
-                             f"got {d[name]!r}")
-        item = typing.get_args(hint)[0] if typing.get_origin(hint) is list else None
-        if is_dataclass(item):
-            kwargs[name] = [_from_dict(item, x) for x in d[name]]
-    return cls(**kwargs)
-
-
-# the config keys render_report reads, with their types
-REPORTED_CONFIG = {"epochs": int, "batch_size": int, "lr": float, "dropout_p": float,
-                   "weight_decay": float, "seed": int, "prompt_length": int}
+    if is_dataclass(hint):
+        names = [f.name for f in fields(hint)]
+        if isinstance(value, dict) and set(value) == set(names):
+            hints = _type_hints(hint)
+            return hint(**{n: _decode(value[n], hints[n], f"{where}.{n}" if where else n)
+                           for n in names})
+        raise ValueError(f"malformed RunRecord: {where + ' must have' if where else 'expected'}"
+                         f" fields {names}, got {_shown(value)}")
+    if origin in (list, tuple):
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            return [_decode(x, args[0] if origin is list else args[i], f"{where}[{i}]")
+                    for i, x in enumerate(value)]
+        kind = "a list" if origin is list else f"a list of {len(args)} items"
+    elif hint is str:
+        kind = "a string UTF-8 can encode"
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+                return value
+            except UnicodeEncodeError:
+                pass
+    else:  # an int or a float; NaN fails the comparison, and an int compares exactly
+        kind = "an int" if hint is int else "a finite float"
+        if isinstance(value, (int, hint)) and not isinstance(value, bool) and (
+                hint is int or abs(value) <= sys.float_info.max):
+            return value
+    raise ValueError(f"malformed RunRecord: {where} must be {kind}, got {_shown(value)}")
 
 
 @dataclass
 class RunRecord:
-    """Everything a report needs, and all it reads; losses are the exact values seen."""
+    """Everything a report needs, and all it reads; losses are the exact values
+    seen. The type hints are record.json's schema: from_dict checks them."""
 
-    config: dict
+    config: RunConfig
     basis_prompts: list[str]
     gram: list[list[float]]  # [K, K] cosines between the basis prompts' embeddings
     steps: list[StepRecord] = field(default_factory=list)
@@ -118,35 +141,20 @@ class RunRecord:
     control_eval_loss: float = 0.0
     prompted_eval_loss: float = 0.0
     examples: list[ExampleEval] = field(default_factory=list)
-    projection: list[tuple[str, float]] | None = None  # [token, cosine] per prompt row
+    projection: list[tuple[str, float]] = field(default_factory=list)  # [token, cosine] per row
     lm_param_hash: str = ""
     wall_clock_seconds: float = 0.0
 
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
-        """The record from its asdict() form. Beyond _from_dict's checks, the
-        config holds each REPORTED_CONFIG key with its type, gram is K rows of K
-        cosines and every loss is finite; a failure raises ValueError naming it."""
-        record = _from_dict(cls, d)
+        """The record from its asdict() form: each field, at any depth, has
+        its annotated type (see _decode), and gram is K rows of K cosines.
+        A failure raises ValueError naming the path, e.g. steps[1].loss."""
+        record = _decode(d, cls, "")
         k = len(record.basis_prompts)
         if len(record.gram) != k or any(len(row) != k or not all(-1 <= v <= 1 for v in row)
                                         for row in record.gram):
             raise ValueError(f"malformed RunRecord: gram must be {k} rows of {k} cosines")
-        for key, kind in REPORTED_CONFIG.items():
-            if key not in record.config:
-                raise ValueError(f"malformed RunRecord: config has no {key!r}")
-            if not _conforms(record.config[key], kind):
-                raise ValueError(f"malformed RunRecord: config {key} must be {kind.__name__}, "
-                                 f"got {record.config[key]!r}")
-        losses = {"control_eval_loss": record.control_eval_loss,
-                  "prompted_eval_loss": record.prompted_eval_loss,
-                  **{f"steps[{i}].loss": s.loss for i, s in enumerate(record.steps)},
-                  **{f"epoch_means[{i}]": v for i, v in enumerate(record.epoch_means)},
-                  **{f"eval_losses[{i}]": v for i, (_, v) in enumerate(record.eval_losses)},
-                  **{f"examples[{i}].loss": e.loss for i, e in enumerate(record.examples)}}
-        for name, value in losses.items():
-            if not math.isfinite(value):
-                raise ValueError(f"malformed RunRecord: {name} must be finite, got {value!r}")
         return record
 
     def to_json(self) -> str:
@@ -318,12 +326,8 @@ def train(lm: FrozenLM, predictor: WeightPredictor, basis: PromptBasis,
     opt = AdamW(predictor.parameters(), lr=config.lr, weight_decay=config.weight_decay)
     shuffle = rngmod.stream(config.seed, "train-shuffle")
     drop_rng = rngmod.stream(config.seed, "train-dropout")
-    # the predictor's dropout rate goes between weight_decay and seed, so
-    # record.json keeps its key order
-    settings = asdict(config)
-    tail = {name: settings.pop(name) for name in ("seed", "eval_every")}
-    record = RunRecord(config={**settings, "dropout_p": predictor.dropout_p, **tail,
-                               "prompt_length": basis.length},
+    record = RunRecord(config=RunConfig(**asdict(config), dropout_p=predictor.dropout_p,
+                                        prompt_length=basis.length),
                        basis_prompts=list(basis.prompts), gram=basis.gram.tolist())
 
     def batch_loss(indices) -> Tensor:

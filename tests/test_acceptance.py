@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s`. The loss-reduction and
 batch-stability criteria train real models and dominate the runtime.
 """
 
+import json
 import math
 import time
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from promptblend.model import FrozenLM, LMConfig, PretrainConfig, pretrain, pret
 from promptblend.optim import AdamW
 from promptblend.report import render_report
 from promptblend.tensor import Tensor, cross_entropy
-from promptblend.train import (ExampleEval, RunRecord, TrainConfig, control_eval,
+from promptblend.train import (ExampleEval, RunConfig, RunRecord, TrainConfig, control_eval,
                                prompted_eval, stability_metric, train)
 
 from fdcheck import finite_difference, max_rel_error
@@ -210,9 +211,9 @@ def test_criterion_6_interpretability_fidelity(small_lm):
         assert reading[0][0] == four.prompts[3]  # index 4 contributes most
         assert reading[-1][0] == four.prompts[2]  # index 3 is the inverse relation
 
-        record = RunRecord(config={"epochs": 20, "batch_size": 10, "lr": 1e-3,
-                                   "dropout_p": 0.1, "weight_decay": 0.01, "seed": 0,
-                                   "prompt_length": table4.length},
+        record = RunRecord(config=RunConfig(epochs=20, batch_size=10, lr=1e-3,
+                                            weight_decay=0.01, dropout_p=0.1, seed=0,
+                                            eval_every=0, prompt_length=table4.length),
                            basis_prompts=list(table4.prompts), gram=table4.gram.tolist())
         record.control_eval_loss = 8.5
         record.prompted_eval_loss = 8.1
@@ -223,11 +224,11 @@ def test_criterion_6_interpretability_fidelity(small_lm):
             ExampleEval(id="c", question="easy", loss=7.93, weights=[0.3, 0.2, 0.1]),
         ]
         record.lm_param_hash = "x"
-        bundle = render_report(record, n_top=3)
-        assert [r["loss"] for r in bundle.rows] == [8.39, 8.08, 7.93]
-        assert "(1.4863)" in bundle.text
-        assert "(-0.0842)" in bundle.text
-        assert "(-0.8324)" in bundle.text
+        text, json_text = render_report(record, n_top=3)
+        assert [r["loss"] for r in json.loads(json_text)["examples"]] == [8.39, 8.08, 7.93]
+        assert "(1.4863)" in text
+        assert "(-0.0842)" in text
+        assert "(-0.8324)" in text
 
 
 def test_criterion_7_oracle_equivalences(small_lm):

@@ -29,7 +29,7 @@ from promptblend.checkpoint import CheckpointError, checkpoint_bytes, load_bundl
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
-from promptblend.train import RunRecord, prompted_eval
+from promptblend.train import RunConfig, RunRecord, prompted_eval
 
 from graphprobe import record_gradient_ops
 
@@ -38,9 +38,9 @@ FAST_TRAIN = TINY + ["--pretrain-epochs", "1", "--epochs", "1", "--batch-size", 
 
 
 def _stub_record_json() -> str:
-    """A record of no run, with the config keys a report reads."""
-    config = {"epochs": 1, "batch_size": 10, "lr": 1e-3, "dropout_p": 0.1,
-              "weight_decay": 0.01, "seed": 0, "prompt_length": 20}
+    """A record of no run."""
+    config = RunConfig(epochs=1, batch_size=10, lr=1e-3, weight_decay=0.01, dropout_p=0.1,
+                       seed=0, eval_every=0, prompt_length=20)
     return RunRecord(config=config, basis_prompts=list(DEFAULT_BASIS_PROMPTS),
                      gram=np.eye(len(DEFAULT_BASIS_PROMPTS)).tolist()).to_json()
 
@@ -313,7 +313,7 @@ class TestPipelineCommands:
         (lambda r: r["gram"].pop(), "malformed RunRecord: gram must be 7 rows of 7 cosines"),
         (lambda r: r["gram"][2].pop(), "malformed RunRecord: gram must be 7 rows of 7 cosines"),
         (lambda r: r["gram"][1].__setitem__(3, math.nan),
-         "malformed RunRecord: gram must be 7 rows of 7 cosines"),
+         "malformed RunRecord: gram[1][3] must be a finite float, got nan"),
     ], ids=["missing", "six_rows", "ragged", "nan"])
     def test_bad_gram_is_validation_error(self, edit, message, run_dir, tmp_path, capsys):
         # a record.json written before the record kept the Gram matrix has no gram
@@ -356,12 +356,15 @@ class TestPipelineCommands:
         path.write_text(json.dumps(record))
         code = run_cli(["report", "--record", str(path), "--out", str(tmp_path / "out")])
         assert code == 1
-        assert "StepRecord" in capsys.readouterr().err
+        assert "steps[0]" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda r: r["examples"][0].update(loss="x"), "ExampleEval: loss must be float, got 'x'"),
-        (lambda r: r.update(config=[]), "RunRecord: config must be dict, got []"),
-        (lambda r: r.update(basis_prompts=5), "RunRecord: basis_prompts must be list[str], got 5"),
+        (lambda r: r["examples"][0].update(loss="x"),
+         "RunRecord: examples[0].loss must be a finite float, got 'x'"),
+        (lambda r: r.update(config=[]),
+         "RunRecord: config must have fields ['epochs', 'batch_size', 'lr', 'weight_decay', "
+         "'dropout_p', 'seed', 'eval_every', 'prompt_length'], got []"),
+        (lambda r: r.update(basis_prompts=5), "RunRecord: basis_prompts must be a list, got 5"),
     ], ids=["loss", "config", "basis_prompts"])
     def test_mistyped_record_field_is_validation_error(self, edit, message, run_dir, tmp_path,
                                                         capsys):
@@ -375,29 +378,51 @@ class TestPipelineCommands:
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r.update(projection=[["tok", None]]),
-         "malformed RunRecord: projection must be list[tuple[str, float]] | None"),
+         "malformed RunRecord: projection[0][1] must be a finite float, got None\n"),
         (lambda r: r.update(projection=[[1, 2.0]]),
-         "malformed RunRecord: projection must be list[tuple[str, float]] | None"),
+         "malformed RunRecord: projection[0][0] must be a string UTF-8 can encode, got 1\n"),
         (lambda r: r.update(eval_losses=[[1, None]]),
-         "malformed RunRecord: eval_losses must be list[tuple[int, float]]"),
+         "malformed RunRecord: eval_losses[0][1] must be a finite float, got None\n"),
         (lambda r: r["examples"][0]["weights"].__setitem__(0, math.nan),
-         "weight vector has non-finite entries"),
+         "malformed RunRecord: examples[0].weights[0] must be a finite float, got nan\n"),
         (lambda r: r.update(control_eval_loss=math.inf),
-         "malformed RunRecord: control_eval_loss must be finite, got inf"),
+         "malformed RunRecord: control_eval_loss must be a finite float, got inf\n"),
         (lambda r: r["steps"][1].update(loss=math.nan),
-         "malformed RunRecord: steps[1].loss must be finite, got nan"),
+         "malformed RunRecord: steps[1].loss must be a finite float, got nan\n"),
         (lambda r: r["eval_losses"][0].__setitem__(1, -math.inf),
-         "malformed RunRecord: eval_losses[0] must be finite, got -inf"),
+         "malformed RunRecord: eval_losses[0][1] must be a finite float, got -inf\n"),
         (lambda r: r["examples"][2].update(loss=math.inf),
-         "malformed RunRecord: examples[2].loss must be finite, got inf"),
-        (lambda r: r["config"].pop("epochs"), "malformed RunRecord: config has no 'epochs'"),
+         "malformed RunRecord: examples[2].loss must be a finite float, got inf\n"),
+        (lambda r: r["config"].pop("epochs"),
+         "malformed RunRecord: config must have fields ['epochs', "),
         (lambda r: r["config"].update(seed="x"),
-         "malformed RunRecord: config seed must be int, got 'x'"),
+         "malformed RunRecord: config.seed must be an int, got 'x'\n"),
         (lambda r: r["config"].update(prompt_length="20"),
-         "malformed RunRecord: config prompt_length must be int, got '20'"),
+         "malformed RunRecord: config.prompt_length must be an int, got '20'\n"),
+        (lambda r: r.update(control_eval_loss=10**400),
+         "malformed RunRecord: control_eval_loss must be a finite float, got 1000"),
+        (lambda r: r["examples"][0]["weights"].__setitem__(2, 10**400),
+         "malformed RunRecord: examples[0].weights[2] must be a finite float, got 1000"),
+        (lambda r: r["projection"][0].__setitem__(1, math.nan),
+         "malformed RunRecord: projection[0][1] must be a finite float, got nan\n"),
+        (lambda r: r["config"].update(lr=math.nan),
+         "malformed RunRecord: config.lr must be a finite float, got nan\n"),
+        (lambda r: r["config"].update(beta1=0.9),
+         "malformed RunRecord: config must have fields ['epochs', "),
+        (lambda r: r.update(wall_clock_seconds=math.nan),
+         "malformed RunRecord: wall_clock_seconds must be a finite float, got nan\n"),
+        (lambda r: r["examples"][0].update(question="why\ud800?"),
+         "malformed RunRecord: examples[0].question must be a string UTF-8 can encode, "
+         "got 'why\\ud800?'\n"),
+        (lambda r: r.update(lm_param_hash="\ud800"),
+         "malformed RunRecord: lm_param_hash must be a string UTF-8 can encode, "
+         "got '\\ud800'\n"),
     ], ids=["projection_null", "projection_int_token", "eval_losses_null", "nan_weight",
             "inf_control_loss", "nan_step_loss", "inf_eval_loss", "inf_example_loss",
-            "config_without_epochs", "config_string_seed", "config_string_prompt_length"])
+            "config_without_epochs", "config_string_seed", "config_string_prompt_length",
+            "huge_control_loss", "huge_weight", "nan_projection_cosine", "nan_config_lr",
+            "unknown_config_key", "nan_wall_clock", "unencodable_question",
+            "unencodable_lm_hash"])
     def test_mistyped_record_item_writes_nothing(self, edit, message, run_dir, tmp_path,
                                                  capsys):
         record = json.loads((run_dir / "record.json").read_text())

@@ -5,8 +5,9 @@ import pytest
 from promptblend import textdata as td
 from promptblend.composer import build_basis
 from promptblend.model import FrozenLM, LMConfig
-from promptblend.report import render_curve_csv, render_ortho, render_report
-from promptblend.train import ExampleEval, RunRecord, StepRecord
+from promptblend.report import (_ortho_section, render_curve_csv, render_ortho,
+                                render_report)
+from promptblend.train import ExampleEval, RunConfig, RunRecord, StepRecord
 
 SMALL = LMConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_positions=64)
 
@@ -27,9 +28,8 @@ def basis():
 
 def _record(basis, losses=(8.39, 8.08, 7.93)):
     rec = RunRecord(
-        config={"epochs": 20, "batch_size": 10, "lr": 0.001, "dropout_p": 0.1,
-                "weight_decay": 0.01, "seed": 1, "prompt_length": basis.length,
-                "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "eval_every": 0},
+        config=RunConfig(epochs=20, batch_size=10, lr=0.001, weight_decay=0.01, dropout_p=0.1,
+                         seed=1, eval_every=0, prompt_length=basis.length),
         basis_prompts=list(basis.prompts),
         gram=basis.gram.tolist(),
     )
@@ -55,44 +55,44 @@ def _record(basis, losses=(8.39, 8.08, 7.93)):
 
 class TestRenderReport:
     def test_weights_render_with_exactly_four_decimals(self, basis):
-        bundle = render_report(_record(basis), n_top=3)
-        assert "(1.4863)" in bundle.text
-        assert "(-0.0842)" in bundle.text
-        assert "(-0.8324)" in bundle.text
-        row = next(r for r in bundle.rows if r["id"] == "q1")
+        text, json_text = render_report(_record(basis), n_top=3)
+        assert "(1.4863)" in text
+        assert "(-0.0842)" in text
+        assert "(-0.8324)" in text
+        row = next(r for r in json.loads(json_text)["examples"] if r["id"] == "q1")
         assert [c["rendered"] for c in row["contributors"]] == \
             ["1.4863", "-0.0842", "-0.8324"]
 
     def test_rows_are_ordered_hardest_first(self, basis):
-        bundle = render_report(_record(basis), n_top=3)
-        assert [r["loss"] for r in bundle.rows] == [8.39, 8.08, 7.93]
-        text_rows = [ln for ln in bundle.text.splitlines()
+        text, json_text = render_report(_record(basis), n_top=3)
+        assert [r["loss"] for r in json.loads(json_text)["examples"]] == [8.39, 8.08, 7.93]
+        text_rows = [ln for ln in text.splitlines()
                      if ln.startswith(("8.39", "8.08", "7.93"))]
         assert [ln.split()[0] for ln in text_rows] == ["8.39", "8.08", "7.93"]
 
     def test_contributors_follow_signed_descending_order(self, basis):
-        bundle = render_report(_record(basis), n_top=3)
-        row = next(r for r in bundle.rows if r["id"] == "q1")
+        _, json_text = render_report(_record(basis), n_top=3)
+        row = next(r for r in json.loads(json_text)["examples"] if r["id"] == "q1")
         assert [c["prompt"] for c in row["contributors"]] == basis.prompts
 
     def test_rendering_is_byte_identical_for_the_same_record(self, basis):
-        a = render_report(_record(basis), n_top=3)
-        b = render_report(_record(basis), n_top=3)
-        assert a.text == b.text
-        assert a.json_text == b.json_text
+        a_text, a_json = render_report(_record(basis), n_top=3)
+        b_text, b_json = render_report(_record(basis), n_top=3)
+        assert a_text == b_text
+        assert a_json == b_json
 
     def test_json_numbers_trace_to_record(self, basis):
         rec = _record(basis)
-        payload = json.loads(render_report(rec, n_top=2).json_text)
+        payload = json.loads(render_report(rec, n_top=2)[1])
         assert payload["summary"]["control_eval_loss"] == rec.control_eval_loss
         assert payload["summary"]["prompted_eval_loss"] == rec.prompted_eval_loss
         losses = [r["loss"] for r in payload["examples"]]
         assert losses == sorted((e.loss for e in rec.examples), reverse=True)
 
     def test_wall_clock_never_rendered(self, basis):
-        bundle = render_report(_record(basis), n_top=3)
-        assert "12.5" not in bundle.text
-        assert "wall" not in bundle.json_text
+        text, json_text = render_report(_record(basis), n_top=3)
+        assert "12.5" not in text
+        assert "wall" not in json_text
 
     def test_n_top_beyond_basis_rejected(self, basis):
         with pytest.raises(ValueError):
@@ -120,7 +120,8 @@ class TestRenderOrtho:
         lm = FrozenLM(vocab, SMALL, seed=2)
         lm.set_frozen(True)
         dup = build_basis(["same prompt", "same prompt"], lm)
-        text, section = render_ortho(dup.prompts, dup.gram)
+        text = render_ortho(dup.prompts, dup.gram)
+        section = _ortho_section(dup.prompts, dup.gram)
         assert section["most_parallel_pair"]["similarity"] == 1.0
         assert "similarity 1.0000" in text
         assert "score: 0.0000" in text
@@ -130,14 +131,15 @@ class TestRenderOrtho:
         lm = FrozenLM(vocab, SMALL, seed=3)
         lm.set_frozen(True)
         solo = build_basis(["only prompt"], lm)
-        text, section = render_ortho(solo.prompts, solo.gram)
+        text = render_ortho(solo.prompts, solo.gram)
+        section = _ortho_section(solo.prompts, solo.gram)
         assert section["score"] == 1.0
         assert "most_parallel_pair" not in section
         assert "most parallel pair" not in text
 
     def test_rendered_gram_is_symmetric(self, basis):
-        text, section = render_ortho(basis.prompts, basis.gram)
-        grid = section["gram"]
+        text = render_ortho(basis.prompts, basis.gram)
+        grid = _ortho_section(basis.prompts, basis.gram)["gram"]
         k = len(grid)
         for i in range(k):
             for j in range(k):

@@ -4,12 +4,13 @@ import os
 import runpy
 import subprocess
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
 import promptblend
-from promptblend.train import RunRecord
+from promptblend.train import RunConfig, RunRecord, TrainConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 STABILITY = ROOT / "scripts" / "run_stability.py"
@@ -107,7 +108,9 @@ def test_run_stability_rejects_an_out_that_cannot_be_a_directory(under, tmp_path
 
 
 def _record(batch_size, epoch_means):
-    return RunRecord(config={"batch_size": batch_size}, basis_prompts=[], gram=[],
+    config = RunConfig(**asdict(TrainConfig(batch_size=batch_size)), dropout_p=0.1,
+                       prompt_length=0)
+    return RunRecord(config=config, basis_prompts=[], gram=[],
                      epoch_means=epoch_means)
 
 

@@ -1,6 +1,10 @@
+import copy
 import gc
+import json
 import math
 from dataclasses import asdict
+from functools import reduce
+from operator import getitem
 
 import numpy as np
 import pytest
@@ -15,8 +19,8 @@ from promptblend.model import (FrozenContractError, FrozenLM, LMConfig,
                                PretrainConfig, pretrain_examples)
 from promptblend.report import render_report
 from promptblend.tensor import Tensor
-from promptblend.train import (DivergenceError, RunRecord, StepRecord, TrainConfig,
-                               _batch_loss, _scored_entries, _training_entries,
+from promptblend.train import (DivergenceError, ExampleEval, RunConfig, RunRecord, StepRecord,
+                               TrainConfig, _batch_loss, _scored_entries, _training_entries,
                                control_eval, prompted_eval, stability_metric, train)
 
 from graphprobe import record_gradient_ops, saved_array_refs
@@ -88,9 +92,9 @@ class TestTrain:
         lm, basis, train_set, eval_set = setup
         record = train(lm, _predictor(lm, basis, dropout_p=0.3), basis, train_set, eval_set,
                        TrainConfig())
-        assert list(record.config.items())[3:6] == [("weight_decay", 0.01),
-                                                    ("dropout_p", 0.3), ("seed", 0)]
-        assert " dropout=0.3 " in render_report(record, n_top=3).text
+        assert list(asdict(record.config).items())[3:6] == [("weight_decay", 0.01),
+                                                            ("dropout_p", 0.3), ("seed", 0)]
+        assert " dropout=0.3 " in render_report(record, n_top=3)[0]
 
     def test_same_seed_reproduces_the_record(self, setup):
         lm, basis, train_set, eval_set = setup
@@ -218,8 +222,8 @@ class TestTrain:
         assert back.gram == record.gram == basis.gram.tolist()
 
     def test_malformed_record_is_a_value_error(self):
-        config = {"epochs": 1, "batch_size": 2, "lr": 1e-3, "dropout_p": 0.1,
-                  "weight_decay": 0.01, "seed": 0, "prompt_length": 5}
+        config = RunConfig(epochs=1, batch_size=2, lr=1e-3, weight_decay=0.01, dropout_p=0.1,
+                           seed=0, eval_every=0, prompt_length=5)
         good = RunRecord(config=config, basis_prompts=["p"], gram=[[1.0]])
         good.steps.append(StepRecord(epoch=1, step=1, batch_size=2, loss=0.5))
         assert RunRecord.from_dict(asdict(good)) == good
@@ -234,6 +238,57 @@ class TestTrain:
             edit(d)
             with pytest.raises(ValueError, match="malformed"):
                 RunRecord.from_dict(d)
+
+
+def _nodes(value, path=()):
+    """The path of every node of a JSON value, the root's () first."""
+    yield path
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+VALID_RECORD = asdict(RunRecord(
+    config=RunConfig(epochs=1, batch_size=2, lr=1e-3, weight_decay=0.01, dropout_p=0.1,
+                     seed=3, eval_every=0, prompt_length=4),
+    basis_prompts=["first prompt", "second prompt", "third prompt"],
+    gram=[[1.0, 0.5, -0.25], [0.5, 1.0, 0.0], [-0.25, 0.0, 1.0]],
+    steps=[StepRecord(1, 1, 2, 0.75), StepRecord(1, 2, 2, 0.5)], epoch_means=[0.625],
+    eval_losses=[[2, 0.5]], control_eval_loss=0.9, prompted_eval_loss=0.5,
+    examples=[ExampleEval("q1", "first?", 0.5, [0.5, -0.25, 1.0]),
+              ExampleEval("q2", "second?", 0.25, [0.0, 1.0, 2.0])],
+    projection=[["tok", 0.5], ["<pad>", 0.0]], lm_param_hash="abc", wall_clock_seconds=1.5))
+REPLACEMENTS = [math.nan, math.inf, -math.inf, 10**400, True, None, "x", [], {}]
+
+
+class TestRecordContract:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(path=st.sampled_from(list(_nodes(VALID_RECORD))),
+           mutation=st.sampled_from(["delete", "add", *range(len(REPLACEMENTS))]))
+    def test_a_mutated_record_is_rejected_in_one_line_or_round_trips(self, path, mutation):
+        """One edit at one path: from_json rejects the record with one line, or
+        returns one whose to_json() gives back the edited dict, and which
+        render_report renders or rejects with ValueError."""
+        box = [copy.deepcopy(VALID_RECORD)]  # so the root has a parent too
+        parent, key = reduce(getitem, (0, *path[:-1]), box), (0, *path)[-1]
+        if mutation == "add" and isinstance(parent[key], dict):
+            parent[key]["extra"] = 1
+        elif mutation == "delete" and path:
+            del parent[key]
+        elif isinstance(mutation, int):
+            parent[key] = copy.deepcopy(REPLACEMENTS[mutation])
+        d = box[0]
+        try:
+            record = RunRecord.from_json(json.dumps(d))
+        except ValueError as e:
+            assert str(e).startswith("malformed RunRecord: ") and "\n" not in str(e)
+            return
+        assert json.loads(record.to_json()) == d
+        try:
+            render_report(record, n_top=3)
+        except ValueError:
+            pass
 
 
 class TestControlEval:
@@ -482,7 +537,8 @@ class TestPackedStep:
 
 class TestStabilityMetric:
     def _record(self, means):
-        rec = RunRecord(config={}, basis_prompts=[], gram=[])
+        rec = RunRecord(config=RunConfig(**asdict(TrainConfig()), dropout_p=0.1, prompt_length=0),
+                        basis_prompts=[], gram=[])
         rec.epoch_means = list(means)
         return rec
 
