@@ -145,9 +145,9 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
     """Inverse of bundle_bytes: (lm, predictor or None, basis prompts or None).
 
     The metadata must have exactly the keys and types bundle_bytes writes,
-    every tensor's name and shape must be the one the stored config,
-    vocabulary and basis imply, and every entry finite; anything else
-    raises CheckpointError.
+    and strings UTF-8 can encode; every tensor's name and shape must be the
+    one the stored config, vocabulary and basis imply, and every entry
+    finite; anything else raises CheckpointError.
     """
     tensors, meta = load_checkpoint(path)
     lm_meta, pred_meta, prompts = (meta.get(k) for k in ("lm", "predictor", "basis_prompts"))
@@ -160,6 +160,7 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
            "lm provenance or pretrain_record is not an object")
     names = [f"predictor.{n}" for n in WeightPredictor.PARAM_NAMES] if "predictor" in meta else []
     try:
+        json.dumps(meta, ensure_ascii=False).encode("utf-8")  # as bundle_bytes writes it
         vocab, config = td.Vocab(lm_meta["vocab"]), LMConfig(**lm_meta["config"])
         expected = {f"lm.{n}": shape for n, shape in param_shapes(config, len(vocab)).items()}
         # the predictor's widths run from embed_dim through its biases to the basis size
@@ -169,6 +170,9 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
         for w, b, n_in, n_out in zip(names[0::2], names[1::2], widths, widths[1:]):
             expected[w], expected[b] = (n_in, n_out), (n_out,)
         dropout_p = pred_meta["dropout_p"] if names else 0.0
+    except UnicodeEncodeError as e:  # e.object is the metadata's JSON text
+        raise CheckpointError(f"malformed bundle metadata ({e.reason}: "
+                              f"{e.object[max(e.start - 30, 0):e.end]!r})") from e
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise CheckpointError(f"malformed bundle metadata ({e!r})") from e
     for name in sorted(set(tensors) | set(expected)):

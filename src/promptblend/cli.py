@@ -181,11 +181,8 @@ def _write_outputs(out_dir, files: dict) -> None:
     tmp = Path(tempfile.mkdtemp(prefix=".promptblend-", dir=out.parent))
     try:
         for name, content in files.items():
-            path = tmp / name
-            if isinstance(content, bytes):
-                path.write_bytes(content)
-            else:
-                path.write_text(content, encoding="utf-8")
+            (tmp / name).write_bytes(content if isinstance(content, bytes)
+                                     else content.encode("utf-8"))
         out.mkdir(exist_ok=True)
         for name in files:
             os.replace(tmp / name, out / name)

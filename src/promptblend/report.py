@@ -71,6 +71,9 @@ def render_report(record: RunRecord, n_top: int = 3) -> tuple[str, str]:
         "prompted_eval_loss": prompted,
         "relative_reduction": (control - prompted) / control if control else 0.0,
     }
+    if not np.isfinite(summary["relative_reduction"] * 100):  # JSON has no Infinity
+        raise ValueError(f"relative reduction from control eval loss {control!r} to prompted "
+                         f"{prompted!r} is not a finite percentage")
     ordered = sorted(record.examples, key=lambda e: -e.loss)
     rows = []
     for ex in ordered:

@@ -2,7 +2,8 @@
 
 The tokenizer is a deterministic lowercase word/punctuation splitter, a
 stand-in for a learned subword scheme. Dataset files are UTF-8 with one
-JSON record per line:
+JSON record per line with exactly these keys (QAExample's fields, checked
+by decode, which reads the run record too):
 
     {"id": str, "question": str,
      "choices": [{"label": "A".."E", "text": str}, ...],
@@ -11,10 +12,13 @@ JSON record per line:
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
-from dataclasses import dataclass
+import sys
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -87,7 +91,7 @@ class QAExample:
     id: str
     question: str
     choices: list[Choice]
-    answer_key: str
+    answer_key: str = field(metadata={"key": "answerKey"})  # its key in a dataset line
 
     def validate(self) -> None:
         if not 3 <= len(self.choices) <= 5:
@@ -108,30 +112,53 @@ class QAExample:
         return [c.label for c in self.choices].index(self.answer_key)
 
 
-def _field(obj: dict, key: str, where: str = "") -> str:
-    """obj[key], which must be a string UTF-8 can encode; errors name the field `where + key`."""
-    if not isinstance(obj.get(key), str):
-        raise DatasetError(f"field '{where}{key}' must be a string, got {obj[key]!r}"
-                           if key in obj else f"missing field '{where}{key}'")
-    try:
-        obj[key].encode("utf-8")
-    except UnicodeEncodeError as e:
-        raise DatasetError(f"field '{where}{key}' cannot be written as UTF-8 ({e.reason})")
-    return obj[key]
+def _shown(value) -> str:
+    """repr(value) cut to one short line; a JSON object shows its sorted keys."""
+    text = repr(sorted(value) if isinstance(value, dict) else value)
+    return text if len(text) <= 60 else text[:57] + "..."
 
 
-def _example_from_record(rec) -> QAExample:
-    """The example one record holds, typed as the module docstring shows."""
-    if not isinstance(rec, dict):
-        raise DatasetError(f"record must be an object, got {rec!r}")
-    raw = rec.get("choices")
-    if not isinstance(raw, list) or not all(isinstance(c, dict) for c in raw):
-        raise DatasetError(f"field 'choices' must be a list of objects, got {raw!r}")
-    choices = [Choice(*(_field(c, key, f"choices[{i}].") for key in ("label", "text")))
-               for i, c in enumerate(raw)]
-    ex = QAExample(_field(rec, "id"), _field(rec, "question"), choices, _field(rec, "answerKey"))
-    ex.validate()
-    return ex
+@functools.cache  # once per dataclass, not per item
+def _schema(cls) -> dict[str, tuple[str, object]]:
+    """Each field's JSON key -> (its name, its type hint); metadata "key" renames it."""
+    hints = typing.get_type_hints(cls)
+    return {f.metadata.get("key", f.name): (f.name, hints[f.name]) for f in fields(cls)}
+
+
+def decode(value, hint, where: str):
+    """A JSON value as the annotated type `hint`, with dataclasses rebuilt;
+    `where` is its path in the document ("" at the root). A string must
+    encode as UTF-8, a float is finite and takes an int a float can hold, no
+    field takes a bool, a tuple is a list with exactly its items and a
+    dataclass an object with exactly its fields' keys. A failure raises
+    ValueError "<path> must be <kind>, got <value>" for the innermost one."""
+    if hint is str:
+        if isinstance(value, str):
+            try:
+                value.encode("utf-8")
+                return value
+            except UnicodeEncodeError:
+                pass
+        kind = "a string UTF-8 can encode"
+    elif hint is int or hint is float:  # NaN fails the comparison; an int compares exactly
+        if isinstance(value, (int, hint)) and not isinstance(value, bool) and (
+                hint is int or abs(value) <= sys.float_info.max):
+            return value
+        kind = "an int" if hint is int else "a finite float"
+    elif is_dataclass(hint):
+        schema = _schema(hint)
+        if isinstance(value, dict) and value.keys() == schema.keys():
+            return hint(**{name: decode(value[key], item, f"{where}.{key}" if where else key)
+                           for key, (name, item) in schema.items()})
+        raise ValueError(f"{where + ' must have' if where else 'expected'} fields "
+                         f"{list(schema)}, got {_shown(value)}")
+    else:  # list[T] or tuple[T1, ..., Tn]
+        origin, args = typing.get_origin(hint), typing.get_args(hint)
+        if isinstance(value, list) and (origin is list or len(value) == len(args)):
+            return [decode(x, args[0] if origin is list else args[i], f"{where}[{i}]")
+                    for i, x in enumerate(value)]
+        kind = "a list" if origin is list else f"a list of {len(args)} items"
+    raise ValueError(f"{where} must be {kind}, got {_shown(value)}")
 
 
 def read_lines(path, error: type[ValueError] = DatasetError, where: str = "") -> list[str]:
@@ -158,13 +185,14 @@ def load_dataset(path) -> list[QAExample]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise DatasetError(f"line {lineno}: invalid record ({e.msg})") from e
+        except ValueError as e:  # bad JSON, or an integer too long to convert
+            raise DatasetError(f"line {lineno}: invalid record ({getattr(e, 'msg', e)})") from e
         except RecursionError as e:
             raise DatasetError(f"line {lineno}: invalid record (nested too deeply)") from e
         try:
-            ex = _example_from_record(rec)
-        except DatasetError as e:
+            ex = decode(rec, QAExample, "")
+            ex.validate()
+        except ValueError as e:
             raise DatasetError(f"line {lineno}: {e}") from e
         if ex.id in id_lines:
             raise DatasetError(f"line {lineno}: id {ex.id!r} already used on line "
@@ -176,14 +204,9 @@ def load_dataset(path) -> list[QAExample]:
 
 def save_dataset(examples: list[QAExample], path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        for ex in examples:
-            rec = {
-                "id": ex.id,
-                "question": ex.question,
-                "choices": [{"label": c.label, "text": c.text} for c in ex.choices],
-                "answerKey": ex.answer_key,
-            }
-            f.write(json.dumps(rec, ensure_ascii=False) + "\n")
+        for ex in examples:  # default=vars writes each Choice as its fields
+            rec = {key: getattr(ex, name) for key, (name, _) in _schema(QAExample).items()}
+            f.write(json.dumps(rec, ensure_ascii=False, default=vars) + "\n")
 
 
 def format_choice(choice: Choice) -> str:

@@ -10,13 +10,10 @@ once per run, before the first step, and kept in a plain list.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-import sys
 import time
-import typing
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -81,52 +78,6 @@ class RunConfig:
     prompt_length: int  # the basis's padded length
 
 
-def _shown(value) -> str:
-    """repr(value) cut to one short line; a JSON object shows its sorted keys."""
-    text = repr(sorted(value) if isinstance(value, dict) else value)
-    return text if len(text) <= 60 else text[:57] + "..."
-
-
-_type_hints = functools.cache(typing.get_type_hints)  # once per dataclass, not per item
-
-
-def _decode(value, hint, where: str):
-    """A JSON value as the annotated type `hint`, with dataclasses rebuilt;
-    `where` is its path in the record, and a failure raises ValueError
-    naming the innermost one. A float is finite and takes an int a float can
-    hold, no field takes a bool, a string must encode as UTF-8, a tuple is a
-    list with exactly its items and a dataclass an object with exactly its
-    fields."""
-    origin, args = typing.get_origin(hint), typing.get_args(hint)
-    if is_dataclass(hint):
-        names = [f.name for f in fields(hint)]
-        if isinstance(value, dict) and set(value) == set(names):
-            hints = _type_hints(hint)
-            return hint(**{n: _decode(value[n], hints[n], f"{where}.{n}" if where else n)
-                           for n in names})
-        raise ValueError(f"malformed RunRecord: {where + ' must have' if where else 'expected'}"
-                         f" fields {names}, got {_shown(value)}")
-    if origin in (list, tuple):
-        if isinstance(value, list) and (origin is list or len(value) == len(args)):
-            return [_decode(x, args[0] if origin is list else args[i], f"{where}[{i}]")
-                    for i, x in enumerate(value)]
-        kind = "a list" if origin is list else f"a list of {len(args)} items"
-    elif hint is str:
-        kind = "a string UTF-8 can encode"
-        if isinstance(value, str):
-            try:
-                value.encode("utf-8")
-                return value
-            except UnicodeEncodeError:
-                pass
-    else:  # an int or a float; NaN fails the comparison, and an int compares exactly
-        kind = "an int" if hint is int else "a finite float"
-        if isinstance(value, (int, hint)) and not isinstance(value, bool) and (
-                hint is int or abs(value) <= sys.float_info.max):
-            return value
-    raise ValueError(f"malformed RunRecord: {where} must be {kind}, got {_shown(value)}")
-
-
 @dataclass
 class RunRecord:
     """Everything a report needs, and all it reads; losses are the exact values
@@ -148,9 +99,12 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """The record from its asdict() form: each field, at any depth, has
-        its annotated type (see _decode), and gram is K rows of K cosines.
-        A failure raises ValueError naming the path, e.g. steps[1].loss."""
-        record = _decode(d, cls, "")
+        its annotated type (see textdata.decode), and gram is K rows of K
+        cosines. A failure raises ValueError naming the path, e.g. steps[1].loss."""
+        try:
+            record = td.decode(d, cls, "")
+        except ValueError as e:
+            raise ValueError(f"malformed RunRecord: {e}") from e
         k = len(record.basis_prompts)
         if len(record.gram) != k or any(len(row) != k or not all(-1 <= v <= 1 for v in row)
                                         for row in record.gram):
@@ -170,6 +124,8 @@ class RunRecord:
         except UnicodeDecodeError as e:
             raise ValueError(f"malformed {cls.__name__}: not valid UTF-8 (byte {e.start + 1}: "
                              f"{e.reason})") from e
+        except ValueError as e:  # bad JSON, or an integer too long to convert
+            raise ValueError(f"malformed {cls.__name__}: invalid JSON ({e})") from e
         return cls.from_dict(d)
 
 

@@ -275,6 +275,29 @@ class TestPipelineCommands:
         err = capsys.readouterr().err
         assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, edit, message", [
+        (["train", *TINY],
+         lambda m: m["basis_prompts"].__setitem__(-1, "think step by step\ud800"),
+         "surrogates not allowed: 'e answer\", \"think step by step\\ud800'"),
+        (["eval", *TINY], lambda m: m["lm"]["vocab"].__setitem__(0, "\ud800"),
+         "surrogates not allowed: 'retrain_seed\": 1}, \"vocab\": [\"\\ud800'"),
+    ], ids=["basis-prompt", "vocabulary-token"])
+    def test_bundle_metadata_that_utf8_cannot_encode_exits_before_any_compute(
+            self, argv, edit, message, run_dir, tmp_path, monkeypatch, capsys):
+        # bundle_bytes could not write such a bundle back
+        monkeypatch.setattr("promptblend.cli._train", _never_called)
+        monkeypatch.setattr("promptblend.cli._prompted_eval", _never_called)
+        tensors, meta = load_checkpoint(run_dir / "checkpoint.pbld")
+        edit(meta)
+        # checkpoint_bytes cannot write a surrogate, so the block keeps ASCII escapes
+        block = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
+        bad, out = tmp_path / "bad.pbld", tmp_path / "out"
+        bad.write_bytes(checkpoint_bytes(tensors, {})[:-10] + struct.pack("<Q", len(block))
+                        + block)
+        assert run_cli([*argv, "--checkpoint", str(bad), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: malformed bundle metadata ({message})\n"
+        assert not out.exists()
+
     def test_eval_from_checkpoint(self, run_dir, capsys):
         code = run_cli(["eval", *TINY, "--checkpoint",
                         str(run_dir / "checkpoint.pbld")])
@@ -326,6 +349,21 @@ class TestPipelineCommands:
         assert err.startswith(f"error: {message}") and err.count("\n") == 1 and "gram" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("control, prompted", [(1e308, -1e308), (1.0, -1e307)],
+                             ids=["infinite-reduction", "infinite-percentage"])
+    def test_a_reduction_with_no_finite_percentage_writes_nothing(self, control, prompted,
+                                                                 run_dir, tmp_path, capsys):
+        # report.json would hold a bare Infinity, which JSON does not have
+        record = json.loads((run_dir / "record.json").read_text())
+        record.update(control_eval_loss=control, prompted_eval_loss=prompted)
+        path, out = tmp_path / "record.json", tmp_path / "out"
+        path.write_text(json.dumps(record))
+        assert run_cli(["report", "--record", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: relative reduction from control eval loss {control!r} to prompted "
+            f"{prompted!r} is not a finite percentage\n")
+        assert not out.exists()
+
     def test_truncated_checkpoint_is_validation_error(self, run_dir, tmp_path, capsys):
         cut = tmp_path / "cut.pbld"
         cut.write_bytes((run_dir / "checkpoint.pbld").read_bytes()[:10])
@@ -347,6 +385,26 @@ class TestPipelineCommands:
         assert run_cli([*argv, str(path), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: {message}") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, text, message", [
+        (["report", "--record"], '{"config": {',
+         "malformed RunRecord: invalid JSON (Expecting property name enclosed in double quotes: "
+         "line 1 column 13 (char 12))"),
+        (["report", "--record"], '{"control_eval_loss": ' + "1" * 5000 + "}",
+         "malformed RunRecord: invalid JSON (Exceeds the limit (4300 digits)"),
+        (["train", *TINY, "--data"], '{"id": ' + "1" * 5000 + "}",
+         "line 1: invalid record (Exceeds the limit (4300 digits)"),
+    ], ids=["truncated-record", "long-integer-record", "long-integer-dataset"])
+    def test_json_that_does_not_parse_is_named(self, argv, text, message, tmp_path, monkeypatch,
+                                               capsys):
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        path, out = tmp_path / "input", tmp_path / "out"
+        path.write_text(text)
+        assert run_cli([*argv, str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.endswith(")\n")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_malformed_record_is_validation_error(self, run_dir, tmp_path, capsys):
@@ -523,8 +581,9 @@ class TestPipelineCommands:
         assert built == [reordered]
 
 
-# a lone surrogate, which a JSON `\ud800` escape gives, has no UTF-8 form
-NOT_UTF8 = "cannot be written as UTF-8 (surrogates not allowed)"
+# what a dataset string must be; a lone surrogate, which a JSON `\ud800`
+# escape gives, has no UTF-8 form
+MUST_BE_STRING = "must be a string UTF-8 can encode, got"
 
 
 def _never_called(*args, **kwargs):
@@ -634,24 +693,28 @@ class TestFlagsCheckedBeforeCompute:
         assert capsys.readouterr().err == "error: 2 prompts for a 7-weight predictor\n"
 
     @pytest.mark.parametrize("edit, message", [
-        (lambda r: r["choices"][0].update(label=1),
-         "field 'choices[0].label' must be a string, got 1"),
-        (lambda r: r.update(id=7), "field 'id' must be a string, got 7"),
-        (lambda r: r.update(question=5), "field 'question' must be a string, got 5"),
-        (lambda r: r["choices"][1].update(text=None),
-         "field 'choices[1].text' must be a string, got None"),
-        (lambda r: r.update(choices="ABC"),
-         "field 'choices' must be a list of objects, got 'ABC'"),
-        (lambda r: r.update(answerKey=["A"]), "field 'answerKey' must be a string, got ['A']"),
-        (lambda r: r.update(id="q\ud800"), f"field 'id' {NOT_UTF8}"),
-        (lambda r: r.update(question="Which \ud800one?"), f"field 'question' {NOT_UTF8}"),
-        (lambda r: r.update(answerKey="\ud800"), f"field 'answerKey' {NOT_UTF8}"),
+        (lambda r: r["choices"][0].update(label=1), f"choices[0].label {MUST_BE_STRING} 1"),
+        (lambda r: r.update(id=7), f"id {MUST_BE_STRING} 7"),
+        (lambda r: r.update(question=5), f"question {MUST_BE_STRING} 5"),
+        (lambda r: r["choices"][1].update(text=None), f"choices[1].text {MUST_BE_STRING} None"),
+        (lambda r: r.update(choices="ABC"), "choices must be a list, got 'ABC'"),
+        (lambda r: r.update(answerKey=["A"]), f"answerKey {MUST_BE_STRING} ['A']"),
+        (lambda r: r.update(id="q\ud800"), f"id {MUST_BE_STRING} 'q\\ud800'"),
+        (lambda r: r.update(question="Which \ud800one?"),
+         f"question {MUST_BE_STRING} 'Which \\ud800one?'"),
+        (lambda r: r.update(answerKey="\ud800"), f"answerKey {MUST_BE_STRING} '\\ud800'"),
         (lambda r: r["choices"][0].update(label="A\ud800"),
-         f"field 'choices[0].label' {NOT_UTF8}"),
+         f"choices[0].label {MUST_BE_STRING} 'A\\ud800'"),
         (lambda r: r["choices"][2].update(text="option \ud800C"),
-         f"field 'choices[2].text' {NOT_UTF8}"),
+         f"choices[2].text {MUST_BE_STRING} 'option \\ud800C'"),
+        (lambda r: r.update(source="web"),
+         "expected fields ['id', 'question', 'choices', 'answerKey'], "
+         "got ['answerKey', 'choices', 'id', 'question', 'source']"),
+        (lambda r: r["choices"][1].update(score=1),
+         "choices[1] must have fields ['label', 'text'], got ['label', 'score', 'text']"),
     ], ids=["label", "id", "question", "text", "choices", "answerKey", "surrogate-id",
-            "surrogate-question", "surrogate-answerKey", "surrogate-label", "surrogate-text"])
+            "surrogate-question", "surrogate-answerKey", "surrogate-label", "surrogate-text",
+            "unknown-key", "unknown-choice-key"])
     def test_mistyped_dataset_field_exits_before_any_compute(self, edit, message, tmp_path,
                                                              monkeypatch, capsys):
         monkeypatch.setattr("promptblend.model.pretrain", _never_called)

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from promptblend import textdata as td
 
+from jsonedit import MUTATIONS, edited, nodes
+
 
 @pytest.fixture(scope="module")
 def fixture_1000():
@@ -150,6 +152,32 @@ class TestDatasetIO:
             td.Choice("A", "a"), td.Choice("B", "b")])
         with pytest.raises(td.DatasetError, match="3..5"):
             two.validate()
+
+
+VALID_LINE = {"id": "q1", "question": "Which tool measures mass?", "answerKey": "B",
+              "choices": [{"label": lab, "text": text} for lab, text in
+                          zip("ABCD", ["a ruler", "a balance", "a stopwatch", "a thermometer"])]}
+
+
+class TestDatasetContract:
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(path=st.sampled_from(list(nodes(VALID_LINE))), mutation=MUTATIONS)
+    def test_a_mutated_line_is_rejected_in_one_line_or_round_trips(self, path, mutation,
+                                                                   tmp_path_factory):
+        """One edit at one path: load_dataset rejects the line with one line
+        naming it, or returns one example that save_dataset writes back as
+        the edited record."""
+        d = edited(VALID_LINE, path, mutation)
+        file = tmp_path_factory.getbasetemp() / "contract.jsonl"
+        file.write_text(json.dumps(d) + "\n")
+        try:
+            examples = td.load_dataset(file)
+        except td.DatasetError as e:
+            assert str(e).startswith("line 1: ") and "\n" not in str(e)
+            return
+        assert len(examples) == 1
+        td.save_dataset(examples, file)
+        assert [json.loads(line) for line in td.read_lines(file)] == [d]
 
 
 class TestFormatting:

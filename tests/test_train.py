@@ -1,10 +1,7 @@
-import copy
 import gc
 import json
 import math
 from dataclasses import asdict
-from functools import reduce
-from operator import getitem
 
 import numpy as np
 import pytest
@@ -24,6 +21,7 @@ from promptblend.train import (DivergenceError, ExampleEval, RunConfig, RunRecor
                                control_eval, prompted_eval, stability_metric, train)
 
 from graphprobe import record_gradient_ops, saved_array_refs
+from jsonedit import MUTATIONS, edited, nodes
 
 SMALL = LMConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_positions=128)
 BASIS_PROMPTS = [
@@ -240,15 +238,6 @@ class TestTrain:
                 RunRecord.from_dict(d)
 
 
-def _nodes(value, path=()):
-    """The path of every node of a JSON value, the root's () first."""
-    yield path
-    children = value.items() if isinstance(value, dict) else (
-        enumerate(value) if isinstance(value, list) else ())
-    for key, child in children:
-        yield from _nodes(child, path + (key,))
-
-
 VALID_RECORD = asdict(RunRecord(
     config=RunConfig(epochs=1, batch_size=2, lr=1e-3, weight_decay=0.01, dropout_p=0.1,
                      seed=3, eval_every=0, prompt_length=4),
@@ -259,26 +248,16 @@ VALID_RECORD = asdict(RunRecord(
     examples=[ExampleEval("q1", "first?", 0.5, [0.5, -0.25, 1.0]),
               ExampleEval("q2", "second?", 0.25, [0.0, 1.0, 2.0])],
     projection=[["tok", 0.5], ["<pad>", 0.0]], lm_param_hash="abc", wall_clock_seconds=1.5))
-REPLACEMENTS = [math.nan, math.inf, -math.inf, 10**400, True, None, "x", [], {}]
 
 
 class TestRecordContract:
     @settings(derandomize=True, max_examples=400, deadline=None)
-    @given(path=st.sampled_from(list(_nodes(VALID_RECORD))),
-           mutation=st.sampled_from(["delete", "add", *range(len(REPLACEMENTS))]))
+    @given(path=st.sampled_from(list(nodes(VALID_RECORD))), mutation=MUTATIONS)
     def test_a_mutated_record_is_rejected_in_one_line_or_round_trips(self, path, mutation):
         """One edit at one path: from_json rejects the record with one line, or
         returns one whose to_json() gives back the edited dict, and which
         render_report renders or rejects with ValueError."""
-        box = [copy.deepcopy(VALID_RECORD)]  # so the root has a parent too
-        parent, key = reduce(getitem, (0, *path[:-1]), box), (0, *path)[-1]
-        if mutation == "add" and isinstance(parent[key], dict):
-            parent[key]["extra"] = 1
-        elif mutation == "delete" and path:
-            del parent[key]
-        elif isinstance(mutation, int):
-            parent[key] = copy.deepcopy(REPLACEMENTS[mutation])
-        d = box[0]
+        d = edited(VALID_RECORD, path, mutation)
         try:
             record = RunRecord.from_json(json.dumps(d))
         except ValueError as e:
