@@ -15,7 +15,7 @@ canonically, so load followed by save reproduces identical bytes.
 
 A run bundle is the frozen LM (tensors `lm.<param>`, metadata `lm`), an
 optional weight predictor (`predictor.<param>`, metadata `predictor`) and
-the optional basis prompts (metadata `basis_prompts`).
+the basis prompts (metadata `basis_prompts`), which every bundle carries.
 """
 
 from __future__ import annotations
@@ -111,12 +111,12 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         return parse_checkpoint(f.read())
 
 
-def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None = None,
-                 basis_prompts: list[str] | None = None) -> bytes:
+def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None,
+                 basis_prompts: list[str]) -> bytes:
     """The run bundle as checkpoint bytes; the predictor's provenance is
     stored beside its dropout rate."""
     tensors = {f"lm.{name}": t.data for name, t in lm.params.items()}
-    meta: dict = {"kind": "promptblend", "lm": {
+    meta: dict = {"kind": "promptblend", "basis_prompts": list(basis_prompts), "lm": {
         "config": asdict(lm.config),
         "vocab": lm.vocab.non_reserved(),
         "frozen": lm.frozen,
@@ -127,8 +127,6 @@ def bundle_bytes(lm: FrozenLM, predictor: WeightPredictor | None = None,
         for name, p in zip(WeightPredictor.PARAM_NAMES, predictor.parameters()):
             tensors[f"predictor.{name}"] = p.data
         meta["predictor"] = {**predictor.provenance, "dropout_p": predictor.dropout_p}
-    if basis_prompts is not None:
-        meta["basis_prompts"] = list(basis_prompts)
     return checkpoint_bytes(tensors, meta)
 
 
@@ -141,8 +139,8 @@ BUNDLE_KEYS = {"kind", "lm", "predictor", "basis_prompts"}
 LM_KEYS = {"config", "vocab", "frozen", "provenance", "pretrain_record"}
 
 
-def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | None]:
-    """Inverse of bundle_bytes: (lm, predictor or None, basis prompts or None).
+def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str]]:
+    """Inverse of bundle_bytes: (lm, predictor or None, basis prompts).
 
     The metadata must have exactly the keys and types bundle_bytes writes,
     and strings UTF-8 can encode; every tensor's name and shape must be the
@@ -153,6 +151,8 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
     lm_meta, pred_meta, prompts = (meta.get(k) for k in ("lm", "predictor", "basis_prompts"))
     _check(meta.get("kind") == "promptblend", f"kind {meta.get('kind')!r}")
     _check(set(meta) <= BUNDLE_KEYS, f"unknown keys {sorted(set(meta) - BUNDLE_KEYS)}")
+    _check(type(prompts) is list and all(type(p) is str for p in prompts),
+           "basis_prompts is not a list of strings")
     _check(isinstance(lm_meta, dict) and set(lm_meta) == LM_KEYS,
            f"lm metadata is not an object with exactly the keys {sorted(LM_KEYS)}")
     _check(type(lm_meta["frozen"]) is bool, f"lm frozen {lm_meta['frozen']!r}")
@@ -161,12 +161,11 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
     names = [f"predictor.{n}" for n in WeightPredictor.PARAM_NAMES] if "predictor" in meta else []
     try:
         json.dumps(meta, ensure_ascii=False).encode("utf-8")  # as bundle_bytes writes it
-        vocab, config = td.Vocab(lm_meta["vocab"]), LMConfig(**lm_meta["config"])
+        vocab = td.Vocab(lm_meta["vocab"])
+        config = td.decode(lm_meta["config"], LMConfig, "lm.config")  # exactly its four ints
         expected = {f"lm.{n}": shape for n, shape in param_shapes(config, len(vocab)).items()}
-        # the predictor's widths run from embed_dim through its biases to the basis size
-        widths = [config.embed_dim] + [len(tensors[b]) for b in names[1::2]]
-        if names and prompts is not None:
-            widths[-1] = len(prompts)
+        # the predictor's widths run from embed_dim through its hidden biases to the basis size
+        widths = [config.embed_dim, *(len(tensors[b]) for b in names[1:-1:2]), len(prompts)]
         for w, b, n_in, n_out in zip(names[0::2], names[1::2], widths, widths[1:]):
             expected[w], expected[b] = (n_in, n_out), (n_out,)
         dropout_p = pred_meta["dropout_p"] if names else 0.0
@@ -182,8 +181,6 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str] | Non
         _check(np.isfinite(tensors[name]).all(), f"tensor {name!r} has non-finite entries")
     _check(type(dropout_p) in (int, float) and 0.0 <= dropout_p < 1.0,
            f"predictor dropout_p {dropout_p!r}")
-    _check("basis_prompts" not in meta or isinstance(prompts, list)
-           and all(isinstance(p, str) for p in prompts), "basis_prompts")
     lm = FrozenLM(vocab, config, params={n[3:]: a for n, a in tensors.items()
                                          if n.startswith("lm.")})
     lm.provenance, lm.pretrain_record = lm_meta["provenance"], lm_meta["pretrain_record"]

@@ -76,9 +76,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--fixture-seed", type=SEED, default=DEFAULT_FIXTURE_SEED)
         p.add_argument("--val-fraction", type=FRACTION, default=0.2)
 
-    def add_common(p, seed=True):
-        if seed:
-            p.add_argument("--seed", type=SEED, default=0, help="run seed")
+    def add_common(p):
+        p.add_argument("--seed", type=SEED, default=0, help="run seed")
         p.add_argument("--basis", default="default",
                        help="basis file, or 'default': the checkpoint's prompts or the built-ins")
 
@@ -108,7 +107,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="control and prompted evaluation from a checkpoint")
     add_data_flags(p)
-    add_common(p, seed=False)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--out", default=None)
 
@@ -203,7 +201,7 @@ def _cmd_pretrain(args) -> int:
     config = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             extra_vocab_texts=list(basis_prompts))
     lm = pretrain_examples(train_set, config, args.seed)
-    _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, basis_prompts=basis_prompts)})
+    _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, None, basis_prompts)})
     rec = lm.pretrain_record
     print(f"pretrained on {len(train_set)} examples: initial loss "
           f"{rec['initial_loss']:.4f}, final epoch mean {rec['epoch_means'][-1]:.4f}")
@@ -245,10 +243,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_eval(args) -> int:
     examples = _resolve_examples(args)
-    lm, predictor, ck_prompts = load_bundle(args.checkpoint)
-    prompts = _resolve_basis_prompts(args, ck_prompts)
-    if predictor is not None and len(prompts) != predictor.out_dim:
-        raise ValueError(f"{len(prompts)} prompts for a {predictor.out_dim}-weight predictor")
+    lm, predictor, prompts = load_bundle(args.checkpoint)
     _, eval_set = td.train_eval_split(examples, args.val_fraction)
     payload = {"eval_examples": len(eval_set)}
     if predictor is None:

@@ -3,10 +3,12 @@
 import numpy as np
 
 
-def finite_difference(f, params, h=1e-5):
+def finite_difference(f, params, h=1e-5, order=2):
     """Central-difference gradient of scalar f() w.r.t. each Tensor in params.
 
-    f must re-run the forward pass from the current parameter data.
+    f must re-run the forward pass from the current parameter data. Order 4
+    takes the five-point stencil (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h,
+    whose truncation error falls as h^4 rather than h^2, at twice the calls.
     """
     grads = []
     for p in params:
@@ -14,12 +16,16 @@ def finite_difference(f, params, h=1e-5):
         g = np.zeros(flat.size)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + h
-            hi = f()
-            flat[i] = orig - h
-            lo = f()
+
+            def at(steps):
+                flat[i] = orig + steps * h
+                return f()
+
+            if order == 2:
+                g[i] = (at(1) - at(-1)) / (2 * h)
+            else:
+                g[i] = (8 * (at(1) - at(-1)) - (at(2) - at(-2))) / (12 * h)
             flat[i] = orig
-            g[i] = (hi - lo) / (2 * h)
         grads.append(g.reshape(p.data.shape))
     return grads
 

@@ -1,3 +1,4 @@
+import json
 import struct
 
 import numpy as np
@@ -10,6 +11,8 @@ from promptblend.checkpoint import (CheckpointError, bundle_bytes, checkpoint_by
                                     load_bundle, parse_checkpoint)
 from promptblend.composer import WeightPredictor
 from promptblend.model import FrozenLM, LMConfig
+
+from jsonedit import MUTATIONS, edited, nodes
 
 TINY = LMConfig(embed_dim=4, num_heads=2, ffn_dim=6, max_positions=16)
 PROMPTS = ["alpha beta", "gamma"]
@@ -62,8 +65,10 @@ def test_predictor_provenance_round_trips(scratch):
 
 def test_lm_only_bundle_has_no_predictor(scratch):
     lm, _, _ = _bundle()
-    _, pred, prompts = _load(scratch, bundle_bytes(lm))
-    assert pred is None and prompts is None
+    blob = bundle_bytes(lm, None, PROMPTS)
+    loaded, pred, prompts = _load(scratch, blob)
+    assert pred is None and prompts == PROMPTS
+    assert bundle_bytes(loaded, pred, prompts) == blob
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,9 +151,13 @@ def test_predictor_dropout_rate_is_required(scratch):
     (lambda m: m["lm"].update(provenance=[]), "provenance or pretrain_record is not an object"),
     (lambda m: m["lm"].update(pretrain_record="x"), "provenance or pretrain_record"),
     (lambda m: m.update(predictor=None), "malformed bundle metadata"),
-    (lambda m: m.update(basis_prompts=None), "basis_prompts"),
+    (lambda m: m.update(basis_prompts=None), "basis_prompts is not a list of strings"),
+    (lambda m: m.pop("basis_prompts"), "basis_prompts is not a list of strings"),
+    (lambda m: m["lm"]["config"].pop("max_positions"),
+     r"lm.config must have fields \['embed_dim', 'num_heads', 'ffn_dim', 'max_positions'\]"),
 ], ids=["kind", "top-level-key", "lm-key", "missing-lm-key", "lm-list", "frozen-string",
-        "frozen-int", "provenance-list", "record-string", "predictor-null", "prompts-null"])
+        "frozen-int", "provenance-list", "record-string", "predictor-null", "prompts-null",
+        "prompts-missing", "config-missing-key"])
 def test_metadata_bundle_bytes_never_writes_is_rejected(scratch, edit, message):
     # each of these used to load, and most re-saved to other bytes
     with pytest.raises(CheckpointError, match=message):
@@ -170,5 +179,31 @@ def test_boolean_config_value_rejected(scratch, field):
     def edit(tensors, meta):
         meta["lm"]["config"][field] = True
 
-    with pytest.raises(CheckpointError, match=f"metadata.*{field} must be a positive integer"):
+    with pytest.raises(CheckpointError, match=f"metadata.*lm.config.{field} must be an int"):
         _load(scratch, _retensor(edit))
+
+
+TENSORS, META = parse_checkpoint(BLOB)
+
+
+def _with_metadata(meta: dict) -> bytes:
+    """BLOB's tensors with `meta` in ASCII escapes, which can hold a lone
+    surrogate that checkpoint_bytes cannot write."""
+    text = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("ascii")
+    return checkpoint_bytes(TENSORS, {})[:-10] + struct.pack("<Q", len(text)) + text
+
+
+class TestBundleContract:
+    @settings(derandomize=True, max_examples=1500, deadline=None)
+    @given(path=st.sampled_from(list(nodes(META))), mutation=MUTATIONS)
+    def test_mutated_metadata_is_rejected_in_one_line_or_round_trips(self, scratch, path,
+                                                                     mutation):
+        """One edit at one path: load_bundle rejects the bundle with one line,
+        or returns one that bundle_bytes writes back as the edited metadata."""
+        meta = edited(META, path, mutation)
+        try:
+            loaded = _load(scratch, _with_metadata(meta))
+        except CheckpointError as e:
+            assert "\n" not in str(e)
+            return
+        assert bundle_bytes(*loaded) == checkpoint_bytes(TENSORS, meta)

@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 
 import promptblend
 from promptblend import composer
-from promptblend.checkpoint import CheckpointError, checkpoint_bytes, load_bundle, load_checkpoint
+from promptblend.checkpoint import (CheckpointError, bundle_bytes, checkpoint_bytes, load_bundle,
+                                    load_checkpoint)
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
 from promptblend.model import FrozenLM
@@ -240,7 +241,7 @@ class TestPipelineCommands:
         assert run_cli(["eval", *TINY, "--checkpoint", str(bad)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: malformed bundle metadata") and err.count("\n") == 1
-        assert "num_heads must be a positive integer, got True" in err
+        assert "lm.config.num_heads must be an int, got True" in err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda m: m.update(kind="other", extra=1), "kind 'other'"),
@@ -522,15 +523,6 @@ class TestPipelineCommands:
             sorted([name, "eval.json"]) if command == "eval" else [name])
         assert (tmp_path / out / name).read_text(encoding="utf-8") == printed
 
-    def test_lm_only_eval_resolves_the_basis(self, custom_bundle, tmp_path, monkeypatch,
-                                             capsys):
-        monkeypatch.setattr("promptblend.cli._control_eval", _never_called)
-        missing = tmp_path / "missing.txt"
-        assert run_cli(["eval", *TINY, "--checkpoint", str(custom_bundle),
-                        "--basis", str(missing)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: [Errno 2] No such file or directory: '{missing}'\n")
-
     def test_embed_summarizes_basis(self, tmp_path, capsys):
         basis_file = tmp_path / "basis.txt"
         basis_file.write_text("# two prompts\nthink step by step\ndraw a diagram\n")
@@ -548,7 +540,7 @@ class TestPipelineCommands:
         assert "score: 0.0000" in stdout
         assert "similarity 1.0000" in stdout
 
-    # --basis default means the bundle's own prompts, for every command
+    # --basis default means the bundle's own prompts, and eval always uses them
     def test_ortho_of_a_bundle_lists_its_prompts(self, custom_bundle, capsys):
         assert run_cli(["ortho", "--checkpoint", str(custom_bundle)]) == 0
         listed = capsys.readouterr().out.split("prompts:\n")[1].splitlines()
@@ -564,11 +556,11 @@ class TestPipelineCommands:
                         "--out", str(out)]) == 0
         assert json.loads((out / "record.json").read_text())["basis_prompts"] == CUSTOM_PROMPTS
 
-    def test_eval_basis_file_overrides_the_bundle_prompts(self, run_dir, tmp_path,
-                                                          monkeypatch):
+    def test_eval_embeds_the_bundle_prompts(self, run_dir, tmp_path, monkeypatch):
         reordered = list(reversed(DEFAULT_BASIS_PROMPTS))
-        basis_file = tmp_path / "basis.txt"
-        basis_file.write_text("\n".join(reordered) + "\n")
+        lm, predictor, _ = load_bundle(run_dir / "checkpoint.pbld")
+        bundle = tmp_path / "reordered.pbld"
+        bundle.write_bytes(bundle_bytes(lm, predictor, reordered))
         built, build_basis = [], composer.build_basis
 
         def spy(prompts, lm):
@@ -576,8 +568,7 @@ class TestPipelineCommands:
             return build_basis(prompts, lm)
 
         monkeypatch.setattr(composer, "build_basis", spy)
-        assert run_cli(["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld"),
-                        "--basis", str(basis_file)]) == 0
+        assert run_cli(["eval", *TINY, "--checkpoint", str(bundle)]) == 0
         assert built == [reordered]
 
 
@@ -683,14 +674,12 @@ class TestFlagsCheckedBeforeCompute:
         assert "--top 8 exceeds the basis size 7" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_eval_basis_of_another_size_exits_before_any_compute(self, run_dir, tmp_path,
-                                                                 monkeypatch, capsys):
-        monkeypatch.setattr("promptblend.train.control_eval", _never_called)
-        basis_file = tmp_path / "two.txt"
-        basis_file.write_text("think step by step\ndraw a diagram\n")
+    def test_eval_takes_no_basis(self, run_dir, monkeypatch, capsys):
+        # the bundle's prompts are the basis its predictor was trained on
+        monkeypatch.setattr("promptblend.cli.load_bundle", _never_called)
         assert run_cli(["eval", *TINY, "--checkpoint", str(run_dir / "checkpoint.pbld"),
-                        "--basis", str(basis_file)]) == 1
-        assert capsys.readouterr().err == "error: 2 prompts for a 7-weight predictor\n"
+                        "--basis", "x"]) == 1
+        assert "unrecognized arguments: --basis x" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r["choices"][0].update(label=1), f"choices[0].label {MUST_BE_STRING} 1"),

@@ -64,8 +64,8 @@ class TestPretrain:
         examples = td.make_fixture(seed=6, n=8)
         p1, p2 = tmp_path / "a.pbld", tmp_path / "b.pbld"
         cfg = PretrainConfig(epochs=2, model=SMALL)
-        p1.write_bytes(bundle_bytes(pretrain_examples(examples, cfg, seed=9)))
-        p2.write_bytes(bundle_bytes(pretrain_examples(examples, cfg, seed=9)))
+        p1.write_bytes(bundle_bytes(pretrain_examples(examples, cfg, seed=9), None, []))
+        p2.write_bytes(bundle_bytes(pretrain_examples(examples, cfg, seed=9), None, []))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_pad_row_is_exactly_zero(self, tiny_lm):
@@ -476,13 +476,13 @@ class TestCheckpoint:
     def test_round_trip_bytes(self, tiny_lm, tmp_path):
         lm, _ = tiny_lm
         p1 = tmp_path / "one.pbld"
-        p1.write_bytes(bundle_bytes(lm))
-        assert bundle_bytes(load_bundle(p1)[0]) == p1.read_bytes()
+        p1.write_bytes(bundle_bytes(lm, None, ["a prompt"]))
+        assert bundle_bytes(*load_bundle(p1)) == p1.read_bytes()
 
     def test_loaded_model_behaves_identically(self, tiny_lm, tmp_path):
         lm, examples = tiny_lm
         path = tmp_path / "ck.pbld"
-        path.write_bytes(bundle_bytes(lm))
+        path.write_bytes(bundle_bytes(lm, None, []))
         loaded, _, _ = load_bundle(path)
         assert loaded.frozen
         assert loaded.param_hash() == lm.param_hash()

@@ -3,7 +3,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from promptblend import rng as rngmod
@@ -489,8 +489,12 @@ def test_an_op_output_wants_a_gradient_exactly_when_an_input_does(data, leaf_fla
 @settings(max_examples=30, deadline=None)
 @given(rows=st.integers(1, 4), inner=st.integers(1, 4), cols=st.integers(1, 4),
        seed=st.integers(0, 10_000))
+# at h=1e-5 the forward's round-off moves a second-order stencil 1.3e-9 off
+# one 6.2e-6 gradient entry of this draw, a relative error of 2.1e-4; at
+# h=1e-4 its truncation error reaches 4e-2 on other draws, so fourth order
+@example(rows=2, inner=4, cols=2, seed=3907)
 def test_gradcheck_property_small_tensors(rows, inner, cols, seed):
-    # any composition over <= 64 elements stays within 1e-4 of central differences
+    # any composition over <= 64 elements stays within 1e-4 of a fourth-order stencil
     gen = rngmod.stream(seed, "prop")
     x = Tensor(gen.normal(size=(rows, inner)), requires_grad=True)
     w = Tensor(gen.normal(size=(inner, cols)), requires_grad=True)
@@ -504,7 +508,7 @@ def test_gradcheck_property_small_tensors(rows, inner, cols, seed):
     params = [x, w, g, bias]
     forward().backward()
     analytic = [p.grad for p in params]
-    fd = finite_difference(lambda: float(forward().data), params)
+    fd = finite_difference(lambda: float(forward().data), params, h=1e-4, order=4)
     assert max_rel_error(analytic, fd) < 1e-4
 
 
