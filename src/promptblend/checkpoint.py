@@ -15,7 +15,7 @@ canonically, so load followed by save reproduces identical bytes.
 
 A run bundle is the frozen LM (tensors `lm.<param>`, metadata `lm`), an
 optional weight predictor (`predictor.<param>`, metadata `predictor`) and
-the basis prompts (metadata `basis_prompts`), which every bundle carries.
+the non-empty basis prompts (metadata `basis_prompts`) every bundle carries.
 """
 
 from __future__ import annotations
@@ -153,6 +153,7 @@ def load_bundle(path) -> tuple[FrozenLM, WeightPredictor | None, list[str]]:
     _check(set(meta) <= BUNDLE_KEYS, f"unknown keys {sorted(set(meta) - BUNDLE_KEYS)}")
     _check(type(prompts) is list and all(type(p) is str for p in prompts),
            "basis_prompts is not a list of strings")
+    _check(bool(prompts), "basis_prompts is empty")
     _check(isinstance(lm_meta, dict) and set(lm_meta) == LM_KEYS,
            f"lm metadata is not an object with exactly the keys {sorted(LM_KEYS)}")
     _check(type(lm_meta["frozen"]) is bool, f"lm frozen {lm_meta['frozen']!r}")

@@ -155,10 +155,18 @@ def _split(examples: list[td.QAExample], val_fraction: float):
 
 def _resolve_basis_prompts(args, stored=None) -> list[str]:
     """The --basis file's prompts; 'default' means the bundle's `stored`
-    prompts when it has some, else the built-in ones."""
+    prompts, or the built-in ones without a bundle."""
     if args.basis != "default":
         return composer.load_basis_file(args.basis)
     return list(stored or composer.DEFAULT_BASIS_PROMPTS)
+
+
+def _check_basis_fits(examples: list[td.QAExample], prompts: list[str], config: LMConfig) -> None:
+    """Reject a basis whose longest prompt does not fit max_positions beside the
+    longest input; split_tokens needs no vocabulary, so this runs before compute."""
+    longest = max(examples, key=lambda ex: len(td.split_tokens(td.format_input(ex))))
+    config.check_fits(f"example {longest.id!r}", max(len(td.split_tokens(p)) for p in prompts),
+                      td.split_tokens(td.format_input(longest)))
 
 
 def check_out_dir(out) -> None:
@@ -200,6 +208,7 @@ def _cmd_pretrain(args) -> int:
     basis_prompts = _resolve_basis_prompts(args)
     config = PretrainConfig(epochs=args.epochs, batch_size=args.batch_size, lr=args.lr,
                             extra_vocab_texts=list(basis_prompts))
+    _check_basis_fits(examples, basis_prompts, config.model)
     lm = pretrain_examples(train_set, config, args.seed)
     _write_outputs(args.out, {"checkpoint.pbld": bundle_bytes(lm, None, basis_prompts)})
     rec = lm.pretrain_record
@@ -218,11 +227,7 @@ def _cmd_train(args) -> int:
     lm, _, stored = load_bundle(args.checkpoint) if args.checkpoint else (None, None, None)
     basis_prompts = _resolve_basis_prompts(args, stored)
     _check_top(args.top, basis_prompts)
-    # split_tokens counts need no vocabulary, so this runs before pretraining
-    longest = max(examples, key=lambda ex: len(td.split_tokens(td.format_input(ex))))
-    (LMConfig() if lm is None else lm.config).check_fits(
-        f"example {longest.id!r}", max(len(td.split_tokens(p)) for p in basis_prompts),
-        td.split_tokens(td.format_input(longest)))
+    _check_basis_fits(examples, basis_prompts, LMConfig() if lm is None else lm.config)
     if lm is None:
         lm = pretrain_examples(train_set, PretrainConfig(
             epochs=args.pretrain_epochs, extra_vocab_texts=list(basis_prompts)), args.seed)

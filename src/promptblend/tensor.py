@@ -2,22 +2,22 @@
 
 Covers exactly what the pipeline needs: fused linear, same-shape add,
 elementwise ops, fused multi-head attention, layer norm, GELU, inverted
-dropout, embedding lookup, row placement, and a per-sequence cross-entropy
-with pad masking. Graphs are built eagerly and backpropagated
-single-threaded.
+dropout, embedding lookup, row placement and a per-sequence cross-entropy
+with pad masking. Graphs are built eagerly and backpropagated in one thread.
 
 A Tensor is a value (`data`) and a graph node (`node`), and nodes, not
-tensors, link the graph. An op's node holds its input nodes and a
-backward closure, which is called with the gradient and those nodes
-(named as the input tensors they shadow) and keeps only the arrays its
-formula reads. So a value no formula reads, such as a residual sum, a
-layer norm's input or a frozen linear's input, is freed as soon as the
+tensors, link the graph. An op's node holds its input nodes and a backward
+closure, which is called with the gradient and those nodes (named as the
+input tensors they shadow) and keeps only the arrays its formula reads. A
+node keeps a gradient only if it wants one: Node.accum ignores any other, so
+a closure tests an input's flag only to skip work. A value no formula reads,
+such as a residual sum or a frozen linear's input, is freed as soon as the
 caller drops its tensor. backward() consumes the graph: once a node's
-closure has run, the node drops it and its input links, so each saved
-array is freed as soon as the last formula that reads it has run. A graph
-has no reference cycles and is freed by reference counting once its root
-is dropped; a node that requires no gradient keeps neither its inputs nor
-its closure, so a forward-only graph is freed op by op.
+closure has run, the node drops it and its input links, so each saved array
+is freed once the last formula reading it has run. A graph has no reference
+cycles and is freed by reference counting once its root is dropped; a node
+that requires no gradient keeps neither its inputs nor its closure, so a
+forward-only graph is freed op by op.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class Node:
         self.backward = backward
 
     def accum(self, g: np.ndarray) -> None:
-        # out of place: backward closures may hand one array to several inputs
-        self.grad = g if self.grad is None else self.grad + g
+        """Add g, out of place as closures may share it, if this node wants a gradient."""
+        if self.requires_grad:
+            self.grad = g if self.grad is None else self.grad + g
 
 
 class Tensor:
@@ -126,18 +127,15 @@ class Tensor:
             raise ShapeError(f"cannot add {self!r} and {other!r}")
 
         def _bw(g, self, other):
-            if self.requires_grad:
-                self.accum(g)
-            if other.requires_grad:
-                other.accum(g)
+            self.accum(g)
+            other.accum(g)
 
         return Tensor(self.data + other.data, _prev=(self, other), _backward=_bw)
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             def _bw(g, self):
-                if self.requires_grad:
-                    self.accum(g * other)
+                self.accum(g * other)
 
             return Tensor(self.data * other, _prev=(self,), _backward=_bw)
         if self.data.shape != other.data.shape:
@@ -301,8 +299,7 @@ def gelu(x: Tensor) -> Tensor:
     _in_row_blocks(_gelu_slope_rows, (v, y, slope), [np.empty(block) for _ in range(3)])
 
     def _bw(g, x):
-        if x.requires_grad:
-            x.accum(g * slope)
+        x.accum(g * slope)
 
     return Tensor(y, _prev=(x,), _backward=_bw)
 
@@ -347,8 +344,7 @@ def dropout(x: Tensor, p: float, rng: np.random.Generator | None) -> Tensor:
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
 
     def _bw(g, x):
-        if x.requires_grad:
-            x.accum(g * mask)
+        x.accum(g * mask)
 
     return Tensor(x.data * mask, _prev=(x,), _backward=_bw)
 
@@ -393,13 +389,12 @@ def cross_entropy(logits: Tensor, targets, pad_id: int) -> Tensor:
     ids, keep, n, shifted, per_sequence = _sequence_terms(logits.data, targets, pad_id)
 
     def _bw(g, logits):
-        if logits.requires_grad:
-            p = np.exp(shifted)
-            p /= p.sum(axis=-1, keepdims=True)
-            p[np.arange(p.shape[0]), ids.reshape(-1)] -= 1.0
-            p[~keep.reshape(-1)] = 0.0
-            # a row's weight in the mean is 1 / (its sequence's positions * sequences)
-            logits.accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
+        p = np.exp(shifted)
+        p /= p.sum(axis=-1, keepdims=True)
+        p[np.arange(p.shape[0]), ids.reshape(-1)] -= 1.0
+        p[~keep.reshape(-1)] = 0.0
+        # a row's weight in the mean is 1 / (its sequence's positions * sequences)
+        logits.accum(g * p / np.repeat(n * len(n), ids.shape[1])[:, None])
 
     return Tensor(per_sequence.mean(), _prev=(logits,), _backward=_bw)
 
@@ -417,8 +412,7 @@ def concat_rows(parts: list[Tensor]) -> Tensor:
     def _bw(g, *parts):
         r = 0
         for p, h in zip(parts, heights):
-            if p.requires_grad:
-                p.accum(g[r:r + h])
+            p.accum(g[r:r + h])
             r += h
 
     return Tensor(np.concatenate([p.data for p in parts], axis=0), _prev=parts, _backward=_bw)
@@ -435,8 +429,7 @@ def scatter_rows(x: Tensor, index, rows: int) -> Tensor:
     data[idx] = x.data
 
     def _bw(g, x):
-        if x.requires_grad:
-            x.accum(g[idx])
+        x.accum(g[idx])
 
     return Tensor(data, _prev=(x,), _backward=_bw)
 
@@ -445,10 +438,9 @@ def slice_cols(x: Tensor, j0: int, j1: int) -> Tensor:
     shape = x.data.shape
 
     def _bw(g, x):
-        if x.requires_grad:
-            full = np.zeros(shape)
-            full[:, j0:j1] = g
-            x.accum(full)
+        full = np.zeros(shape)
+        full[:, j0:j1] = g
+        x.accum(full)
 
     return Tensor(x.data[:, j0:j1].copy(), _prev=(x,), _backward=_bw)
 
@@ -459,8 +451,7 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     def _bw(g, *parts):
         c = 0
         for p, w in zip(parts, widths):
-            if p.requires_grad:
-                p.accum(g[:, c:c + w])
+            p.accum(g[:, c:c + w])
             c += w
 
     return Tensor(np.concatenate([p.data for p in parts], axis=1), _prev=parts, _backward=_bw)
@@ -476,10 +467,9 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     shape = table.data.shape
 
     def _bw(g, table):
-        if table.requires_grad:
-            full = np.zeros(shape)
-            np.add.at(full, idx, g)
-            table.accum(full)
+        full = np.zeros(shape)
+        np.add.at(full, idx, g)
+        table.accum(full)
 
     return Tensor(table.data[idx], _prev=(table,), _backward=_bw)
 
@@ -496,9 +486,8 @@ def weighted_sum(stack: np.ndarray, w: Tensor) -> Tensor:
     shape = w.data.shape
 
     def _bw(g, w):
-        if w.requires_grad:
-            axes = tuple(range(1, stack.ndim))
-            gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
-            w.accum(gw.reshape(shape))
+        axes = tuple(range(1, stack.ndim))
+        gw = np.tensordot(stack, g, axes=(axes, tuple(range(g.ndim))))
+        w.accum(gw.reshape(shape))
 
     return Tensor(np.tensordot(wv, stack, axes=1), _prev=(w,), _backward=_bw)

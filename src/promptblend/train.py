@@ -99,8 +99,8 @@ class RunRecord:
     @classmethod
     def from_dict(cls, d: dict) -> "RunRecord":
         """The record from its asdict() form: each field, at any depth, has
-        its annotated type (see textdata.decode), and gram is K rows of K
-        cosines. A failure raises ValueError naming the path, e.g. steps[1].loss."""
+        its annotated type (see textdata.decode), gram is K rows of K cosines
+        and each example has K weights; a failure raises ValueError naming its path."""
         try:
             record = td.decode(d, cls, "")
         except ValueError as e:
@@ -109,6 +109,10 @@ class RunRecord:
         if len(record.gram) != k or any(len(row) != k or not all(-1 <= v <= 1 for v in row)
                                         for row in record.gram):
             raise ValueError(f"malformed RunRecord: gram must be {k} rows of {k} cosines")
+        for i, ex in enumerate(record.examples):
+            if len(ex.weights) != k:
+                raise ValueError(f"malformed RunRecord: examples[{i}].weights must hold {k} "
+                                 f"weights, got {len(ex.weights)}")
         return record
 
     def to_json(self) -> str:

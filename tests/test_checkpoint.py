@@ -153,11 +153,12 @@ def test_predictor_dropout_rate_is_required(scratch):
     (lambda m: m.update(predictor=None), "malformed bundle metadata"),
     (lambda m: m.update(basis_prompts=None), "basis_prompts is not a list of strings"),
     (lambda m: m.pop("basis_prompts"), "basis_prompts is not a list of strings"),
+    (lambda m: m.update(basis_prompts=[]), "basis_prompts is empty"),
     (lambda m: m["lm"]["config"].pop("max_positions"),
      r"lm.config must have fields \['embed_dim', 'num_heads', 'ffn_dim', 'max_positions'\]"),
 ], ids=["kind", "top-level-key", "lm-key", "missing-lm-key", "lm-list", "frozen-string",
         "frozen-int", "provenance-list", "record-string", "predictor-null", "prompts-null",
-        "prompts-missing", "config-missing-key"])
+        "prompts-missing", "prompts-empty", "config-missing-key"])
 def test_metadata_bundle_bytes_never_writes_is_rejected(scratch, edit, message):
     # each of these used to load, and most re-saved to other bytes
     with pytest.raises(CheckpointError, match=message):

@@ -25,11 +25,12 @@ from hypothesis import strategies as st
 
 import promptblend
 from promptblend import composer
+from promptblend import textdata as td
 from promptblend.checkpoint import (CheckpointError, bundle_bytes, checkpoint_bytes, load_bundle,
                                     load_checkpoint)
 from promptblend.cli import _build_parser, run_cli
 from promptblend.composer import DEFAULT_BASIS_PROMPTS
-from promptblend.model import FrozenLM
+from promptblend.model import FrozenLM, LMConfig
 from promptblend.train import RunConfig, RunRecord, prompted_eval
 
 from graphprobe import record_gradient_ops
@@ -476,12 +477,16 @@ class TestPipelineCommands:
         (lambda r: r.update(lm_param_hash="\ud800"),
          "malformed RunRecord: lm_param_hash must be a string UTF-8 can encode, "
          "got '\\ud800'\n"),
+        (lambda r: r["examples"][0]["weights"].__delitem__(slice(3, None)),
+         "malformed RunRecord: examples[0].weights must hold 7 weights, got 3\n"),
+        (lambda r: r["examples"][2]["weights"].append(0.5),
+         "malformed RunRecord: examples[2].weights must hold 7 weights, got 8\n"),
     ], ids=["projection_null", "projection_int_token", "eval_losses_null", "nan_weight",
             "inf_control_loss", "nan_step_loss", "inf_eval_loss", "inf_example_loss",
             "config_without_epochs", "config_string_seed", "config_string_prompt_length",
             "huge_control_loss", "huge_weight", "nan_projection_cosine", "nan_config_lr",
             "unknown_config_key", "nan_wall_clock", "unencodable_question",
-            "unencodable_lm_hash"])
+            "unencodable_lm_hash", "three_weights", "eight_weights"])
     def test_mistyped_record_item_writes_nothing(self, edit, message, run_dir, tmp_path,
                                                  capsys):
         record = json.loads((run_dir / "record.json").read_text())
@@ -545,6 +550,15 @@ class TestPipelineCommands:
         assert run_cli(["ortho", "--checkpoint", str(custom_bundle)]) == 0
         listed = capsys.readouterr().out.split("prompts:\n")[1].splitlines()
         assert listed == [f"  {i}. {p}" for i, p in enumerate(CUSTOM_PROMPTS, start=1)]
+
+    def test_ortho_of_a_bundle_with_no_prompts_is_validation_error(self, tmp_path, capsys):
+        # the built-in basis would be all unknown words to this LM
+        lm = FrozenLM(td.Vocab.build(["alpha beta"]), LMConfig(), 0)
+        bundle, out = tmp_path / "empty.pbld", tmp_path / "out"
+        bundle.write_bytes(bundle_bytes(lm, None, []))
+        assert run_cli(["ortho", "--checkpoint", str(bundle), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: malformed bundle: basis_prompts is empty\n"
+        assert not out.exists()
 
     def test_embed_of_a_bundle_lists_its_prompts(self, custom_bundle, capsys):
         assert run_cli(["embed", "--checkpoint", str(custom_bundle)]) == 0
@@ -618,6 +632,19 @@ class TestFlagsCheckedBeforeCompute:
         assert (capsys.readouterr().err
                 == "error: example 'fx00002': prompt+input length 289 exceeds max_positions 256\n")
         assert not (tmp_path / "run").exists()
+
+    def test_pretrain_with_an_overlong_basis_prompt_exits_before_pretraining(
+            self, tmp_path, monkeypatch, capsys):
+        # the bundle would store a basis that no later command could use
+        monkeypatch.setattr("promptblend.model.pretrain", _never_called)
+        basis_file = tmp_path / "long.txt"
+        basis_file.write_text(" ".join(["word"] * 300) + "\n")
+        out = tmp_path / "pre"
+        assert run_cli(["pretrain", "--fixture-size", "40", "--fixture-seed", "5", "--epochs",
+                        "1", "--basis", str(basis_file), "--out", str(out)]) == 1
+        assert (capsys.readouterr().err
+                == "error: example 'fx00002': prompt+input length 349 exceeds max_positions 256\n")
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["train", "embed", "ortho"])
     def test_prompt_length_is_not_a_flag(self, command, tmp_path, monkeypatch, capsys):
@@ -788,6 +815,58 @@ class TestFlagsCheckedBeforeCompute:
         assert ("--val-fraction 0.2 leaves no training examples out of 1"
                 in capsys.readouterr().err)
         assert not (tmp_path / "run").exists()
+
+
+VALID_BASIS = b"# three prompts\nthink step by step\n\ndraw a diagram\n  list the facts  \n"
+# byte-level edits: a non-UTF-8 byte, line ends, blank and comment lines, a
+# NUL, the separators str.splitlines would split on but text mode does not,
+# and a prompt longer than max_positions
+BASIS_INSERTS = st.sampled_from([
+    b"\xff", b"\xc3", b"\r", b"\r\n", b"\n", b"\n\n", b" \t\n", b"#", b"\n# x", b"\x00",
+    "\u2028".encode(), "\u2029".encode(), "\x85".encode(), b"\x0b", b"\x0c", b"\x1c", b"",
+    b"\n" + b"word " * 300])
+
+
+def _basis_prompts(blob: bytes) -> list[str] | None:
+    """The prompts a basis file holds, or None if it is not UTF-8: its
+    stripped lines, split at \\n, \\r and \\r\\n only, that are neither blank
+    nor comments."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [s for s in map(str.strip, lines) if s and not s.startswith("#")]
+
+
+class TestBasisFileContract:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(edits=st.lists(st.tuples(st.integers(0, len(VALID_BASIS)), st.integers(0, 2),
+                                    BASIS_INSERTS), min_size=1, max_size=3))
+    def test_an_edited_basis_file_is_listed_or_rejected_in_one_line(self, edits,
+                                                                     tmp_path_factory):
+        """Edits at byte offsets: ortho lists exactly the file's prompts, or
+        exits 1 with one stderr line and writes nothing under --out."""
+        blob = VALID_BASIS
+        for at, cut, insert in edits:
+            at = min(at, len(blob))
+            blob = blob[:at] + insert + blob[at + cut:]
+        where = tmp_path_factory.getbasetemp()
+        basis, out = where / "contract-basis.txt", where / "contract-out"
+        basis.write_bytes(blob)
+        shutil.rmtree(out, ignore_errors=True)
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = run_cli(["ortho", "--seed", "1", "--basis", str(basis), "--out", str(out)])
+        prompts = _basis_prompts(blob)
+        if code == 1:
+            assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n")
+            assert not out.exists()
+            return
+        assert code == 0 and prompts, stderr.getvalue()
+        listed = stdout.getvalue().rsplit("\nprompts:\n", 1)[1].split("\n")
+        assert listed == [f"  {i}. {p}" for i, p in enumerate(prompts, start=1)] + [""]
+        assert (out / "ortho.txt").read_text(encoding="utf-8") == stdout.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -482,7 +482,7 @@ class TestCheckpoint:
     def test_loaded_model_behaves_identically(self, tiny_lm, tmp_path):
         lm, examples = tiny_lm
         path = tmp_path / "ck.pbld"
-        path.write_bytes(bundle_bytes(lm, None, []))
+        path.write_bytes(bundle_bytes(lm, None, ["a prompt"]))  # a bundle's basis is never empty
         loaded, _, _ = load_bundle(path)
         assert loaded.frozen
         assert loaded.param_hash() == lm.param_hash()

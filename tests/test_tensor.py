@@ -264,6 +264,12 @@ class TestBackward:
         with pytest.raises(ShapeError):
             Tensor(np.ones((2, 2)), requires_grad=True).backward()
 
+    def test_a_root_that_wants_no_gradient_keeps_none(self):
+        x = Tensor(np.ones(3))
+        root = total(x * 2.0)
+        root.backward()
+        assert root.grad is None and x.grad is None
+
     def test_shared_subexpression(self):
         x = Tensor(np.array([2.0]), requires_grad=True)
         y = x * 3.0
@@ -468,22 +474,68 @@ _CHAIN_OPS = {
 }
 
 
+def _draw_chain(data, leaf_flags):
+    """A chain of _CHAIN_OPS that starts from one [3, 4] leaf per flag: every
+    leaf's value and flag, fresh leaves included, and each step's op name
+    with its operands, ("chain", i) for entry i of the chain so far or
+    ("leaf", j) for leaf j."""
+    gen = rngmod.stream(32, "chain")
+    values, flags = [gen.normal(size=(3, 4)) for _ in leaf_flags], list(leaf_flags)
+    steps = []
+    for name in data.draw(st.lists(st.sampled_from(sorted(_CHAIN_OPS)), max_size=8)):
+        operands = []
+        for shape in _CHAIN_OPS[name][0]:
+            if shape == (3, 4):
+                last = len(leaf_flags) + len(steps) - 1
+                operands.append(("chain", data.draw(st.integers(0, last))))
+            else:
+                values.append(gen.normal(size=shape))
+                flags.append(data.draw(st.booleans()))
+                operands.append(("leaf", len(values) - 1))
+        steps.append((name, operands))
+    return values, flags, steps
+
+
+def _run_chain(values, flags, steps, start):
+    """The drawn chain on fresh leaves built with `flags`: the leaves, the
+    chain (its `start` first leaves, then each step's output), each step's
+    inputs, and a cross-entropy loss on the chain's last entry."""
+    leaves = [Tensor(v, requires_grad=f) for v, f in zip(values, flags)]
+    chain, inputs = leaves[:start], []
+    with np.errstate(all="ignore"):  # long chains may overflow; the checks compare bits
+        for name, operands in steps:
+            inputs.append([chain[i] if kind == "chain" else leaves[i] for kind, i in operands])
+            chain.append(_CHAIN_OPS[name][1](*inputs[-1]))
+        loss = cross_entropy(chain[-1], [[1, 2, 3]], pad_id=0)
+    return leaves, chain, inputs, loss
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), leaf_flags=st.lists(st.booleans(), min_size=1, max_size=3))
 def test_an_op_output_wants_a_gradient_exactly_when_an_input_does(data, leaf_flags):
-    gen = rngmod.stream(32, "chain")
-    chain = [Tensor(gen.normal(size=(3, 4)), requires_grad=f) for f in leaf_flags]
-    with np.errstate(all="ignore"):  # long chains may overflow; only flags matter
-        for name in data.draw(st.lists(st.sampled_from(sorted(_CHAIN_OPS)), max_size=8)):
-            shapes, op = _CHAIN_OPS[name]
-            inputs = [chain[data.draw(st.integers(0, len(chain) - 1))] if shape == (3, 4)
-                      else Tensor(gen.normal(size=shape), requires_grad=data.draw(st.booleans()))
-                      for shape in shapes]
-            out = op(*inputs)
-            assert out.requires_grad == any(x.requires_grad for x in inputs), name
-            chain.append(out)
-        loss = cross_entropy(chain[-1], [[1, 2, 3]], pad_id=0)
+    values, flags, steps = _draw_chain(data, leaf_flags)
+    _, chain, inputs, loss = _run_chain(values, flags, steps, len(leaf_flags))
+    for (name, _), xs, out in zip(steps, inputs, chain[len(leaf_flags):]):
+        assert out.requires_grad == any(x.requires_grad for x in xs), name
     assert loss.requires_grad == chain[-1].requires_grad
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), leaf_flags=st.lists(st.booleans(), min_size=1, max_size=3))
+def test_a_leaf_gets_the_same_gradient_whatever_the_other_leaves_want(data, leaf_flags):
+    # a closure's input-flag tests only skip work: a leaf that wants a gradient
+    # gets the bits it gets when every leaf wants one, and a leaf that wants
+    # none keeps None, also when the root wants none
+    values, flags, steps = _draw_chain(data, leaf_flags)
+    runs = []
+    for run_flags in (flags, [True] * len(flags), [False] * len(flags)):
+        leaves, _, _, loss = _run_chain(values, run_flags, steps, len(leaf_flags))
+        with np.errstate(all="ignore"):
+            loss.backward()
+        runs.append([None if x.grad is None else x.grad.tobytes() for x in leaves])
+    drawn, every, none = runs
+    assert drawn == [g if f else None for g, f in zip(every, flags)]
+    assert none == [None] * len(flags)
 
 
 @settings(max_examples=30, deadline=None)
